@@ -278,6 +278,9 @@ def _cmd_cluster(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = fit(graph, k, cfg, log_path=out / "epochs.jsonl")
+    if result.stopped_at is not None:
+        print(f"warning: training diverged at epoch {result.stopped_at}; "
+              "kept the last finite parameters", file=sys.stderr)
     for m, rep in zip(graph.modalities, result.repairs):
         print(f"repaired {m.name} {rep.entries_replaced} entries "
               f"({rep.sparse_columns} sparse columns left alone)")

@@ -5,19 +5,17 @@ gradients, validated against central finite differences in the test
 suite.  All losses expect row-L2-normalized inputs (callers normalize
 and chain the normalization Jacobian), so every dot product lies in
 [-1, 1] and the exponentials involved are bounded; no log-sum-exp
-shifting is needed.
+shifting is needed.  Walk samples are rectangular index arrays, one row
+per anchor, so the neighborhood loss is a single vectorized pass.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-logger = logging.getLogger(__name__)
 
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -178,20 +176,6 @@ def _pair_scores(z_list: list[np.ndarray], us: np.ndarray, vs: np.ndarray) -> np
     return scores
 
 
-def cross_modal_similarity(z_list: list[np.ndarray], u: int, v: int) -> float:
-    """Symmetrized sum of cross-modality dot products between two nodes.
-
-    Inputs are row-normalized embeddings, one per modality.  At least
-    two modalities are required; the score sums over unordered modality
-    pairs and averages the two node orderings.
-    """
-    if len(z_list) < 2:
-        raise ValueError("cross_modal_similarity needs at least two modalities")
-    us = np.asarray([u], dtype=np.int64)
-    vs = np.asarray([v], dtype=np.int64)
-    return float(_pair_scores(z_list, us, vs)[0])
-
-
 @dataclass
 class PrunedGraph:
     """Walk substrate produced by similarity-based edge pruning.
@@ -281,13 +265,16 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
 
 @dataclass
 class SampleSet:
-    """Per-anchor positive walk visits and negative draws."""
+    """Walk positives and negative draws, one row per anchor.
 
-    positives: list[np.ndarray]
-    negatives: list[np.ndarray]
+    ``positives`` is an int64 array of shape (n, walk_length) holding the
+    nodes each anchor's walk visited; ``negatives`` has shape (n, q), and
+    an entry of -1 is padding that scores nothing (a row of -1 marks an
+    anchor with no node left to draw from).
+    """
 
-    def __len__(self) -> int:
-        return len(self.positives)
+    positives: np.ndarray
+    negatives: np.ndarray
 
 
 def sample_neighborhoods(
@@ -298,8 +285,8 @@ def sample_neighborhoods(
     Positives are the ``walk_length`` visited nodes (start excluded as a
     position, revisits kept).  Negatives are ``negatives_per_node``
     uniform draws from the nodes outside the walk and the anchor,
-    resampled on collision; when no such node exists the negative list
-    is empty.  Every node must have at least one neighbor (see
+    resampled on collision; when no such node exists the anchor's row is
+    all -1.  Every node must have at least one neighbor (see
     ``PrunedGraph``).
     """
     adj = sp.csr_matrix(adj)
@@ -320,15 +307,14 @@ def sample_neighborhoods(
         current = adj.indices[adj.indptr[current] + offsets]
         visits[step] = current
 
-    positives = [visits[:, i].copy() for i in range(n)]
-    negatives: list[np.ndarray] = []
+    positives = np.ascontiguousarray(visits.T)
+    negatives = np.full((n, negatives_per_node), -1, dtype=np.int64)
     for i in range(n):
         forbidden = set(positives[i].tolist())
         forbidden.add(i)
         if len(forbidden) >= n:
-            negatives.append(np.empty(0, dtype=np.int64))
             continue
-        out = np.empty(negatives_per_node, dtype=np.int64)
+        out = negatives[i]
         filled = 0
         while filled < negatives_per_node:
             draws = rng.integers(0, n, size=negatives_per_node - filled)
@@ -336,87 +322,45 @@ def sample_neighborhoods(
                 if int(d) not in forbidden:
                     out[filled] = d
                     filled += 1
-        negatives.append(out)
     return SampleSet(positives=positives, negatives=negatives)
-
-
-def _neighborhood_loss_rect(h, pos, neg):
-    """Vectorized path for rectangular sample sets."""
-    n, d = h.shape
-    sp_scores = np.einsum("rcd,rd->rc", h[pos], h)
-    ep = np.exp(sp_scores)
-    sum_p = ep.sum(axis=1)
-    if neg.shape[1]:
-        sn_scores = np.einsum("rcd,rd->rc", h[neg], h)
-        en = np.exp(sn_scores)
-        sum_n = en.sum(axis=1)
-    else:
-        en = np.zeros((n, 0))
-        sum_n = np.zeros(n)
-    value = float(np.sum(np.log(sum_p + sum_n) - np.log(sum_p)))
-    d_pos = ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]
-    grad = np.einsum("rc,rcd->rd", d_pos, h[pos])
-    anchors = np.repeat(np.arange(n), pos.shape[1])
-    scatter = sp.csr_matrix(
-        (d_pos.ravel(), (pos.ravel(), anchors)), shape=(n, n)
-    )
-    grad += scatter @ h
-    if neg.shape[1]:
-        d_neg = en / (sum_p + sum_n)[:, None]
-        grad += np.einsum("rc,rcd->rd", d_neg, h[neg])
-        anchors = np.repeat(np.arange(n), neg.shape[1])
-        scatter = sp.csr_matrix(
-            (d_neg.ravel(), (neg.ravel(), anchors)), shape=(n, n)
-        )
-        grad += scatter @ h
-    return value, grad
 
 
 def neighborhood_loss(h: np.ndarray, samples: SampleSet):
     """Walk-positive contrastive loss over anchors, summed (not averaged).
 
     Per anchor, the walk visits score against the anchor embedding in
-    the numerator while the negatives only enlarge the denominator.
-    Anchors without positives are skipped.  Returns ``(value, grad)``.
+    the numerator while the negatives only enlarge the denominator; -1
+    padding in ``samples.negatives`` is masked out.  Returns
+    ``(value, grad)``.
     """
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
-    if len(samples) != n:
-        raise ValueError("sample set size must match the embedding rows")
-    pos_lens = {p.shape[0] for p in samples.positives}
-    neg_lens = {q.shape[0] for q in samples.negatives}
-    if len(pos_lens) == 1 and 0 not in pos_lens and len(neg_lens) == 1:
-        neg_len = next(iter(neg_lens))
-        neg = (
-            np.vstack(samples.negatives)
-            if neg_len
-            else np.empty((n, 0), dtype=np.int64)
-        )
-        return _neighborhood_loss_rect(h, np.vstack(samples.positives), neg)
+    pos, neg = samples.positives, samples.negatives
+    if pos.ndim != 2 or neg.ndim != 2 or pos.shape[0] != n or neg.shape[0] != n:
+        raise ValueError("sample set needs one row per embedding row")
+    if pos.shape[1] < 1:
+        raise ValueError("every anchor needs at least one positive")
+
+    ep = np.exp(np.einsum("rcd,rd->rc", h[pos], h))
+    sum_p = ep.sum(axis=1)
+    valid = neg >= 0
+    # padding gathers row -1, whose score the mask then drops
+    en = np.where(valid, np.exp(np.einsum("rcd,rd->rc", h[neg], h)), 0.0)
+    sum_n = en.sum(axis=1)
+    value = float(np.sum(np.log(sum_p + sum_n) - np.log(sum_p)))
 
     grad = np.zeros_like(h)
-    value = 0.0
-    skipped = 0
-    for i in range(n):
-        pos = samples.positives[i]
-        neg = samples.negatives[i]
-        if pos.shape[0] == 0:
-            skipped += 1
-            continue
-        ep = np.exp(h[pos] @ h[i])
-        en = np.exp(h[neg] @ h[i]) if neg.shape[0] else np.empty(0)
-        sum_p = float(ep.sum())
-        sum_n = float(en.sum())
-        value += math.log(sum_p + sum_n) - math.log(sum_p)
-        d_pos = ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)
-        grad[i] += d_pos @ h[pos]
-        np.add.at(grad, pos, d_pos[:, None] * h[i][None, :])
-        if neg.shape[0]:
-            d_neg = en / (sum_p + sum_n)
-            grad[i] += d_neg @ h[neg]
-            np.add.at(grad, neg, d_neg[:, None] * h[i][None, :])
-    if skipped:
-        logger.debug("neighborhood_loss skipped %d anchors without positives", skipped)
+    for idx, coef in (
+        (pos, ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]),
+        (neg, en / (sum_p + sum_n)[:, None]),
+    ):
+        grad += np.einsum("rc,rcd->rd", coef, h[idx])
+        keep = idx >= 0
+        anchors = np.broadcast_to(np.arange(n)[:, None], idx.shape)
+        scatter = sp.csr_matrix(
+            (coef[keep], (idx[keep], anchors[keep])), shape=(n, n)
+        )
+        grad += scatter @ h
     return value, grad
 
 

@@ -144,6 +144,7 @@ class FitResult:
     h: np.ndarray
     pruned: PrunedGraph
     repairs: list[RepairReport] = field(default_factory=list)  # per modality
+    stopped_at: int | None = None  # epoch at which training diverged and stopped
 
 
 @dataclass
@@ -293,8 +294,7 @@ def _backward(
     cfg: TrainConfig,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Parameter gradients; shift operators are constants of the step."""
-    _, h_norms = _row_normalize(cache.h)
-    h_norm = cache.h / np.where(h_norms > 0, h_norms, 1.0)[:, None]
+    h_norm, h_norms = _row_normalize(cache.h)
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
     grad_z = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, cfg.filter_config())
 
@@ -356,21 +356,73 @@ class Adam:
             p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
 
 
-def _clustering_state(
-    h: np.ndarray, k: int, cfg: TrainConfig, seed: int
-) -> tuple[Clustering, np.ndarray, list[np.ndarray]]:
-    clustering = kmeans_fit(h, k, seed=seed)
-    centroids_norm, _ = _row_normalize(clustering.centroids)
-    if cfg.no_hps:
-        hard = [
-            np.flatnonzero(clustering.assignments == c)
-            for c in range(clustering.k)
-        ]
-    else:
-        hard = hard_positive_sets(
-            h, clustering.assignments, clustering.centroids, cfg.theta
+def _prune(graph: MultimodalGraph, cache: ForwardCache, cfg: TrainConfig) -> PrunedGraph:
+    """The walk graph, pruned once from the initial projections."""
+    if cfg.no_aas:
+        return passthrough_pruned(graph.edges)
+    z_norms = [_row_normalize(z)[0] for z in cache.z_list]
+    return prune_graph(graph.edges, z_norms, seed=_sub_seed(cfg.seed, _STREAM_PRUNE))
+
+
+def _refreshes_clustering(epoch: int, cfg: TrainConfig) -> bool:
+    return not cfg.no_comm_loss and epoch % cfg.kmeans_interval == 0
+
+
+def _step_state(
+    epoch: int,
+    cache: ForwardCache,
+    pruned: PrunedGraph,
+    k: int,
+    cfg: TrainConfig,
+    last: FrozenState | None = None,
+) -> FrozenState:
+    """Freeze the constants of one training step.
+
+    Walks are resampled every step; the clustering fields refresh every
+    ``kmeans_interval`` epochs and are carried over from ``last`` between
+    refreshes.
+    """
+    assignments = centroids_norm = hard_sets = None
+    if last is not None:
+        assignments, centroids_norm, hard_sets = (
+            last.assignments, last.centroids_norm, last.hard_sets
         )
-    return clustering, centroids_norm, hard
+    if _refreshes_clustering(epoch, cfg):
+        clustering = kmeans_fit(
+            cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, epoch)
+        )
+        assignments = clustering.assignments
+        centroids_norm, _ = _row_normalize(clustering.centroids)
+        if cfg.no_hps:
+            hard_sets = [np.flatnonzero(assignments == c) for c in range(clustering.k)]
+        else:
+            hard_sets = hard_positive_sets(
+                cache.h, assignments, clustering.centroids, cfg.theta
+            )
+    samples = None
+    if not cfg.no_nbr_loss:
+        samples = sample_neighborhoods(
+            pruned.edges,
+            cfg.walk_length,
+            cfg.resolved_negatives,
+            seed=_sub_seed(cfg.seed, _STREAM_WALKS, epoch),
+        )
+    return FrozenState(
+        shifts=cache.s_list,
+        samples=samples,
+        assignments=assignments,
+        centroids_norm=centroids_norm,
+        hard_sets=hard_sets,
+        mms_seed=_sub_seed(cfg.seed, _STREAM_MMS, epoch),
+    )
+
+
+def _params_finite(params: ModelParams) -> bool:
+    """Whether every parameter and the weight-decay term of the objective
+    (the sum of squared weights) are finite."""
+    with np.errstate(over="ignore"):
+        decay = sum(float(np.sum(w * w)) for w in params.weights)
+    return bool(np.isfinite(params.combine_logits).all() and math.isfinite(decay))
 
 
 def _masked_nmi(labels: np.ndarray | None, assignments: np.ndarray) -> float | None:
@@ -394,7 +446,9 @@ def fit(
     The walk graph is pruned once up front from the initial projections;
     walks are resampled every epoch; centroids and hard positive sets
     refresh every ``kmeans_interval`` epochs.  With every loss disabled
-    the parameters are returned untouched.
+    the parameters are returned untouched.  If a loss turns non-finite or
+    an update leaves a non-finite parameter, training stops with the last
+    finite parameters and ``stopped_at`` names the epoch.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
@@ -411,60 +465,39 @@ def fit(
         lr=cfg.lr,
     )
 
-    cache = _forward(xs, ops, params, cfg)
-    if cfg.no_aas:
-        pruned = passthrough_pruned(graph.edges)
-    else:
-        z_norms = [_row_normalize(z)[0] for z in cache.z_list]
-        pruned = prune_graph(graph.edges, z_norms, seed=_sub_seed(cfg.seed, _STREAM_PRUNE))
+    pruned = _prune(graph, _forward(xs, ops, params, cfg), cfg)
 
     logs: list[EpochLog] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    clustering = None
-    centroids_norm = None
-    hard_sets = None
+    frozen = None
+    stopped_at = None
     latest_nmi: float | None = None
     any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
     try:
         for epoch in range(cfg.epochs):
             cache = _forward(xs, ops, params, cfg)
-            if not cfg.no_comm_loss and (
-                clustering is None or epoch % cfg.kmeans_interval == 0
-            ):
-                clustering, centroids_norm, hard_sets = _clustering_state(
-                    cache.h, k, cfg, _sub_seed(cfg.seed, _STREAM_KMEANS, epoch)
-                )
-                latest_nmi = _masked_nmi(graph.labels, clustering.assignments)
-            samples = None
-            if not cfg.no_nbr_loss:
-                samples = sample_neighborhoods(
-                    pruned.edges,
-                    cfg.walk_length,
-                    cfg.resolved_negatives,
-                    seed=_sub_seed(cfg.seed, _STREAM_WALKS, epoch),
-                )
-            frozen = FrozenState(
-                shifts=cache.s_list,
-                samples=samples,
-                assignments=None if clustering is None else clustering.assignments,
-                centroids_norm=centroids_norm,
-                hard_sets=hard_sets,
-                mms_seed=_sub_seed(cfg.seed, _STREAM_MMS, epoch),
-            )
+            frozen = _step_state(epoch, cache, pruned, k, cfg, frozen)
+            if _refreshes_clustering(epoch, cfg):
+                latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
             if any_loss:
                 components, grad_h_norm, grads_z_norm = _loss_components(
                     cache, frozen, cfg
                 )
                 # divergence guard: keep the last finite parameter state
                 if not all(math.isfinite(v) for v in components.values()):
+                    stopped_at = epoch
                     break
                 grad_weights, grad_logits = _backward(
                     xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg
                 )
+                last_finite = params.copy()
                 adam.step(
                     params.weights + [params.combine_logits],
                     grad_weights + [grad_logits],
                 )
+                if not _params_finite(params):
+                    params, stopped_at = last_finite, epoch
+                    break
             else:
                 components = {"mod": 0.0, "nbr": 0.0, "comm": 0.0}
             entry = EpochLog(
@@ -494,6 +527,7 @@ def fit(
         h=cache.h,
         pruned=pruned,
         repairs=repairs,
+        stopped_at=stopped_at,
     )
 
 
@@ -566,31 +600,7 @@ def end_to_end_gradient_check(
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(xs, ops, params, cfg)
-    if cfg.no_aas:
-        pruned = passthrough_pruned(graph.edges)
-    else:
-        z_norms = [_row_normalize(z)[0] for z in cache.z_list]
-        pruned = prune_graph(graph.edges, z_norms, seed=_sub_seed(cfg.seed, _STREAM_PRUNE))
-    samples = None
-    if not cfg.no_nbr_loss:
-        samples = sample_neighborhoods(
-            pruned.edges, cfg.walk_length, cfg.resolved_negatives,
-            seed=_sub_seed(cfg.seed, _STREAM_WALKS, 0),
-        )
-    assignments = centroids_norm = hard_sets = None
-    if not cfg.no_comm_loss:
-        clustering, centroids_norm, hard_sets = _clustering_state(
-            cache.h, k, cfg, _sub_seed(cfg.seed, _STREAM_KMEANS, 0)
-        )
-        assignments = clustering.assignments
-    frozen = FrozenState(
-        shifts=cache.s_list,
-        samples=samples,
-        assignments=assignments,
-        centroids_norm=centroids_norm,
-        hard_sets=hard_sets,
-        mms_seed=_sub_seed(cfg.seed, _STREAM_MMS, 0),
-    )
+    frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg)
 
     components, grad_h_norm, grads_z_norm = _loss_components(cache, frozen, cfg)
     grad_weights, grad_logits = _backward(

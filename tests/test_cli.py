@@ -127,6 +127,13 @@ def test_cluster_end_to_end(dataset_dir, tmp_path, capsys):
     assert any(l.startswith("acc ") and l.endswith("%") for l in stdout.splitlines())
 
 
+def test_cluster_warns_when_training_diverges(dataset_dir, tmp_path, capsys):
+    code = main(["cluster", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+                 *FAST_TRAIN, "--lr", "1e200"])
+    assert code == 0
+    assert "warning: training diverged at epoch 0" in capsys.readouterr().err
+
+
 def test_cluster_k_precedence(dataset_dir, tmp_path):
     # every cluster is refilled when it empties, so exactly k ids appear
     config = tmp_path / "train.txt"

@@ -15,7 +15,6 @@ from mmgc.losses import (
     _impostor_blocks,
     _sub_rng,
     community_loss,
-    cross_modal_similarity,
     cross_modality_loss,
     hard_positive_sets,
     mms_loss,
@@ -197,13 +196,21 @@ def test_cross_modality_three_sets_gradients():
         _check_gradient(f, zs[which], grads[which], seed=which)
 
 
+def _cross_modal_score(zs, u, v):
+    """Sum over unordered modality pairs (a, b) of 0.5 * (a[u].b[v] + a[v].b[u])."""
+    total = 0.0
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            a, b = zs[i], zs[j]
+            total += 0.5 * (float(a[u] @ b[v]) + float(a[v] @ b[u]))
+    return total
+
+
 def test_cross_modal_similarity_two_nodes():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     b = np.array([[1.0, 0.0], [1.0, 0.0]])
     # pair (0,1): 0.5 * (a0.b1 + a1.b0) = 0.5 * (1 + 0)
-    assert cross_modal_similarity([a, b], 0, 1) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        cross_modal_similarity([a], 0, 1)
+    assert _cross_modal_score([a, b], 0, 1) == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------------- pruning
@@ -266,12 +273,12 @@ def test_prune_threshold_separates_kept_from_removed():
     kept = sp.triu(pruned.edges, k=1).tocoo()
     for u, v in zip(kept.row, kept.col):
         if u != v:
-            assert cross_modal_similarity(zs, int(u), int(v)) >= thr
+            assert _cross_modal_score(zs, int(u), int(v)) >= thr
     original = sp.triu(adj, k=1).tocoo()
     kept_pairs = {(int(u), int(v)) for u, v in zip(kept.row, kept.col)}
     for u, v in zip(original.row, original.col):
         if (int(u), int(v)) not in kept_pairs:
-            assert cross_modal_similarity(zs, int(u), int(v)) < thr
+            assert _cross_modal_score(zs, int(u), int(v)) < thr
 
 
 def test_prune_every_node_can_walk():
@@ -329,8 +336,9 @@ def test_degree_zero_rejected():
 def test_empty_complement_gives_empty_negatives():
     adj = complete_graph(2)
     samples = sample_neighborhoods(adj, walk_length=3, negatives_per_node=4, seed=0)
-    for anchor in range(2):
-        assert samples.negatives[anchor].shape == (0,)
+    assert samples.positives.shape == (2, 3)
+    assert samples.negatives.shape == (2, 4)
+    assert (samples.negatives == -1).all()
 
 
 def test_sampling_validation():
@@ -343,27 +351,47 @@ def test_sampling_validation():
 
 # --------------------------------------------------------- neighborhood loss
 
+def _per_anchor_loss(h, samples):
+    """Reference value and gradient, one anchor at a time; -1 negatives skipped."""
+    value = 0.0
+    grad = np.zeros_like(h)
+    for i in range(h.shape[0]):
+        pos = samples.positives[i]
+        neg = samples.negatives[i][samples.negatives[i] >= 0]
+        ep = np.exp(h[pos] @ h[i])
+        en = np.exp(h[neg] @ h[i])
+        total = ep.sum() + en.sum()
+        value += math.log(total) - math.log(ep.sum())
+        d_pos = ep * (1.0 / total - 1.0 / ep.sum())
+        d_neg = en / total
+        grad[i] += d_pos @ h[pos] + d_neg @ h[neg]
+        for j, c in zip(pos, d_pos):
+            grad[j] += c * h[i]
+        for j, c in zip(neg, d_neg):
+            grad[j] += c * h[i]
+    return value, grad
+
+
 def test_neighborhood_hand_value_one_pos_one_neg():
     h = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    # anchors 0 and 1: positive score 1, negative score -1 -> log(1 + e^-2);
+    # anchor 2: positive and negative both score -1 -> log 2
     samples = SampleSet(
-        positives=[np.array([1]), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)],
-        negatives=[np.array([2]), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)],
+        positives=np.array([[1], [0], [0]]),
+        negatives=np.array([[2], [2], [1]]),
     )
     value, grad = neighborhood_loss(h, samples)
-    assert value == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
-    assert value == pytest.approx(0.126928, abs=1e-6)
+    want = 2.0 * math.log(1.0 + math.exp(-2.0)) + math.log(2.0)
+    assert value == pytest.approx(want, abs=1e-12)
+    assert value == pytest.approx(0.947003, abs=1e-6)
 
 
 def test_neighborhood_identical_rows_log2_per_anchor():
     n, ell = 6, 3
     h = np.tile(np.array([[0.6, 0.8]]), (n, 1))
-    pos = [np.arange(1, 1 + ell) % n for _ in range(n)]
-    neg = [(np.arange(1 + ell, 1 + 2 * ell)) % n for _ in range(n)]
-    samples = SampleSet(
-        positives=[p.astype(np.int64) for p in pos],
-        negatives=[q.astype(np.int64) for q in neg],
-    )
-    value, _ = neighborhood_loss(h, samples)
+    pos = np.tile(np.arange(1, 1 + ell) % n, (n, 1))
+    neg = np.tile(np.arange(1 + ell, 1 + 2 * ell) % n, (n, 1))
+    value, _ = neighborhood_loss(h, SampleSet(positives=pos, negatives=neg))
     assert value == pytest.approx(n * math.log(2.0), abs=1e-12)
 
 
@@ -374,14 +402,26 @@ def test_neighborhood_rect_matches_ragged_oracle():
     adj = ring_graph(n)
     samples = sample_neighborhoods(adj, 3, 3, seed=2)
     value, grad = neighborhood_loss(h, samples)
-
-    # independent per-anchor evaluation
-    want = 0.0
-    for i in range(n):
-        ep = np.exp(h[samples.positives[i]] @ h[i]).sum()
-        en = np.exp(h[samples.negatives[i]] @ h[i]).sum()
-        want += math.log(ep + en) - math.log(ep)
+    want, want_grad = _per_anchor_loss(h, samples)
     assert value == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-15)
+
+
+def test_neighborhood_mixed_negatives_match_per_anchor_oracle():
+    # a 5-clique with the pendant path 4-5-6-7: one 12-step walk covers
+    # every other node, so that anchor has no node left to draw from
+    n = 8
+    adj = edges_from_pairs(
+        n, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5), (5, 6), (6, 7)]
+    )
+    samples = sample_neighborhoods(adj, walk_length=12, negatives_per_node=3, seed=0)
+    padded = (samples.negatives == -1).all(axis=1)
+    assert padded.sum() == 1 and (samples.negatives[~padded] >= 0).all()
+    h = _unit_rows(np.random.default_rng(13).standard_normal((n, 4)))
+    value, grad = neighborhood_loss(h, samples)
+    want, want_grad = _per_anchor_loss(h, samples)
+    assert value == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_neighborhood_gradient_matches_finite_differences():
@@ -395,19 +435,22 @@ def test_neighborhood_gradient_matches_finite_differences():
 
 def test_neighborhood_size_mismatch():
     h = np.eye(3)
-    samples = SampleSet(positives=[np.array([0])], negatives=[np.array([1])])
+    samples = SampleSet(positives=np.array([[0]]), negatives=np.array([[1]]))
     with pytest.raises(ValueError):
         neighborhood_loss(h, samples)
 
 
-def test_neighborhood_skips_anchors_without_positives():
+def test_neighborhood_padded_negatives_score_nothing():
+    # with every negative padded, each anchor scores log(p / p) = 0; a
+    # padding entry read as row -1 (= row 2) would add exp(0) to anchor 0
     h = np.eye(3)
     samples = SampleSet(
-        positives=[np.array([1]), np.empty(0, dtype=np.int64), np.array([0])],
-        negatives=[np.empty(0, dtype=np.int64)] * 3,
+        positives=np.array([[1], [2], [0]]),
+        negatives=np.full((3, 2), -1),
     )
     value, grad = neighborhood_loss(h, samples)
-    assert value == pytest.approx(0.0, abs=1e-12)  # no negatives -> log(p/p)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(grad).max() == pytest.approx(0.0, abs=1e-12)
 
 
 # --------------------------------------------------------- community loss

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from mmgc.data import induce_subgraph, load_dataset
+from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc.trainer import (
     Adam,
     ModelParams,
@@ -175,6 +177,7 @@ def test_fit_smoke_and_logs(small_graph, tmp_path):
     assert result.clustering.k == 3
     assert result.h.shape == (small_graph.n_nodes, 8)
     assert len(result.epoch_logs) == 3
+    assert result.stopped_at is None
     assert result.epoch_logs[0].pruned_edges == result.pruned.removed_count
 
     lines = log_path.read_text().splitlines()
@@ -252,6 +255,30 @@ def test_fit_training_reduces_loss(small_graph):
     first = result.epoch_logs[0].loss_total
     last = min(e.loss_total for e in result.epoch_logs[-5:])
     assert last < first
+
+
+def test_fit_divergence_stops_on_record(tmp_path):
+    # the acceptance suite's planted partition (data seed 0), first 200 nodes;
+    # one Adam step of size ~1e200 leaves weights whose squares overflow
+    synth = SynthConfig(
+        n=1000, k=4, p_in=0.05, p_out=0.005, cross_modal_correlation=0.6, seed=0,
+        modalities=[
+            ModalitySpec("text", 32, signal_strength=1.0, noise_sigma=0.5),
+            ModalitySpec("image", 24, signal_strength=1.0, noise_sigma=0.5),
+        ],
+    )
+    graph, _ = load_dataset(generate(synth, tmp_path).manifest)
+    graph = induce_subgraph(graph, 200)
+    result = fit(graph, 4, TrainConfig(epochs=6, lr=1e200))
+
+    assert result.stopped_at == 0
+    assert len(result.epoch_logs) == result.stopped_at
+    reference = init_params([32, 24], 64, seed=0)  # the update was rolled back
+    for got, want in zip(result.params.weights, reference.weights):
+        assert np.array_equal(got, want)
+    assert np.isfinite(result.h).all()
+    a = result.clustering.assignments
+    assert a.shape == (200,) and a.min() >= 0 and a.max() < 4
 
 
 # ---------------------------------------------------------------------- adam
