@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .data import (
 )
 from .datagen import ModalitySpec, SynthConfig, generate
 from .diagnostics import OUTLIER_TAU, distance_correlation, zscore_outliers
-from .filters import spectra_report
+from .filters import DualFilterConfig, spectra_report
 from .metrics import all_metrics
 from .trainer import (
     TrainConfig,
@@ -44,26 +45,24 @@ from .trainer import (
     loss_gradient_checks,
 )
 
-_METRIC_ORDER = ("acc", "nmi", "f1", "ari", "cs")
+# the two historic flag spellings; every other option is --field-name
+_FLAG_SPELLINGS = {"t_layers": "--t", "walk_length": "--walk-len"}
 
-# config-file spellings of the numeric training options
-_TRAIN_KEYS = {
-    "alpha": float,
-    "beta": float,
-    "t_layers": int,
-    "theta": float,
-    "delta": float,
-    "walk_length": int,
-    "negatives_per_node": int,
-    "lr": float,
-    "weight_decay": float,
-    "epochs": int,
-    "kmeans_interval": int,
-    "hidden_dim": int,
-    "mms_negatives": int,
-    "seed": int,
-}
-_TRAIN_FLAGS = ("no_fdd", "no_mod_loss", "no_nbr_loss", "no_aas", "no_comm_loss", "no_hps")
+
+def _option_types(cls) -> dict[str, type]:
+    """The int, float and bool fields of a config dataclass; ``int | None`` is int."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        if type(None) in typing.get_args(tp):
+            (tp,) = set(typing.get_args(tp)) - {type(None)}
+        if tp in (int, float, bool):
+            out[f.name] = tp
+    return out
+
+
+_TRAIN_OPTIONS = _option_types(TrainConfig)
 
 
 def _fail(message: str) -> "SystemExit":
@@ -80,63 +79,52 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ValueError(f"{key} must be a boolean, got {raw!r}")
 
 
+def _parse_value(tp: type, raw: str, key: str):
+    return _parse_bool(raw, key) if tp is bool else tp(raw)
+
+
+def _check_required(cls, given, where: str) -> None:
+    for f in dataclasses.fields(cls):
+        if f.name not in given and f.default is f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{where} is missing {f.name!r}")
+
+
 def _synth_config(path: Path) -> SynthConfig:
-    pairs = parse_keyvalues(path)
-    scalars = {
-        "n": int,
-        "k": int,
-        "p_in": float,
-        "p_out": float,
-        "outlier_rate": float,
-        "cross_modal_correlation": float,
-        "seed": int,
-    }
+    scalars = _option_types(SynthConfig)
+    attrs = _option_types(ModalitySpec)
     kwargs: dict = {}
     modalities: dict[str, dict] = {}
-    for key, raw in pairs.items():
-        if key in scalars:
-            kwargs[key] = scalars[key](raw)
-            continue
+    for key, raw in parse_keyvalues(path).items():
         parts = key.split(".")
-        if len(parts) == 3 and parts[0] == "modality":
-            _, name, attr = parts
-            spec = modalities.setdefault(name, {})
-            if attr == "dim":
-                spec["dim"] = int(raw)
-            elif attr in ("signal_strength", "noise_sigma"):
-                spec[attr] = float(raw)
-            else:
-                raise ValueError(f"unknown modality option {key!r}")
-            continue
-        raise ValueError(f"unknown config key {key!r}")
-    for required in ("n", "k", "p_in", "p_out"):
-        if required not in kwargs:
-            raise ValueError(f"config is missing {required!r}")
-    if not modalities:
-        raise ValueError("config defines no modalities (modality.<name>.dim = ...)")
-    specs = []
-    for name, attrs in modalities.items():
-        if "dim" not in attrs:
-            raise ValueError(f"modality {name!r} is missing dim")
-        specs.append(ModalitySpec(name=name, **attrs))
-    return SynthConfig(modalities=specs, **kwargs)
-
-
-def _train_config_from_file(path: Path) -> tuple[dict, int | None]:
-    """Returns (TrainConfig overrides, clusters or None)."""
-    pairs = parse_keyvalues(path)
-    overrides: dict = {}
-    clusters = None
-    for key, raw in pairs.items():
-        if key == "clusters":
-            clusters = int(raw)
-        elif key in _TRAIN_KEYS:
-            overrides[key] = _TRAIN_KEYS[key](raw)
-        elif key in _TRAIN_FLAGS:
-            overrides[key] = _parse_bool(raw, key)
+        if key in scalars:
+            kwargs[key] = _parse_value(scalars[key], raw, key)
+        elif len(parts) == 3 and parts[0] == "modality" and parts[2] in attrs:
+            spec = modalities.setdefault(parts[1], {"name": parts[1]})
+            spec[parts[2]] = _parse_value(attrs[parts[2]], raw, key)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    return overrides, clusters
+    if not modalities:
+        raise ValueError("config defines no modalities (modality.<name>.dim = ...)")
+    for name, spec in modalities.items():
+        _check_required(ModalitySpec, spec, f"modality {name!r}")
+    kwargs["modalities"] = [ModalitySpec(**spec) for spec in modalities.values()]
+    _check_required(SynthConfig, kwargs, "config")
+    return SynthConfig(**kwargs)
+
+
+def _add_train_options(parser: argparse.ArgumentParser, names=_TRAIN_OPTIONS) -> None:
+    """One flag per named TrainConfig option, default None (not given)."""
+    for name in names:
+        tp = _TRAIN_OPTIONS[name]
+        flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+        if tp is bool:
+            parser.add_argument(flag, dest=name, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=name, type=tp)
+
+
+def _train_options_given(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k in _TRAIN_OPTIONS and v is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,11 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample a synthetic dataset")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("diagnose", parents=[common],
                        help="cross-modal correlation and outlier report")
     p.add_argument("--data", required=True, type=Path, help="manifest path")
     p.add_argument("--tau", type=float, default=OUTLIER_TAU)
+    p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("cluster", parents=[common],
                        help="train and cluster a dataset")
@@ -169,33 +159,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="key=value training options")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--k", type=int, help="cluster count override")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--t", dest="t_layers", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--walk-len", dest="walk_length", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--kmeans-interval", dest="kmeans_interval", type=int)
-    p.add_argument("--mms-negatives", dest="mms_negatives", type=int)
-    p.add_argument("--seed", type=int)
-    for flag in _TRAIN_FLAGS:
-        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                       action="store_true", default=None)
+    _add_train_options(p)
+    p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("spectra", parents=[common],
                        help="filter frequency-response verification")
     p.add_argument("--data", required=True, type=Path, help="manifest path")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--t", dest="t_layers", type=int, default=10)
+    _add_train_options(p, (*_option_types(DualFilterConfig), "seed"))
     p.add_argument("--t-max", dest="t_max", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("."),
                    help="directory for spectra.csv/.json (default: cwd)")
+    p.set_defaults(func=_cmd_spectra)
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference gradient verification")
@@ -203,6 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", dest="n_cap", type=int, default=30)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_gradcheck)
 
     return parser
 
@@ -250,22 +225,24 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _resolve_train_config(args) -> tuple[TrainConfig, int | None]:
-    overrides: dict = {}
+def _train_config(args) -> tuple[TrainConfig, int | None]:
+    """The config file's options overridden by the flags given, and its clusters."""
+    options: dict = {}
     clusters = None
-    if args.config is not None:
-        overrides, clusters = _train_config_from_file(args.config)
-    for key in list(_TRAIN_KEYS) + list(_TRAIN_FLAGS):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    cfg = dataclasses.replace(TrainConfig(), **overrides)
-    return cfg, clusters
+    for key, raw in (parse_keyvalues(args.config) if args.config else {}).items():
+        if key == "clusters":
+            clusters = int(raw)
+        elif key in _TRAIN_OPTIONS:
+            options[key] = _parse_value(_TRAIN_OPTIONS[key], raw, key)
+        else:
+            raise ValueError(f"unknown config key {key!r}")
+    options.update(_train_options_given(args))
+    return TrainConfig(**options), clusters
 
 
 def _cmd_cluster(args) -> int:
     graph, manifest_clusters = load_dataset(args.data)
-    cfg, config_clusters = _resolve_train_config(args)
+    cfg, config_clusters = _train_config(args)
     k = args.k if args.k is not None else config_clusters
     if k is None:
         k = manifest_clusters
@@ -299,10 +276,10 @@ def _cmd_cluster(args) -> int:
             graph.labels[mask], result.clustering.assignments[mask]
         )
         with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump({k_: scores[k_] for k_ in _METRIC_ORDER}, fh, indent=2)
+            json.dump(scores, fh, indent=2)
             fh.write("\n")
-        for name in _METRIC_ORDER:
-            print(f"{name} {100.0 * scores[name]:.2f}%")
+        for name, score in scores.items():
+            print(f"{name} {100.0 * score:.2f}%")
     else:
         print("no ground-truth labels; skipping metrics")
     return 0
@@ -310,7 +287,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_spectra(args) -> int:
     graph, _ = load_dataset(args.data)
-    cfg = TrainConfig(alpha=args.alpha, beta=args.beta, t_layers=args.t_layers, seed=args.seed)
+    cfg = TrainConfig(**_train_options_given(args))
     params = init_params(
         [m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed
     )
@@ -356,15 +333,8 @@ def _cmd_gradcheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "diagnose": _cmd_diagnose,
-        "cluster": _cmd_cluster,
-        "spectra": _cmd_spectra,
-        "gradcheck": _cmd_gradcheck,
-    }
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         raise _fail(str(exc)) from exc
 

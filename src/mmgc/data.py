@@ -319,14 +319,20 @@ def save_dataset(graph: MultimodalGraph, out_dir, clusters: int | None = None) -
 # graph operators
 
 
-def normalize_adjacency(adj: sp.csr_matrix) -> NormalizedOperators:
-    """Symmetric degree normalization; isolated nodes get a unit self-loop first."""
+def add_isolated_self_loops(adj: sp.csr_matrix) -> tuple[sp.csr_matrix, int]:
+    """Float64 CSR copy of ``adj`` with a unit self-loop on every isolated node,
+    and the number of loops added."""
     adj = sp.csr_matrix(adj, dtype=np.float64)
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    isolated = degrees == 0
+    isolated = np.asarray(adj.sum(axis=1)).ravel() == 0
     if isolated.any():
         adj = (adj + sp.diags(isolated.astype(np.float64))).tocsr()
-        degrees = np.asarray(adj.sum(axis=1)).ravel()
+    return adj, int(isolated.sum())
+
+
+def normalize_adjacency(adj: sp.csr_matrix) -> NormalizedOperators:
+    """Symmetric degree normalization; isolated nodes get a unit self-loop first."""
+    adj, _ = add_isolated_self_loops(adj)
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)
     d_half = sp.diags(inv_sqrt)
     a_hat = (d_half @ adj @ d_half).tocsr()

@@ -43,8 +43,10 @@ class DualFilterConfig:
     t_layers: int = 10    # series truncation order, >= 1
 
     def validate(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("smoothing strengths must be non-negative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.t_layers < 1:
             raise ValueError("truncation order must be >= 1")
 

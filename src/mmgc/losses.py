@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .data import add_isolated_self_loops
+
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
@@ -194,18 +196,9 @@ class PrunedGraph:
     disabled: bool
 
 
-def _walk_ready(adj: sp.csr_matrix) -> tuple[sp.csr_matrix, int]:
-    adj = sp.csr_matrix(adj, dtype=np.float64)
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    isolated = degrees == 0
-    if isolated.any():
-        adj = (adj + sp.diags(isolated.astype(np.float64))).tocsr()
-    return adj, int(isolated.sum())
-
-
 def passthrough_pruned(adj: sp.csr_matrix, disabled: bool = True) -> PrunedGraph:
     """Wrap a graph unpruned (ablation path and single-modality fallback)."""
-    ready, loops = _walk_ready(adj)
+    ready, loops = add_isolated_self_loops(adj)
     kept = int(sp.triu(adj, k=1).nnz)
     return PrunedGraph(
         edges=ready, threshold=None, kept_count=kept, removed_count=0,
@@ -248,7 +241,7 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
         (data, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
         shape=(n, n),
     )
-    ready, loops = _walk_ready(kept_adj)
+    ready, loops = add_isolated_self_loops(kept_adj)
     return PrunedGraph(
         edges=ready,
         threshold=threshold,

@@ -36,21 +36,10 @@ def contingency_table(truth, pred) -> np.ndarray:
     return table
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    _, inv = np.unique(labels, return_inverse=True)
-    first = {}
-    out = np.empty_like(inv)
-    next_id = 0
-    for i, v in enumerate(inv):
-        if v not in first:
-            first[v] = next_id
-            next_id += 1
-        out[i] = first[v]
-    return out
-
-
-def _identical_partitions(truth: np.ndarray, pred: np.ndarray) -> bool:
-    return bool(np.array_equal(_canonical(truth), _canonical(pred)))
+def _same_partition(table: np.ndarray) -> bool:
+    """Equal up to relabelling: each row and each column has one non-zero cell."""
+    nonzero = table != 0
+    return bool((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all())
 
 
 def accuracy(truth, pred) -> float:
@@ -77,10 +66,9 @@ def nmi(truth, pred) -> float:
     Identical partitions give 1.0; if either side is a single cluster
     (zero entropy) the score is 0.0.
     """
-    truth, pred = _as_labels(truth, pred)
-    if _identical_partitions(truth, pred):
-        return 1.0
     table = contingency_table(truth, pred).astype(np.float64)
+    if _same_partition(table):
+        return 1.0
     n = table.sum()
     a = table.sum(axis=1)
     b = table.sum(axis=0)
@@ -111,10 +99,9 @@ def _pair_counts(table: np.ndarray):
 def ari(truth, pred) -> float:
     """Adjusted Rand index.  Identical partitions give 1.0 (also when both
     are degenerate and the plain formula is 0/0)."""
-    truth, pred = _as_labels(truth, pred)
-    if _identical_partitions(truth, pred):
-        return 1.0
     table = contingency_table(truth, pred)
+    if _same_partition(table):
+        return 1.0
     sum_cells, sum_truth, sum_pred, total = _pair_counts(table)
     if total == 0:
         return 1.0
@@ -129,10 +116,9 @@ def ari(truth, pred) -> float:
 
 def pairwise_f1(truth, pred) -> float:
     """F1 over same-cluster node pairs.  Identical partitions give 1.0."""
-    truth, pred = _as_labels(truth, pred)
-    if _identical_partitions(truth, pred):
-        return 1.0
     table = contingency_table(truth, pred)
+    if _same_partition(table):
+        return 1.0
     sum_cells, sum_truth, sum_pred, _ = _pair_counts(table)
     denom = sum_truth + sum_pred
     if denom == 0:
@@ -147,10 +133,9 @@ def completeness(truth, pred) -> float:
     normalized by the truth entropy.  Fixed conventions: 1.0 for
     identical partitions and whenever either side is a single cluster.
     """
-    truth, pred = _as_labels(truth, pred)
-    if _identical_partitions(truth, pred):
-        return 1.0
     table = contingency_table(truth, pred).astype(np.float64)
+    if _same_partition(table):
+        return 1.0
     if table.shape[0] < 2 or table.shape[1] < 2:
         return 1.0
     n = table.sum()

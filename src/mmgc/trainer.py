@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,8 +87,14 @@ class TrainConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
+            )
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.kmeans_interval < 1:
             raise ValueError("kmeans_interval must be >= 1")
         if not 0.0 < self.theta <= 1.0:
@@ -123,17 +129,7 @@ class EpochLog:
     nmi_vs_labels: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "loss_total": self.loss_total,
-                "loss_mod": self.loss_mod,
-                "loss_nbr": self.loss_nbr,
-                "loss_comm": self.loss_comm,
-                "pruned_edges": self.pruned_edges,
-                "nmi_vs_labels": self.nmi_vs_labels,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from mmgc.cli import main
+from mmgc.cli import _build_parser, _synth_config, _train_config, main
 from mmgc.data import read_feature_matrix, save_dataset
+from mmgc.datagen import ModalitySpec, SynthConfig
+from mmgc.trainer import TrainConfig
 
 GEN_CONFIG = """\
 n = 40
@@ -26,6 +29,21 @@ modality.image.dim = 4
 
 FAST_TRAIN = ["--epochs", "2", "--hidden-dim", "8", "--walk-len", "3",
               "--mms-negatives", "8"]
+
+
+# the historic flag spellings; every other TrainConfig field is --field-name
+HISTORIC_FLAGS = {"t_layers": "--t", "walk_length": "--walk-len"}
+
+
+def _other_value(value):
+    """A value of the same type that differs from a field's default."""
+    if isinstance(value, bool):
+        return not value
+    if value is None:
+        return 3
+    if isinstance(value, int):
+        return value + 2
+    return value * 2.5 + 0.125
 
 
 def _expect_failure(argv, capsys, match=""):
@@ -68,6 +86,22 @@ def test_generate_rejects_unknown_key(tmp_path, capsys):
         ["generate", "--config", str(config), "--out", str(tmp_path / "d")],
         capsys, match="bogus",
     )
+
+
+def test_generate_accepts_every_synth_option(tmp_path):
+    # every scalar of SynthConfig and every attribute of ModalitySpec is a
+    # config key; the file sets each one, the optional ones off their defaults
+    spec = ModalitySpec("text", 7, signal_strength=1.5, noise_sigma=0.25)
+    expected = SynthConfig(n=40, k=3, p_in=0.4, p_out=0.02, modalities=[spec],
+                           outlier_rate=0.05, cross_modal_correlation=0.5, seed=9)
+    lines = [f"{f.name} = {getattr(expected, f.name)}"
+             for f in dataclasses.fields(SynthConfig) if f.name != "modalities"]
+    lines += [f"modality.text.{f.name} = {getattr(spec, f.name)}"
+              for f in dataclasses.fields(ModalitySpec) if f.name != "name"]
+    config = tmp_path / "synth.txt"
+    config.write_text("\n".join(lines) + "\n")
+    assert _synth_config(config) == expected
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
 
 
 def test_generate_requires_modalities(tmp_path, capsys):
@@ -217,6 +251,57 @@ def test_cluster_config_boolean_flags(dataset_dir, tmp_path, capsys):
          "--out", str(out), "--config", str(config)],
         capsys, match="boolean",
     )
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_cluster_flag_and_config_key_agree(field, tmp_path):
+    # every TrainConfig field is both a cluster flag and a config-file key,
+    # and the two give the same TrainConfig
+    value = _other_value(getattr(TrainConfig(), field))
+    expected = dataclasses.replace(TrainConfig(), **{field: value})
+    assert expected != TrainConfig()
+    parser = _build_parser()
+    base = ["cluster", "--data", "unused", "--out", "unused"]
+
+    flag = HISTORIC_FLAGS.get(field, "--" + field.replace("_", "-"))
+    by_flag = [flag] if isinstance(value, bool) else [flag, str(value)]
+    cfg, _ = _train_config(parser.parse_args(base + by_flag))
+    assert cfg == expected
+
+    config = tmp_path / "train.txt"
+    config.write_text(f"{field} = {value}\n")
+    cfg, _ = _train_config(parser.parse_args(base + ["--config", str(config)]))
+    assert cfg == expected
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("alpha", "nan"),
+        ("alpha", "-inf"),
+        ("beta", "inf"),
+        ("beta", "nan"),
+        ("lr", "nan"),
+        ("lr", "inf"),
+        ("delta", "nan"),
+        ("delta", "-inf"),
+        ("weight_decay", "nan"),
+        ("weight_decay", "inf"),
+        ("weight_decay", "-1"),
+    ],
+)
+def test_cluster_rejects_non_finite_or_negative_option(field, raw, dataset_dir,
+                                                       tmp_path, capsys):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: float(raw)}).validate()
+    flag = "--" + field.replace("_", "-")
+    err = _expect_failure(
+        ["cluster", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+         *FAST_TRAIN, f"{flag}={raw}"],
+        capsys, match=field,
+    )
+    assert "non-finite" not in err  # the option is named, not a later symptom
+    assert not (tmp_path / "run" / "assignments.csv").exists()
 
 
 # ----------------------------------------------------------------- spectra

@@ -53,6 +53,9 @@ def test_config_validation():
         DualFilterConfig(beta=-1.0).validate()
     with pytest.raises(ValueError):
         DualFilterConfig(t_layers=-1).validate()
+    for name, value in (("alpha", float("nan")), ("beta", float("inf"))):
+        with pytest.raises(ValueError, match=name):
+            DualFilterConfig(**{name: value}).validate()
 
 
 def test_config_defaults():
