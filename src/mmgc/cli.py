@@ -8,9 +8,10 @@ Subcommands:
 * ``spectra``   frequency-response report for the configured filter
 * ``gradcheck`` finite-difference verification of the analytic gradients
 
-Every command accepts ``--threads``; the value is a worker hint only and
-never changes numeric results (runs are reproducible for a fixed seed
-regardless of it).
+Every command accepts ``--threads``; nothing reads it yet.  The k-means
+restarts run on up to ``min(n_init, os.cpu_count())`` threads whatever it
+says, and results never depend on the thread count or on ``--threads``
+(runs are reproducible for a fixed seed).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker hint; results do not depend on it",
+        help="accepted and unused; results do not depend on it",
     )
 
     parser = argparse.ArgumentParser(
@@ -241,8 +242,9 @@ def _train_config(args) -> tuple[TrainConfig, int | None]:
 
 
 def _cmd_cluster(args) -> int:
-    graph, manifest_clusters = load_dataset(args.data)
     cfg, config_clusters = _train_config(args)
+    cfg.validate()  # before --out is created
+    graph, manifest_clusters = load_dataset(args.data)
     k = args.k if args.k is not None else config_clusters
     if k is None:
         k = manifest_clusters

@@ -5,13 +5,27 @@ reproducible from its seed; restarts derive child seeds from one root
 sequence and the best inertia wins (earliest restart on ties).  Empty
 clusters are refilled with the point currently farthest from its
 assigned centroid, so no cluster is ever left without members.
+
+The restarts run at the same time on up to ``min(n_init, os.cpu_count())``
+threads, the calling thread included; numpy releases the interpreter lock
+inside the distance products and reductions.  Each restart depends only
+on its own child seed and its result is kept by restart index, so the
+outcome never depends on the thread count.  A multi-threaded BLAS competes
+with these threads for the cores; the gain needs one BLAS thread per
+process.  Seeding computes distances in blocks of ``_BLOCK_ROWS`` rows, so
+a restart's scratch beyond its n x k distance matrix stays far below one
+n x d array.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -28,20 +42,34 @@ class Clustering:
         return int(self.centroids.shape[0])
 
 
-def _squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    x2 = np.einsum("ij,ij->i", x, x)[:, None]
+def _squared_distances(x: np.ndarray, x2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Row-to-centroid squared distances; ``x2`` holds the squared row norms, (n, 1)."""
     c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = x2 - 2.0 * (x @ centroids.T) + c2
+    d2 = x @ centroids.T
+    d2 *= 2.0
+    np.subtract(x2, d2, out=d2)
+    d2 += c2
     np.clip(d2, 0.0, None, out=d2)
+    return d2
+
+
+def _squared_distances_to(x: np.ndarray, point: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of ``x`` to ``point``, ``len(buf)`` rows at a time."""
+    n, step = x.shape[0], buf.shape[0]
+    d2 = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, step):
+        diff = np.subtract(x[lo:lo + step], point, out=buf[:min(step, n - lo)])
+        np.einsum("ij,ij->i", diff, diff, out=d2[lo:lo + step])
     return d2
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+    buf = np.empty((min(n, _BLOCK_ROWS), x.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    d2 = np.einsum("ij,ij->i", x - centroids[0], x - centroids[0])
+    d2 = _squared_distances_to(x, centroids[0], buf)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -49,8 +77,7 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = x[idx]
-        cand = np.einsum("ij,ij->i", x - centroids[j], x - centroids[j])
-        np.minimum(d2, cand, out=d2)
+        np.minimum(d2, _squared_distances_to(x, centroids[j], buf), out=d2)
     return centroids
 
 
@@ -58,11 +85,12 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int):
     n, k = x.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     assignments = np.full(n, -1, dtype=np.int64)
+    x2 = np.einsum("ij,ij->i", x, x)[:, None]
     history: list[float] = []
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        d2 = _squared_distances(x, centroids)
+        d2 = _squared_distances(x, x2, centroids)
         new_assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), new_assign]
         counts = np.bincount(new_assign, minlength=k)
@@ -79,7 +107,47 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int):
         for j in range(k):
             members = assignments == j
             centroids[j] = x[members].mean(axis=0)
-    return assignments, centroids, history[-1], iterations, history
+    return Clustering(assignments, centroids, history[-1], iterations, history)
+
+
+def _restarts(
+    x: np.ndarray, k: int, seeds: list[np.random.SeedSequence], max_iters: int
+) -> list[Clustering]:
+    """One seeded Lloyd run per seed, in seed order, run on several threads.
+
+    Threads take the next restart index from a shared counter until none is
+    left; after a restart raises, no new restart starts and the exception
+    of the earliest failed restart reaches the caller.
+    """
+    results: list[Clustering | None] = [None] * len(seeds)
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(len(seeds)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                init = _plus_plus_init(x, k, np.random.default_rng(seeds[i]))
+                results[i] = _lloyd(x, init, max_iters)
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    failures[i] = exc
+                return
+
+    helpers = [threading.Thread(target=work, name=f"kmeans-restart-{t}")
+               for t in range(min(len(seeds), os.cpu_count() or 1) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def kmeans_fit(
@@ -110,14 +178,8 @@ def kmeans_fit(
         init = np.asarray(init_centroids, dtype=np.float64)
         if init.shape != (k, x.shape[1]):
             raise ValueError("init_centroids must have shape (k, d)")
-        assign, cents, inertia, iters, history = _lloyd(x, init, max_iters)
-        return Clustering(assign, cents, inertia, iters, history)
+        return _lloyd(x, init, max_iters)
 
-    best: Clustering | None = None
-    for child in np.random.SeedSequence(seed).spawn(max(1, n_init)):
-        rng = np.random.default_rng(child)
-        init = _plus_plus_init(x, k, rng)
-        assign, cents, inertia, iters, history = _lloyd(x, init, max_iters)
-        if best is None or inertia < best.inertia:
-            best = Clustering(assign, cents, inertia, iters, history)
-    return best
+    seeds = np.random.SeedSequence(seed).spawn(max(1, n_init))
+    # min keeps the first of equal keys: the earliest restart wins ties
+    return min(_restarts(x, k, seeds, max_iters), key=lambda c: c.inertia)

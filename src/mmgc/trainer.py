@@ -82,7 +82,8 @@ class TrainConfig:
         return self.walk_length if self.negatives_per_node is None else self.negatives_per_node
 
     def validate(self) -> None:
-        self.filter_config().validate()
+        # the raw values: filter_config() zeroes beta under no_fdd
+        DualFilterConfig(alpha=self.alpha, beta=self.beta, t_layers=self.t_layers).validate()
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
         if self.epochs < 1:

@@ -274,34 +274,43 @@ def test_cluster_flag_and_config_key_agree(field, tmp_path):
     assert cfg == expected
 
 
+def _bad_option(field, raw, no_fdd=False):
+    suffix = "-no_fdd" if no_fdd else ""
+    return pytest.param(field, raw, no_fdd, id=f"{field}-{raw}{suffix}")
+
+
 @pytest.mark.parametrize(
-    "field, raw",
+    "field, raw, no_fdd",
     [
-        ("alpha", "nan"),
-        ("alpha", "-inf"),
-        ("beta", "inf"),
-        ("beta", "nan"),
-        ("lr", "nan"),
-        ("lr", "inf"),
-        ("delta", "nan"),
-        ("delta", "-inf"),
-        ("weight_decay", "nan"),
-        ("weight_decay", "inf"),
-        ("weight_decay", "-1"),
+        _bad_option("alpha", "nan"),
+        _bad_option("alpha", "-inf"),
+        _bad_option("beta", "inf"),
+        _bad_option("beta", "nan"),
+        _bad_option("lr", "nan"),
+        _bad_option("lr", "inf"),
+        _bad_option("delta", "nan"),
+        _bad_option("delta", "-inf"),
+        _bad_option("weight_decay", "nan"),
+        _bad_option("weight_decay", "inf"),
+        _bad_option("weight_decay", "-1"),
+        # no_fdd turns the feature filter off but does not excuse a bad value
+        _bad_option("alpha", "nan", no_fdd=True),
+        _bad_option("beta", "nan", no_fdd=True),
+        _bad_option("beta", "-1", no_fdd=True),
     ],
 )
-def test_cluster_rejects_non_finite_or_negative_option(field, raw, dataset_dir,
+def test_cluster_rejects_non_finite_or_negative_option(field, raw, no_fdd, dataset_dir,
                                                        tmp_path, capsys):
     with pytest.raises(ValueError, match=field):
-        TrainConfig(**{field: float(raw)}).validate()
+        TrainConfig(**{field: float(raw)}, no_fdd=no_fdd).validate()
     flag = "--" + field.replace("_", "-")
     err = _expect_failure(
         ["cluster", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
-         *FAST_TRAIN, f"{flag}={raw}"],
+         *FAST_TRAIN, f"{flag}={raw}", *(["--no-fdd"] if no_fdd else [])],
         capsys, match=field,
     )
     assert "non-finite" not in err  # the option is named, not a later symptom
-    assert not (tmp_path / "run" / "assignments.csv").exists()
+    assert not (tmp_path / "run").exists()  # rejected before --out is created
 
 
 # ----------------------------------------------------------------- spectra

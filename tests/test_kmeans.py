@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmgc import kmeans
 from mmgc.kmeans import kmeans_fit
 
 
@@ -136,3 +141,113 @@ def test_inertia_matches_assignment_definition(seed, k):
         for j in range(k)
     )
     assert res.inertia == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+# ------------------------------------------------------ concurrent restarts
+
+def _duplicates_only(seed=12):
+    """Four distinct rows repeated, clustered with k=6: every plus-plus
+    seeding repeats a center, so every restart refills empty clusters."""
+    rng = np.random.default_rng(seed)
+    return np.repeat(rng.standard_normal((4, 3)), [20, 15, 10, 5], axis=0)
+
+
+def _fit_fields(res):
+    return (res.assignments.tobytes(), res.centroids.tobytes(), res.inertia,
+            res.iterations, list(res.inertia_history))
+
+
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(kmeans.os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("x, k", [
+    (_duplicates_only(), 6),
+    (np.random.default_rng(13).standard_normal((200, 4)), 5),
+], ids=["duplicates-only", "gaussian"])
+def test_restarts_byte_identical_for_any_cpu_count(x, k, monkeypatch):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+    try:
+        fits = []
+        for cpus in (1, 2, 8):
+            _with_cpus(monkeypatch, cpus)
+            fits.append(_fit_fields(kmeans_fit(x, k, seed=7)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fits[0] == fits[1] == fits[2]
+
+
+def test_duplicates_only_input_refills_empty_clusters():
+    x = _duplicates_only()
+    init = kmeans._plus_plus_init(x, 6, np.random.default_rng(0))
+    assert len(np.unique(init, axis=0)) == 4  # two centers start empty
+    res = kmeans_fit(x, 6, seed=7)
+    assert np.bincount(res.assignments, minlength=6).min() >= 1
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_tied_restarts_pick_the_first(cpus, monkeypatch):
+    # k = n: every restart reaches inertia 0, each with its own labelling
+    x = np.random.default_rng(14).standard_normal((6, 2))
+    _with_cpus(monkeypatch, cpus)
+    seeds = np.random.SeedSequence(3).spawn(10)
+    runs = kmeans._restarts(x, 6, seeds, 300)
+    assert {r.inertia for r in runs} == {0.0}
+    assert len({r.assignments.tobytes() for r in runs}) > 1
+    assert _fit_fields(kmeans_fit(x, 6, seed=3)) == _fit_fields(kmeans_fit(x, 6, seed=3, n_init=1))
+
+
+@pytest.mark.parametrize("cpus, n_init, helpers", [(1, 10, 0), (2, 10, 1), (8, 10, 7), (8, 3, 2)])
+def test_helper_threads_bounded_by_cpus_and_restarts(cpus, n_init, helpers, monkeypatch):
+    started = []
+    real_thread = threading.Thread
+
+    class CountingThread(real_thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    _with_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(kmeans.threading, "Thread", CountingThread)
+    x, _ = _blobs(seed=15)
+    kmeans_fit(x, 2, seed=0, n_init=n_init)
+    assert len(started) == helpers
+
+
+def test_exception_in_a_restart_reaches_caller(monkeypatch):
+    calls = []
+    lock = threading.Lock()
+    real_lloyd = kmeans._lloyd
+
+    def failing_lloyd(x, centroids, max_iters):
+        with lock:
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("restart failed")
+        return real_lloyd(x, centroids, max_iters)
+
+    monkeypatch.setattr(kmeans, "_lloyd", failing_lloyd)
+    x, _ = _blobs(seed=16)
+    before = threading.active_count()
+    for cpus in (1, 2):
+        calls.clear()
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="restart failed"):
+            kmeans_fit(x, 2, seed=0, n_init=10)
+        assert len(calls) < 10  # no new restart starts after a failure
+        assert threading.active_count() == before  # helpers joined
+
+
+def test_plus_plus_scratch_below_one_n_by_d_array():
+    """Seeding distances are computed in row blocks: its peak allocation
+    stays below one n x d array, so concurrent restarts do not each hold one."""
+    x = np.random.default_rng(17).standard_normal((16000, 64))
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        kmeans._plus_plus_init(x, 10, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
