@@ -8,10 +8,17 @@ Subcommands:
 * ``spectra``   frequency-response report for the configured filter
 * ``gradcheck`` finite-difference verification of the analytic gradients
 
-Every command accepts ``--threads``; nothing reads it yet.  The k-means
-restarts run on up to ``min(n_init, os.cpu_count())`` threads whatever it
-says, and results never depend on the thread count or on ``--threads``
-(runs are reproducible for a fixed seed).
+Every command accepts ``--threads``, the thread budget of ``cluster``,
+``spectra`` and ``gradcheck`` (default: the CPU count; it must be >= 1).
+It bounds the k-means restarts run at once and the column blocks of the
+node-domain filter series.  Each block needs ``filters._SPLIT_WORK``
+(2.5 million) nonzeros times columns per sparse pass, so the series splits
+in two from, for example, 16000 nodes of mean degree 16 at 20 columns, and
+graphs of a few thousand nodes run it on one thread.  Results
+never depend on the budget (runs are reproducible for a fixed seed).
+With a budget above 1 and no BLAS thread count set in the environment,
+``cluster`` notes on stderr that one BLAS thread per process avoids
+contention with these threads.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .datagen import ModalitySpec, SynthConfig, generate
 from .diagnostics import OUTLIER_TAU, distance_correlation, zscore_outliers
 from .filters import DualFilterConfig, spectra_report
 from .metrics import all_metrics
+from .parallel import thread_budget
 from .trainer import (
     TrainConfig,
     end_to_end_gradient_check,
@@ -45,6 +53,9 @@ from .trainer import (
     init_params,
     loss_gradient_checks,
 )
+
+# setting any of these pins the BLAS thread count; without one, cluster warns
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the two historic flag spellings; every other option is --field-name
 _FLAG_SPELLINGS = {"t_layers": "--t", "walk_length": "--walk-len"}
@@ -133,8 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="accepted and unused; results do not depend on it",
+        help="thread budget for the k-means restarts and the node-filter column "
+             "split of large graphs (default: the CPU count); results do not "
+             "depend on it",
     )
 
     parser = argparse.ArgumentParser(
@@ -254,9 +266,16 @@ def _cmd_cluster(args) -> int:
             "or record clusters in the manifest"
         )
 
+    budget = thread_budget(args.threads)
+    if budget > 1 and not any(os.environ.get(v) for v in _BLAS_THREAD_VARIABLES):
+        print(f"note: the thread budget (--threads) is {budget}; set "
+              "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1 / MKL_NUM_THREADS=1): "
+              "a multi-threaded BLAS competes with these threads for the cores",
+              file=sys.stderr)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = fit(graph, k, cfg, log_path=out / "epochs.jsonl")
+    result = fit(graph, k, cfg, log_path=out / "epochs.jsonl", threads=budget)
     if result.stopped_at is not None:
         print(f"warning: training diverged at epoch {result.stopped_at}; "
               "kept the last finite parameters", file=sys.stderr)
@@ -293,7 +312,7 @@ def _cmd_spectra(args) -> int:
     params = init_params(
         [m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed
     )
-    _, s_list, z, _ = forward(graph, params, cfg)
+    _, s_list, z, _ = forward(graph, params, cfg, threads=args.threads)
     ops = normalize_adjacency(graph.edges)
     report = spectra_report(ops, z, s_list, cfg.filter_config(), t_max=args.t_max)
     out = Path(args.out)
@@ -319,7 +338,8 @@ def _cmd_gradcheck(args) -> int:
     ok = True
     for title, report in (
         ("loss gradients", loss_gradient_checks(seed=args.seed)),
-        ("end-to-end step gradient", end_to_end_gradient_check(sub, k, cfg, seed=args.seed)),
+        ("end-to-end step gradient",
+         end_to_end_gradient_check(sub, k, cfg, seed=args.seed, threads=args.threads)),
     ):
         print(title)
         for entry in report.entries:
@@ -335,6 +355,8 @@ def _cmd_gradcheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        raise _fail(f"--threads must be >= 1, got {args.threads}")
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

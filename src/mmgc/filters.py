@@ -19,6 +19,12 @@ a filtered value that leaves the outlier out.  The smoothing above
 cannot do this: its feature-domain pass multiplies every row by one
 d x d matrix, so it spreads an entry-level spike over the row instead
 of removing it.
+
+The node-domain series, the bulk of the filter, its VJP and the repair,
+splits its columns over a thread budget (``threads``) when the graph is
+large enough (``_SPLIT_WORK``): each thread runs the whole series on its
+own column block.  Every output entry is summed in the same order as on
+one thread, so the result never depends on the budget.
 """
 
 from __future__ import annotations
@@ -32,8 +38,16 @@ import scipy.sparse as sp
 
 from .data import NormalizedOperators, laplacian
 from .diagnostics import OUTLIER_TAU, zscore_outliers
+from .parallel import map_indexed
 
 _DENSE_LIMIT = 2000
+
+# nnz(A) x columns of one sparse pass that a column block needs to be worth
+# a thread of its own.  Measured with two blocks and one BLAS thread on a
+# 2-core machine, 10 passes: n = 4000 (nnz 65k) gained nothing at 64 and 128
+# columns and lost 17-46% below; n = 16000 (nnz 260k) ran 1.4-2.0x faster
+# at 24 to 128 columns.
+_SPLIT_WORK = 2_500_000
 
 
 @dataclass
@@ -93,12 +107,40 @@ def _mean_shift(shifts: list[np.ndarray]) -> np.ndarray:
     return out / len(shifts)
 
 
-def _left_series_apply(a_hat, y0: np.ndarray, coeff: float, t: int) -> np.ndarray:
-    """Evaluate sum_{s=0..t} (coeff * A)^s y0 with t sparse passes."""
-    y = y0.copy()
+def _series(a_hat, y0: np.ndarray, coeff: float, t: int) -> np.ndarray:
+    """sum_{s=0..t} (coeff * A)^s y0 with t >= 1 passes, on the calling thread."""
+    y = y0
     for _ in range(t):
-        y = y0 + coeff * (a_hat @ y)
+        y = a_hat @ y
+        y *= coeff
+        y += y0
     return y
+
+
+def _left_series_apply(
+    a_hat, y0: np.ndarray, coeff: float, t: int, threads: int = 1
+) -> np.ndarray:
+    """Evaluate sum_{s=0..t} (coeff * A)^s y0 with t >= 1 sparse passes.
+
+    A sparse ``a_hat`` with enough work per pass splits the columns into up
+    to ``threads`` blocks of at least ``_SPLIT_WORK`` each; the bits do not
+    depend on the split.
+    """
+    d = y0.shape[1]
+    work = a_hat.nnz * d if sp.issparse(a_hat) else 0
+    parts = max(1, min(threads, d, work // _SPLIT_WORK))
+    if parts == 1:
+        return _series(a_hat, y0, coeff, t)
+    bounds = [d * i // parts for i in range(parts + 1)]
+    out = np.empty(y0.shape, dtype=np.float64)
+
+    def block(i: int) -> None:
+        lo, hi = bounds[i], bounds[i + 1]
+        out[:, lo:hi] = _series(a_hat, y0[:, lo:hi], coeff, t)
+
+    map_indexed(block, parts, parts)
+    return out
+
 
 def _right_series_matrix(s_bar: np.ndarray, coeff: float, t: int) -> np.ndarray:
     """Evaluate sum_{s=0..t} (coeff * S)^s as a dense matrix."""
@@ -110,12 +152,16 @@ def _right_series_matrix(s_bar: np.ndarray, coeff: float, t: int) -> np.ndarray:
 
 
 def dual_filter(
-    a_hat, z: np.ndarray, shifts: list[np.ndarray], cfg: DualFilterConfig
+    a_hat,
+    z: np.ndarray,
+    shifts: list[np.ndarray],
+    cfg: DualFilterConfig,
+    threads: int = 1,
 ) -> np.ndarray:
     """Apply the truncated dual filter to the embedding matrix ``z``.
 
     Exactly linear in ``z`` for fixed shifts.  With alpha = beta = 0 the
-    output equals ``z``.
+    output equals ``z``.  ``threads`` bounds the node-domain column split.
     """
     cfg.validate()
     z = np.asarray(z, dtype=np.float64)
@@ -127,7 +173,7 @@ def dual_filter(
     ca = cfg.alpha / (cfg.alpha + 1.0)
     cb = cfg.beta / (cfg.beta + 1.0)
     prefactor = 1.0 / ((cfg.alpha + 1.0) * (cfg.beta + 1.0))
-    left = _left_series_apply(a_hat, z, ca, cfg.t_layers)
+    left = _left_series_apply(a_hat, z, ca, cfg.t_layers, threads)
     right = _right_series_matrix(s_bar, cb, cfg.t_layers)
     return prefactor * (left @ right)
 
@@ -145,7 +191,9 @@ class RepairReport:
     sparse_columns: int  # left alone: half or more of the entries share one value
 
 
-def repair_feature_outliers(a_hat, x: np.ndarray, cfg: DualFilterConfig) -> RepairReport:
+def repair_feature_outliers(
+    a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1
+) -> RepairReport:
     """Replace entry-level outliers of one modality's raw attributes in place.
 
     ``x`` is a float64 array.  The estimate ``x_hat`` is the node-domain
@@ -161,7 +209,8 @@ def repair_feature_outliers(a_hat, x: np.ndarray, cfg: DualFilterConfig) -> Repa
     absolute deviation is zero: there at least half of the entries share
     one value, the rare values are the signal and a z-screen would flag
     them all.  Nothing changes when ``cfg.beta == 0`` (FDD off) or
-    ``cfg.alpha == 0`` (then ``x_hat`` is ``x``).
+    ``cfg.alpha == 0`` (then ``x_hat`` is ``x``).  ``threads`` bounds the
+    column split of the node-domain series.
     """
     cfg.validate()
     if x.shape[0] != a_hat.shape[0]:
@@ -175,7 +224,8 @@ def repair_feature_outliers(a_hat, x: np.ndarray, cfg: DualFilterConfig) -> Repa
         median = np.median(block, axis=0)
         dense = np.median(np.abs(block - median), axis=0) > 0.0
         report.sparse_columns += int((~dense).sum())
-        x_hat = _left_series_apply(a_hat, block, ca, cfg.t_layers) / (cfg.alpha + 1.0)
+        x_hat = _left_series_apply(a_hat, block, ca, cfg.t_layers, threads)
+        x_hat /= cfg.alpha + 1.0
         mask = zscore_outliers(block - x_hat, tau=OUTLIER_TAU).entry_mask
         mask &= dense
         hit = mask.any(axis=0)
@@ -186,14 +236,19 @@ def repair_feature_outliers(a_hat, x: np.ndarray, cfg: DualFilterConfig) -> Repa
         # filter the hit columns again with their outliers at the column median
         cols, flagged = block[:, hit], mask[:, hit]
         cols[flagged] = np.broadcast_to(median[hit], cols.shape)[flagged]
-        refit = _left_series_apply(a_hat, cols, ca, cfg.t_layers) / (cfg.alpha + 1.0)
+        refit = _left_series_apply(a_hat, cols, ca, cfg.t_layers, threads)
+        refit /= cfg.alpha + 1.0
         cols[flagged] = refit[flagged]
         block[:, hit] = cols
     return report
 
 
 def dual_filter_vjp(
-    a_hat, grad_h: np.ndarray, shifts: list[np.ndarray], cfg: DualFilterConfig
+    a_hat,
+    grad_h: np.ndarray,
+    shifts: list[np.ndarray],
+    cfg: DualFilterConfig,
+    threads: int = 1,
 ) -> np.ndarray:
     """Pull a gradient on the filter output back to the input embedding.
 
@@ -201,7 +256,7 @@ def dual_filter_vjp(
     same operator pair applied to the incoming gradient (shifts treated
     as constants).
     """
-    return dual_filter(a_hat, grad_h, shifts, cfg)
+    return dual_filter(a_hat, grad_h, shifts, cfg, threads)
 
 
 def exact_solution(

@@ -2,28 +2,32 @@
 
 Squared Euclidean metric on unnormalized rows.  Every run is fully
 reproducible from its seed; restarts derive child seeds from one root
-sequence and the best inertia wins (earliest restart on ties).  Empty
-clusters are refilled with the point currently farthest from its
-assigned centroid, so no cluster is ever left without members.
+sequence and the best inertia wins (earliest restart on ties).  An empty
+cluster is refilled with the point farthest from its assigned centroid
+among the points whose cluster keeps another member, so no cluster is
+ever left without members.  Centroids are updated with one sparse
+cluster-by-point indicator product, which sums each cluster's rows in
+point order, as a per-cluster mean would, without gathering them.
 
-The restarts run at the same time on up to ``min(n_init, os.cpu_count())``
-threads, the calling thread included; numpy releases the interpreter lock
-inside the distance products and reductions.  Each restart depends only
-on its own child seed and its result is kept by restart index, so the
-outcome never depends on the thread count.  A multi-threaded BLAS competes
-with these threads for the cores; the gain needs one BLAS thread per
-process.  Seeding computes distances in blocks of ``_BLOCK_ROWS`` rows, so
-a restart's scratch beyond its n x k distance matrix stays far below one
-n x d array.
+The restarts run at the same time on the thread budget (``threads``;
+None means ``os.cpu_count()``), at most one thread per restart, the
+calling thread included; numpy releases the interpreter lock inside the
+distance products and reductions.  Each restart depends only on its own
+child seed and its result is kept by restart index, so the outcome never
+depends on the budget.  A multi-threaded BLAS competes with these threads
+for the cores; the gain needs one BLAS thread per process.  Seeding
+computes distances in blocks of ``_BLOCK_ROWS`` rows, so a restart's
+scratch beyond its n x k distance matrix stays far below one n x d array.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+
+from .parallel import map_indexed, thread_budget
 
 _BLOCK_ROWS = 1024
 
@@ -81,11 +85,32 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int):
+def _refill_empty(
+    x: np.ndarray,
+    centroids: np.ndarray,
+    assignments: np.ndarray,
+    point_d2: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Move the farthest point whose cluster keeps another member into each
+    empty cluster, in place; a moved point is its new cluster's centroid."""
+    for j in np.flatnonzero(counts == 0):
+        movable = np.where(counts[assignments] > 1, point_d2, -np.inf)
+        far = int(movable.argmax())
+        counts[assignments[far]] -= 1
+        counts[j] = 1
+        centroids[j] = x[far]
+        assignments[far] = j
+        point_d2[far] = 0.0
+
+
+def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int) -> Clustering:
     n, k = x.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     assignments = np.full(n, -1, dtype=np.int64)
     x2 = np.einsum("ij,ij->i", x, x)[:, None]
+    # the indicator's values and column pointers: one point per column
+    ones, indptr = np.ones(n), np.arange(n + 1)
     history: list[float] = []
     iterations = 0
     for _ in range(max_iters):
@@ -94,60 +119,35 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int):
         new_assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), new_assign]
         counts = np.bincount(new_assign, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            far = int(point_d2.argmax())
-            centroids[j] = x[far]
-            new_assign[far] = j
-            point_d2[far] = -np.inf  # a stolen point cannot be stolen twice
+        _refill_empty(x, centroids, new_assign, point_d2, counts)
         point_d2 = np.maximum(point_d2, 0.0)
         history.append(float(point_d2.sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        for j in range(k):
-            members = assignments == j
-            centroids[j] = x[members].mean(axis=0)
+        indicator = sp.csc_matrix((ones, assignments, indptr), shape=(k, n))
+        centroids = indicator @ x
+        centroids /= counts[:, None]
     return Clustering(assignments, centroids, history[-1], iterations, history)
 
 
 def _restarts(
-    x: np.ndarray, k: int, seeds: list[np.random.SeedSequence], max_iters: int
+    x: np.ndarray,
+    k: int,
+    seeds: list[np.random.SeedSequence],
+    max_iters: int,
+    threads: int | None = None,
 ) -> list[Clustering]:
-    """One seeded Lloyd run per seed, in seed order, run on several threads.
+    """One seeded Lloyd run per seed, in seed order, on the thread budget.
 
-    Threads take the next restart index from a shared counter until none is
-    left; after a restart raises, no new restart starts and the exception
-    of the earliest failed restart reaches the caller.
+    After a restart raises, no new restart starts and the exception of the
+    earliest failed restart reaches the caller.
     """
-    results: list[Clustering | None] = [None] * len(seeds)
-    failures: dict[int, BaseException] = {}
-    pending = iter(range(len(seeds)))
-    lock = threading.Lock()
+    def restart(i: int) -> Clustering:
+        init = _plus_plus_init(x, k, np.random.default_rng(seeds[i]))
+        return _lloyd(x, init, max_iters)
 
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if failures else next(pending, None)
-            if i is None:
-                return
-            try:
-                init = _plus_plus_init(x, k, np.random.default_rng(seeds[i]))
-                results[i] = _lloyd(x, init, max_iters)
-            except BaseException as exc:  # re-raised in the calling thread
-                with lock:
-                    failures[i] = exc
-                return
-
-    helpers = [threading.Thread(target=work, name=f"kmeans-restart-{t}")
-               for t in range(min(len(seeds), os.cpu_count() or 1) - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
+    return map_indexed(restart, len(seeds), thread_budget(threads))
 
 
 def kmeans_fit(
@@ -157,11 +157,14 @@ def kmeans_fit(
     n_init: int = 10,
     max_iters: int = 300,
     init_centroids: np.ndarray | None = None,
+    threads: int | None = None,
 ) -> Clustering:
     """Cluster rows of ``x`` into ``k`` groups.
 
     ``init_centroids`` bypasses seeding and restarts and runs a single
     Lloyd pass from the given centers (used by equivariance tests).
+    ``threads`` is the thread budget of the restarts; the result does not
+    depend on it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -182,4 +185,4 @@ def kmeans_fit(
 
     seeds = np.random.SeedSequence(seed).spawn(max(1, n_init))
     # min keeps the first of equal keys: the earliest restart wins ties
-    return min(_restarts(x, k, seeds, max_iters), key=lambda c: c.inertia)
+    return min(_restarts(x, k, seeds, max_iters, threads), key=lambda c: c.inertia)

@@ -9,6 +9,11 @@ analytically: the feature shift operators, walk samples, cluster
 centroids, and hard positive sets are treated as constants of the
 current step, and the same freeze applies in finite-difference replay
 so the two paths are comparable.
+
+``fit``, ``forward`` and ``end_to_end_gradient_check`` take one thread
+budget, ``threads`` (None means ``os.cpu_count()``).  It bounds the column
+split of the node-domain filter series (in the filter, its VJP and the
+repair) and the concurrent k-means restarts; results never depend on it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .losses import (
     sample_neighborhoods,
 )
 from .metrics import nmi
+from .parallel import thread_budget
 
 # seed-stream tags so every random consumer draws independently
 _STREAM_INIT = 0
@@ -209,6 +215,7 @@ def _forward(
     ops: NormalizedOperators,
     params: ModelParams,
     cfg: TrainConfig,
+    threads: int,
     shifts: list[np.ndarray] | None = None,
 ) -> ForwardCache:
     z_list = [x @ w for x, w in zip(xs, params.weights)]
@@ -217,28 +224,33 @@ def _forward(
     z = np.zeros_like(z_list[0])
     for w_i, z_i in zip(weights, z_list):
         z += w_i * z_i
-    h = dual_filter(ops.a_hat, z, s_list, cfg.filter_config())
+    h = dual_filter(ops.a_hat, z, s_list, cfg.filter_config(), threads=threads)
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, z=z, h=h)
 
 
 def _raw_features(
-    graph: MultimodalGraph, ops: NormalizedOperators, cfg: TrainConfig
+    graph: MultimodalGraph, ops: NormalizedOperators, cfg: TrainConfig, threads: int
 ) -> tuple[list[np.ndarray], list[RepairReport]]:
     """Each modality's attributes in 64-bit after the outlier repair, and
     what the repair replaced."""
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
-    return xs, [repair_feature_outliers(ops.a_hat, x, filter_cfg) for x in xs]
+    return xs, [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads)
+                for x in xs]
 
 
 def forward(
-    graph: MultimodalGraph, params: ModelParams, cfg: TrainConfig
+    graph: MultimodalGraph,
+    params: ModelParams,
+    cfg: TrainConfig,
+    threads: int | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
     """Repair, project, mix, and filter; returns (z_list, s_list, z, h)."""
     cfg.validate()
+    threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
-    xs, _ = _raw_features(graph, ops, cfg)
-    cache = _forward(xs, ops, params, cfg)
+    xs, _ = _raw_features(graph, ops, cfg, threads)
+    cache = _forward(xs, ops, params, cfg, threads)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
     return cache.z_list, cache.s_list, cache.z, cache.h
@@ -289,11 +301,13 @@ def _backward(
     grad_h_norm: np.ndarray,
     grads_z_norm: list[np.ndarray],
     cfg: TrainConfig,
+    threads: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Parameter gradients; shift operators are constants of the step."""
     h_norm, h_norms = _row_normalize(cache.h)
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
-    grad_z = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, cfg.filter_config())
+    grad_z = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, cfg.filter_config(),
+                             threads=threads)
 
     grad_weights = []
     mix_sensitivity = np.empty(len(cache.z_list))
@@ -315,13 +329,14 @@ def replay_loss(
     params: ModelParams,
     cfg: TrainConfig,
     frozen: FrozenState,
+    threads: int = 1,
 ) -> float:
     """Step objective under frozen stochastic state, for finite differences.
 
     Includes the weight decay penalty so its gradient is part of the
     comparison.  The forward runs in 64-bit like the training path.
     """
-    cache = _forward(xs, ops, params, cfg, shifts=frozen.shifts)
+    cache = _forward(xs, ops, params, cfg, threads, shifts=frozen.shifts)
     components, _, _ = _loss_components(cache, frozen, cfg)
     penalty = cfg.weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
     return sum(components.values()) + penalty
@@ -371,6 +386,7 @@ def _step_state(
     pruned: PrunedGraph,
     k: int,
     cfg: TrainConfig,
+    threads: int,
     last: FrozenState | None = None,
 ) -> FrozenState:
     """Freeze the constants of one training step.
@@ -386,7 +402,7 @@ def _step_state(
         )
     if _refreshes_clustering(epoch, cfg):
         clustering = kmeans_fit(
-            cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, epoch)
+            cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, epoch), threads=threads
         )
         assignments = clustering.assignments
         centroids_norm, _ = _row_normalize(clustering.centroids)
@@ -436,6 +452,7 @@ def fit(
     k: int,
     cfg: TrainConfig | None = None,
     log_path=None,
+    threads: int | None = None,
 ) -> FitResult:
     """Train on one dataset and return the final clustering of the
     filtered embeddings.
@@ -445,24 +462,26 @@ def fit(
     refresh every ``kmeans_interval`` epochs.  With every loss disabled
     the parameters are returned untouched.  If a loss turns non-finite or
     an update leaves a non-finite parameter, training stops with the last
-    finite parameters and ``stopped_at`` names the epoch.
+    finite parameters and ``stopped_at`` names the epoch.  ``threads`` is
+    the thread budget (None: the CPU count); the result does not depend on it.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
+    threads = thread_budget(threads)
     if k < 1:
         raise ValueError("cluster count must be >= 1")
     if k > graph.n_nodes:
         raise ValueError("cluster count exceeds the number of nodes")
 
     ops = normalize_adjacency(graph.edges)
-    xs, repairs = _raw_features(graph, ops, cfg)
+    xs, repairs = _raw_features(graph, ops, cfg, threads)
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
     adam = Adam(
         [w.shape for w in params.weights] + [params.combine_logits.shape],
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(xs, ops, params, cfg), cfg)
+    pruned = _prune(graph, _forward(xs, ops, params, cfg, threads), cfg)
 
     logs: list[EpochLog] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -472,8 +491,8 @@ def fit(
     any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
     try:
         for epoch in range(cfg.epochs):
-            cache = _forward(xs, ops, params, cfg)
-            frozen = _step_state(epoch, cache, pruned, k, cfg, frozen)
+            cache = _forward(xs, ops, params, cfg, threads)
+            frozen = _step_state(epoch, cache, pruned, k, cfg, threads, frozen)
             if _refreshes_clustering(epoch, cfg):
                 latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
             if any_loss:
@@ -485,7 +504,7 @@ def fit(
                     stopped_at = epoch
                     break
                 grad_weights, grad_logits = _backward(
-                    xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg
+                    xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg, threads
                 )
                 last_finite = params.copy()
                 adam.step(
@@ -513,9 +532,9 @@ def fit(
         if log_fh:
             log_fh.close()
 
-    cache = _forward(xs, ops, params, cfg)
+    cache = _forward(xs, ops, params, cfg, threads)
     final_clustering = kmeans_fit(
-        cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs)
+        cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs), threads=threads
     )
     return FitResult(
         params=params,
@@ -583,29 +602,32 @@ def end_to_end_gradient_check(
     tolerance: float = 1e-3,
     max_coords: int = 40,
     seed: int = 0,
+    threads: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic parameter gradients with central differences.
 
     The stochastic pieces of one training step (shift operators, walk
     samples, centroids, hard positive sets, impostor draws) are frozen,
     so the step objective is a smooth function of the parameters.
+    ``threads`` is the thread budget, as for ``fit``.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
+    threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
-    xs, _ = _raw_features(graph, ops, cfg)
+    xs, _ = _raw_features(graph, ops, cfg, threads)
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
 
-    cache = _forward(xs, ops, params, cfg)
-    frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg)
+    cache = _forward(xs, ops, params, cfg, threads)
+    frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, threads)
 
     components, grad_h_norm, grads_z_norm = _loss_components(cache, frozen, cfg)
     grad_weights, grad_logits = _backward(
-        xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg
+        xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg, threads
     )
 
     def objective() -> float:
-        return replay_loss(xs, ops, params, cfg, frozen)
+        return replay_loss(xs, ops, params, cfg, frozen, threads)
 
     rng = np.random.default_rng(seed)
     report = GradCheckReport()

@@ -244,6 +244,7 @@ def test_cluster_config_boolean_flags(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["cluster", "--data", str(dataset_dir),
                  "--out", str(out), "--config", str(config)]) == 0
+    capsys.readouterr()  # the first run's output, a BLAS note among it
 
     config.write_text("no_fdd = maybe\n")
     _expect_failure(
@@ -311,6 +312,41 @@ def test_cluster_rejects_non_finite_or_negative_option(field, raw, no_fdd, datas
     )
     assert "non-finite" not in err  # the option is named, not a later symptom
     assert not (tmp_path / "run").exists()  # rejected before --out is created
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["cluster", "generate"])
+def test_rejects_non_positive_threads(command, threads, dataset_dir, tmp_path, capsys):
+    if command == "cluster":
+        argv = ["cluster", "--data", str(dataset_dir), *FAST_TRAIN]
+    else:
+        (tmp_path / "gen.txt").write_text(GEN_CONFIG)
+        argv = ["generate", "--config", str(tmp_path / "gen.txt")]
+    _expect_failure(argv + ["--out", str(tmp_path / "run"), "--threads", threads],
+                    capsys, match="--threads")
+    assert not (tmp_path / "run").exists()  # rejected before --out is created
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads, pinned, note", [
+    ("2", None, True),
+    ("2", "OMP_NUM_THREADS", False),
+    ("2", "MKL_NUM_THREADS", False),
+    ("1", None, False),
+])
+def test_cluster_notes_blas_contention(threads, pinned, note, dataset_dir, tmp_path,
+                                       capsys, monkeypatch):
+    for name in _BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    if pinned:
+        monkeypatch.setenv(pinned, "1")
+    assert main(["cluster", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+                 "--threads", threads, *FAST_TRAIN]) == 0
+    err = capsys.readouterr().err
+    assert ("OPENBLAS_NUM_THREADS=1" in err) == note
+    assert err.count("note:") == int(note)
 
 
 # ----------------------------------------------------------------- spectra

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -463,6 +465,93 @@ def test_repair_is_off_without_filter_strength():
     for cfg in (DualFilterConfig(beta=0.0), DualFilterConfig(alpha=0.0)):
         off, report = _repaired(ops.a_hat, x, cfg)
         assert off.tobytes() == x.tobytes() and report.entries_replaced == 0
+
+
+# -------------------------------------------------------------- column split
+
+@pytest.fixture
+def split_always(monkeypatch):
+    """The smallest work threshold: every sparse series splits its columns
+    into as many blocks as the budget and the columns allow."""
+    monkeypatch.setattr(filters_module, "_SPLIT_WORK", 1)
+    blocks = []
+    real = filters_module.map_indexed
+
+    def counting(work, count, threads):
+        blocks.append(count)
+        return real(work, count, threads)
+
+    monkeypatch.setattr(filters_module, "map_indexed", counting)
+    return blocks
+
+
+def _plain_series(a_hat, y0, coeff, t):
+    """The series as first written: one new array per pass, no split."""
+    y = y0.copy()
+    for _ in range(t):
+        y = y0 + coeff * (a_hat @ y)
+    return y
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("cols", [1, 2, 5, 64])
+def test_column_split_is_byte_identical(cols, threads, split_always):
+    ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
+    wide = np.random.default_rng(8).standard_normal((300, cols + 3))
+    for y0 in (wide[:, :cols].copy(), wide[:, 3:]):  # contiguous, and a column slice
+        got = filters_module._left_series_apply(ops.a_hat, y0, 0.5, 10, threads)
+        assert got.tobytes() == _plain_series(ops.a_hat, y0, 0.5, 10).tobytes()
+    expected_blocks = min(threads, cols)
+    assert split_always == ([expected_blocks] * 2 if expected_blocks > 1 else [])
+
+
+def test_column_split_stays_off_below_threshold(monkeypatch):
+    ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
+    y0 = np.random.default_rng(8).standard_normal((300, 64))
+    assert ops.a_hat.nnz * 64 < 2 * filters_module._SPLIT_WORK
+    calls = []
+    monkeypatch.setattr(filters_module, "map_indexed", lambda *a: calls.append(a))
+    got = filters_module._left_series_apply(ops.a_hat, y0, 0.5, 10, threads=8)
+    assert calls == []
+    assert got.tobytes() == _plain_series(ops.a_hat, y0, 0.5, 10).tobytes()
+
+
+def test_column_split_exception_in_a_helper_reaches_caller(split_always, monkeypatch):
+    ops = normalize_adjacency(er_graph(100, 0.1, seed=9))
+    y0 = np.random.default_rng(9).standard_normal((100, 6))
+    together = threading.Barrier(3, timeout=10)  # one block per thread
+    helpers_failed = []
+    real_series = filters_module._series
+
+    def series(a_hat, block, coeff, t):
+        together.wait()
+        if threading.current_thread() is not threading.main_thread():
+            helpers_failed.append(threading.current_thread().name)
+            raise RuntimeError("helper failed")
+        return real_series(a_hat, block, coeff, t)
+
+    monkeypatch.setattr(filters_module, "_series", series)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        filters_module._left_series_apply(ops.a_hat, y0, 0.5, 4, threads=3)
+    assert len(helpers_failed) == 2
+    assert threading.active_count() == before  # helpers joined
+
+
+def test_dual_filter_and_repair_identical_for_any_budget(split_always):
+    ops, z, shifts = _instance(120, 7, seed=10, m=2)
+    cfg = DualFilterConfig()
+    h = dual_filter(ops.a_hat, z, shifts, cfg)
+    x = z.copy()
+    x[3, ::2] += 40.0
+    for threads in (2, 3):
+        assert dual_filter(ops.a_hat, z, shifts, cfg, threads).tobytes() == h.tobytes()
+        assert (dual_filter_vjp(ops.a_hat, z, shifts, cfg, threads).tobytes()
+                == dual_filter_vjp(ops.a_hat, z, shifts, cfg).tobytes())
+        serial, split = x.copy(), x.copy()
+        assert repair_feature_outliers(ops.a_hat, serial, cfg).entries_replaced > 0
+        repair_feature_outliers(ops.a_hat, split, cfg, threads)
+        assert split.tobytes() == serial.tobytes()
 
 
 # -------------------------------------------------------------- full report

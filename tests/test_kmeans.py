@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmgc import kmeans
+from mmgc import kmeans, parallel
 from mmgc.kmeans import kmeans_fit
 
 
@@ -158,24 +160,82 @@ def _fit_fields(res):
 
 
 def _with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(kmeans.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def _wide_clusters(seed=18, n=1000, d=64, k=4):
+    """Shaped like the embeddings the trainer clusters: unequal clusters,
+    64 columns, centers well inside the noise."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, size=n)
+    return rng.standard_normal((k, d))[labels] * 0.8 + rng.standard_normal((n, d))
 
 
 @pytest.mark.parametrize("x, k", [
     (_duplicates_only(), 6),
     (np.random.default_rng(13).standard_normal((200, 4)), 5),
-], ids=["duplicates-only", "gaussian"])
+    (_wide_clusters(), 4),
+], ids=["duplicates-only", "gaussian", "wide"])
 def test_restarts_byte_identical_for_any_cpu_count(x, k, monkeypatch):
+    """The restarts follow the thread budget: an explicit one, or the CPU
+    count when it is None; the result is the same for every budget."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
     try:
-        fits = []
-        for cpus in (1, 2, 8):
+        fits = [_fit_fields(kmeans_fit(x, k, seed=7, threads=t)) for t in (1, 2, 8)]
+        for cpus in (1, 3):
             _with_cpus(monkeypatch, cpus)
             fits.append(_fit_fields(kmeans_fit(x, k, seed=7)))
     finally:
         sys.setswitchinterval(interval)
-    assert fits[0] == fits[1] == fits[2]
+    assert all(f == fits[0] for f in fits)
+
+
+def _mean_update_lloyd(x, centroids, max_iters):
+    """The per-cluster mean centroid update, the definition the sparse
+    indicator product must reproduce bit for bit (no empty cluster here)."""
+    n, k = x.shape[0], centroids.shape[0]
+    centroids = centroids.copy()
+    assignments = np.full(n, -1)
+    x2 = np.einsum("ij,ij->i", x, x)[:, None]
+    for _ in range(max_iters):
+        new_assign = kmeans._squared_distances(x, x2, centroids).argmin(axis=1)
+        assert np.bincount(new_assign, minlength=k).min() > 0
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        centroids = np.vstack([x[assignments == j].mean(axis=0) for j in range(k)])
+    return assignments, centroids
+
+
+@pytest.mark.parametrize("x, k", [
+    (np.random.default_rng(13).standard_normal((200, 4)), 5),
+    (_wide_clusters(), 4),
+    (_wide_clusters(seed=19, n=3000, d=7, k=9), 9),
+], ids=["gaussian", "wide", "narrow"])
+def test_sparse_centroid_update_matches_cluster_means(x, k):
+    init = kmeans._plus_plus_init(x, k, np.random.default_rng(0))
+    res = kmeans._lloyd(x, init, 300)
+    assignments, centroids = _mean_update_lloyd(x, init, 300)
+    assert res.assignments.tobytes() == assignments.tobytes()
+    assert res.centroids.tobytes() == centroids.tobytes()
+
+
+@pytest.mark.parametrize("x, k, seeds", [
+    (np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), 3, range(4)),
+    (np.repeat(np.array([[0.0, 0.0], [3.0, 1.0], [5.0, 5.0]]), [1, 1, 6], axis=0), 5, range(8)),
+], ids=["three-points", "two-singletons"])
+def test_refill_never_empties_another_cluster(x, k, seeds):
+    """A refill takes its point from a cluster that keeps another member;
+    taking a singleton's only member left a NaN centroid and inertia."""
+    for seed in seeds:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = kmeans_fit(x, k, seed=seed)
+        assert np.isfinite(res.inertia)
+        assert np.isfinite(res.centroids).all()
+        assert np.bincount(res.assignments, minlength=k).min() >= 1
+        assert res.iterations < 300
 
 
 def test_duplicates_only_input_refills_empty_clusters():
@@ -187,15 +247,15 @@ def test_duplicates_only_input_refills_empty_clusters():
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
-def test_tied_restarts_pick_the_first(cpus, monkeypatch):
+def test_tied_restarts_pick_the_first(cpus):
     # k = n: every restart reaches inertia 0, each with its own labelling
     x = np.random.default_rng(14).standard_normal((6, 2))
-    _with_cpus(monkeypatch, cpus)
     seeds = np.random.SeedSequence(3).spawn(10)
-    runs = kmeans._restarts(x, 6, seeds, 300)
+    runs = kmeans._restarts(x, 6, seeds, 300, threads=cpus)
     assert {r.inertia for r in runs} == {0.0}
     assert len({r.assignments.tobytes() for r in runs}) > 1
-    assert _fit_fields(kmeans_fit(x, 6, seed=3)) == _fit_fields(kmeans_fit(x, 6, seed=3, n_init=1))
+    assert (_fit_fields(kmeans_fit(x, 6, seed=3, threads=cpus))
+            == _fit_fields(kmeans_fit(x, 6, seed=3, n_init=1)))
 
 
 @pytest.mark.parametrize("cpus, n_init, helpers", [(1, 10, 0), (2, 10, 1), (8, 10, 7), (8, 3, 2)])
@@ -208,9 +268,12 @@ def test_helper_threads_bounded_by_cpus_and_restarts(cpus, n_init, helpers, monk
             started.append(self.name)
             super().start()
 
-    _with_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(kmeans.threading, "Thread", CountingThread)
+    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
     x, _ = _blobs(seed=15)
+    kmeans_fit(x, 2, seed=0, n_init=n_init, threads=cpus)
+    assert len(started) == helpers
+    started.clear()
+    _with_cpus(monkeypatch, cpus)  # no budget given: the CPU count
     kmeans_fit(x, 2, seed=0, n_init=n_init)
     assert len(started) == helpers
 
@@ -232,9 +295,8 @@ def test_exception_in_a_restart_reaches_caller(monkeypatch):
     before = threading.active_count()
     for cpus in (1, 2):
         calls.clear()
-        _with_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError, match="restart failed"):
-            kmeans_fit(x, 2, seed=0, n_init=10)
+            kmeans_fit(x, 2, seed=0, n_init=10, threads=cpus)
         assert len(calls) < 10  # no new restart starts after a failure
         assert threading.active_count() == before  # helpers joined
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from mmgc import filters
 from mmgc.data import induce_subgraph, load_dataset
 from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc.trainer import (
@@ -279,6 +281,49 @@ def test_fit_divergence_stops_on_record(tmp_path):
     assert np.isfinite(result.h).all()
     a = result.clustering.assignments
     assert a.shape == (200,) and a.min() >= 0 and a.max() < 4
+
+
+def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
+    """With the node-series column split forced on, budgets 1 and 3, and the
+    budget a patched CPU count gives, train to the same bits."""
+    synth = SynthConfig(
+        n=300, k=3, p_in=0.1, p_out=0.01, cross_modal_correlation=0.6, seed=2,
+        outlier_rate=0.01,
+        modalities=[ModalitySpec("text", 12, noise_sigma=0.5),
+                    ModalitySpec("image", 5, noise_sigma=0.5)],
+    )
+    graph, _ = load_dataset(generate(synth, tmp_path).manifest)
+    cfg = TrainConfig(epochs=3, kmeans_interval=2, hidden_dim=16, mms_negatives=32)
+    monkeypatch.setattr(filters, "_SPLIT_WORK", 1)
+    blocks = []
+    real = filters.map_indexed
+
+    def counting(work, count, threads):
+        blocks.append(count)
+        return real(work, count, threads)
+
+    monkeypatch.setattr(filters, "map_indexed", counting)
+
+    def run(threads=None):
+        result = fit(graph, 3, cfg, threads=threads)
+        params = init_params([12, 5], cfg.hidden_dim, cfg.seed)
+        h = forward(graph, params, cfg, threads=threads)[3]
+        return result.h.tobytes(), result.clustering.assignments.tobytes(), h.tobytes()
+
+    serial = run(threads=1)
+    assert blocks == []
+    assert run(threads=3) == serial
+    assert blocks and set(blocks) == {3}
+    blocks.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run() == serial
+    assert blocks and set(blocks) == {3}
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_non_positive_thread_budget_rejected(small_graph, threads):
+    with pytest.raises(ValueError, match="threads"):
+        fit(small_graph, 3, TrainConfig(epochs=1), threads=threads)
 
 
 # ---------------------------------------------------------------------- adam
