@@ -10,6 +10,7 @@ mean, which the z-score screen is expected to recover.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -71,8 +72,13 @@ class SynthConfig:
                 raise ValueError(f"modality name {m.name!r} is not filesystem safe")
             if m.dim < 1:
                 raise ValueError("modality dim must be >= 1")
-            if m.signal_strength < 0 or m.noise_sigma < 0:
-                raise ValueError("signal_strength and noise_sigma must be >= 0")
+            for nm in ("signal_strength", "noise_sigma"):
+                value = getattr(m, nm)
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(
+                        f"modality {m.name!r}: {nm} must be finite and "
+                        f"non-negative, got {value}"
+                    )
 
 
 @dataclass

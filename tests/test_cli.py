@@ -88,6 +88,18 @@ def test_generate_rejects_unknown_key(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["signal_strength", "noise_sigma"])
+def test_generate_rejects_non_finite_modality_scale(option, raw, tmp_path, capsys):
+    config = tmp_path / "gen.txt"
+    config.write_text(GEN_CONFIG + f"modality.image.{option} = {raw}\n")
+    _expect_failure(
+        ["generate", "--config", str(config), "--out", str(tmp_path / "d")],
+        capsys, match=option,
+    )
+    assert not (tmp_path / "d").exists()
+
+
 def test_generate_accepts_every_synth_option(tmp_path):
     # every scalar of SynthConfig and every attribute of ModalitySpec is a
     # config key; the file sets each one, the optional ones off their defaults

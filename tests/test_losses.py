@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmgc import losses as losses_module
 from mmgc.losses import (
     SampleSet,
     _impostor_blocks,
@@ -291,6 +293,78 @@ def test_prune_every_node_can_walk():
     assert (degrees >= 1).all()
 
 
+def _gather_rows(monkeypatch, rows, row_bytes):
+    """Patch the gather budget so that a block holds ``rows`` rows."""
+    monkeypatch.setattr(losses_module, "_GATHER_BYTES", rows * row_bytes)
+
+
+def _pruned_bytes(pruned):
+    csr = pruned.edges
+    return (pruned.threshold, pruned.kept_count, pruned.removed_count, pruned.self_loops,
+            csr.indptr.tobytes(), csr.indices.tobytes(), csr.data.tobytes())
+
+
+def _plain_pair_scores(zs, us, vs):
+    """The pair scores as first written: every pair gathered at once."""
+    scores = np.zeros(us.shape[0])
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            forward = np.einsum("rd,rd->r", zs[i][us], zs[j][vs])
+            backward = np.einsum("rd,rd->r", zs[i][vs], zs[j][us])
+            scores += 0.5 * (forward + backward)
+    return scores
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10_000])
+def test_prune_is_byte_identical_for_any_block_size(rows, monkeypatch):
+    rng = np.random.default_rng(10)
+    n, d = 60, 5
+    zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(3)]
+    adj = edges_from_pairs(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
+    )
+    triu = sp.triu(adj, k=1).tocoo()
+    assert triu.nnz > 7  # several blocks at 7 rows
+    want = _pruned_bytes(prune_graph(adj, zs, seed=2))
+    _gather_rows(monkeypatch, rows, d * 8)
+    got = losses_module._pair_scores(zs, triu.row, triu.col)
+    assert got.tobytes() == _plain_pair_scores(zs, triu.row, triu.col).tobytes()
+    assert _pruned_bytes(prune_graph(adj, zs, seed=2)) == want
+
+
+def _random_graph(n, edges, seed):
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n, edges), rng.integers(0, n, edges)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    adj = sp.csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+    adj.data[:] = 1.0
+    return adj
+
+
+# n x d float64 arrays at n=16000, d=64: the bounds of the peak tests below
+_BIG_N, _BIG_D = 16000, 64
+_BIG_ARRAY = _BIG_N * _BIG_D * 8
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prune_scratch_below_two_n_by_d_arrays():
+    """Pair scores gather rows in blocks: one call at mean degree 16 allocates
+    less than two n x d arrays above its inputs, not two |E| x d gathers."""
+    rng = np.random.default_rng(11)
+    adj = _random_graph(_BIG_N, 8 * _BIG_N, seed=11)
+    zs = [_unit_rows(rng.standard_normal((_BIG_N, _BIG_D))) for _ in range(3)]
+    assert _traced_peak(lambda: prune_graph(adj, zs, seed=1)) < 2 * _BIG_ARRAY
+
+
 # ------------------------------------------------------------- walk sampling
 
 def test_walks_are_valid_paths():
@@ -451,6 +525,58 @@ def test_neighborhood_padded_negatives_score_nothing():
     value, grad = neighborhood_loss(h, samples)
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.abs(grad).max() == pytest.approx(0.0, abs=1e-12)
+
+
+def _padded_samples(n, walk, q, seed):
+    rng = np.random.default_rng(seed)
+    negatives = rng.integers(0, n, (n, q))
+    negatives[::3, q // 2:] = -1  # partly padded rows
+    negatives[::7] = -1  # anchors with nothing to draw
+    return SampleSet(positives=rng.integers(0, n, (n, walk)), negatives=negatives)
+
+
+def _plain_neighborhood_loss(h, samples):
+    """The neighborhood loss as first written: every walk and negative
+    gathered at once."""
+    pos, neg = samples.positives, samples.negatives
+    n = h.shape[0]
+    ep = np.exp(np.einsum("rcd,rd->rc", h[pos], h))
+    sum_p = ep.sum(axis=1)
+    en = np.where(neg >= 0, np.exp(np.einsum("rcd,rd->rc", h[neg], h)), 0.0)
+    sum_n = en.sum(axis=1)
+    value = float(np.sum(np.log(sum_p + sum_n) - np.log(sum_p)))
+    grad = np.zeros_like(h)
+    for idx, coef in (
+        (pos, ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]),
+        (neg, en / (sum_p + sum_n)[:, None]),
+    ):
+        grad += np.einsum("rc,rcd->rd", coef, h[idx])
+        keep = idx >= 0
+        anchors = np.broadcast_to(np.arange(n)[:, None], idx.shape)
+        grad += sp.csr_matrix((coef[keep], (idx[keep], anchors[keep])), shape=(n, n)) @ h
+    return value, grad
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10_000])
+def test_neighborhood_is_byte_identical_for_any_block_size(rows, monkeypatch):
+    n, d, walk = 50, 6, 4
+    h = _unit_rows(np.random.default_rng(12).standard_normal((n, d)))
+    samples = _padded_samples(n, walk, 3, seed=12)
+    value, grad = neighborhood_loss(h, samples)
+    want_value, want_grad = _plain_neighborhood_loss(h, samples)
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
+    _gather_rows(monkeypatch, rows, walk * d * 8)  # the walks are the wider gather
+    got_value, got_grad = neighborhood_loss(h, samples)
+    assert got_value == value
+    assert got_grad.tobytes() == grad.tobytes()
+
+
+def test_neighborhood_scratch_below_four_n_by_d_arrays():
+    """Walk and negative scores gather rows in blocks: one call allocates less
+    than four n x d arrays above its inputs, not n x walk x d gathers."""
+    h = _unit_rows(np.random.default_rng(13).standard_normal((_BIG_N, _BIG_D)))
+    samples = _padded_samples(_BIG_N, 10, 10, seed=13)
+    assert _traced_peak(lambda: neighborhood_loss(h, samples)) < 4 * _BIG_ARRAY
 
 
 # --------------------------------------------------------- community loss
