@@ -265,6 +265,8 @@ def _cmd_cluster(args) -> int:
             "cluster count not given: pass --k, set clusters in the config, "
             "or record clusters in the manifest"
         )
+    if not 1 <= k <= graph.n_nodes:
+        raise ValueError(f"cluster count must lie in [1, {graph.n_nodes}], got {k}")
 
     budget = thread_budget(args.threads)
     if budget > 1 and not any(os.environ.get(v) for v in _BLAS_THREAD_VARIABLES):
@@ -309,6 +311,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_spectra(args) -> int:
     graph, _ = load_dataset(args.data)
     cfg = TrainConfig(**_train_options_given(args))
+    cfg.validate()  # before init_params draws from the seed
     params = init_params(
         [m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed
     )
@@ -334,6 +337,7 @@ def _cmd_gradcheck(args) -> int:
         k = 4
     k = max(1, min(k, sub.n_nodes))
     cfg = TrainConfig(seed=args.seed)
+    cfg.validate()  # before loss_gradient_checks draws from the seed
 
     ok = True
     for title, report in (

@@ -137,37 +137,46 @@ def write_edge_list(path, adj: sp.csr_matrix) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def _lines(path):
+    """``(lineno, text)`` per line of a text file, ``#`` comments cut and
+    blank lines skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.partition("#")[0].strip()
+            if line:
+                yield lineno, line
+
+
+def symmetric_adjacency(n: int, us, vs) -> sp.csr_matrix:
+    """Float64 0/1 CSR holding both directions of every ``(us[i], vs[i])``
+    pair; duplicate pairs collapse to one entry."""
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    adj = sp.csr_matrix(
+        (np.ones(2 * us.size), (np.concatenate([us, vs]), np.concatenate([vs, us]))),
+        shape=(n, n),
+    )
+    adj.data[:] = 1.0  # duplicates were summed on construction
+    return adj
+
+
 def read_edge_list(path, n_nodes: int) -> sp.csr_matrix:
     """Read, symmetrize and deduplicate an edge list; self-loops are dropped."""
     us: list[int] = []
     vs: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-            if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
-                raise ValueError(
-                    f"{path}:{lineno}: node id out of range for {n_nodes} nodes"
-                )
-            if u == v:
-                continue
+    for lineno, line in _lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+        if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
+            raise ValueError(f"{path}:{lineno}: node id out of range for {n_nodes} nodes")
+        if u != v:
             us.append(u)
             vs.append(v)
-    row = np.asarray(us + vs, dtype=np.int64)
-    col = np.asarray(vs + us, dtype=np.int64)
-    data = np.ones(row.shape[0], dtype=np.float64)
-    adj = sp.csr_matrix((data, (row, col)), shape=(n_nodes, n_nodes))
-    adj.data[:] = 1.0  # collapse duplicate entries
-    adj.eliminate_zeros()
-    return adj
+    return symmetric_adjacency(n_nodes, us, vs)
 
 
 def write_labels(path, labels) -> None:
@@ -179,15 +188,11 @@ def write_labels(path, labels) -> None:
 
 def read_labels(path, n_nodes: int) -> np.ndarray:
     values: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer label") from exc
+    for lineno, line in _lines(path):
+        try:
+            values.append(int(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer label") from exc
     if len(values) != n_nodes:
         raise ValueError(f"{path}: {len(values)} labels for {n_nodes} nodes")
     labels = np.asarray(values, dtype=np.int64)
@@ -203,21 +208,15 @@ def read_labels(path, n_nodes: int) -> np.ndarray:
 def parse_keyvalues(path) -> dict[str, str]:
     """Parse ``key = value`` lines; ``#`` comments and blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ValueError(f"{path}:{lineno}: empty key or value")
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, line in _lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ValueError(f"{path}:{lineno}: empty key or value")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 

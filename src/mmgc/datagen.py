@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .data import ModalityFeatures, MultimodalGraph, save_dataset
+from .data import ModalityFeatures, MultimodalGraph, save_dataset, symmetric_adjacency
 
 _LATENT_DIM = 64
 _SPIKE_SCALE = 10.0
@@ -50,6 +49,8 @@ class SynthConfig:
             raise ValueError("n must be >= 1")
         if not 1 <= self.k <= self.n:
             raise ValueError("k must lie in [1, n]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.p_in <= self.p_out:
             warnings.warn(
                 "p_in <= p_out gives no informative cluster structure",
@@ -90,9 +91,9 @@ class SynthSummary:
 
 
 def _planted_edges(labels: np.ndarray, p_in: float, p_out: float,
-                   rng: np.random.Generator) -> sparse.csr_matrix:
+                   rng: np.random.Generator):
     n = labels.shape[0]
-    rows, cols = [], []
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i in range(n - 1):
         js = np.arange(i + 1, n)
         p = np.where(labels[js] == labels[i], p_in, p_out)
@@ -100,19 +101,7 @@ def _planted_edges(labels: np.ndarray, p_in: float, p_out: float,
         if hit.size:
             rows.append(np.full(hit.size, i))
             cols.append(hit)
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = np.empty(0, dtype=np.int64)
-        c = np.empty(0, dtype=np.int64)
-    data = np.ones(2 * r.size)
-    adj = sparse.csr_matrix(
-        (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(n, n)
-    )
-    adj.sum_duplicates()
-    adj.data[:] = 1.0
-    return adj
+    return symmetric_adjacency(n, np.concatenate(rows), np.concatenate(cols))
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

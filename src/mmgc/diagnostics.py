@@ -105,8 +105,8 @@ def zscore_outliers(x, tau: float = OUTLIER_TAU, modality: str = "") -> OutlierR
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("zscore_outliers expects a 2-d array")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     mean = x.mean(axis=0)
     std = x.std(axis=0)  # population (ddof=0)
     live = std > 0.0

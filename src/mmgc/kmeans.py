@@ -16,8 +16,9 @@ distance products and reductions.  Each restart depends only on its own
 child seed and its result is kept by restart index, so the outcome never
 depends on the budget.  A multi-threaded BLAS competes with these threads
 for the cores; the gain needs one BLAS thread per process.  Seeding
-computes distances in blocks of ``_BLOCK_ROWS`` rows, so a restart's
-scratch beyond its n x k distance matrix stays far below one n x d array.
+scores each new center with the Lloyd distance kernel and the squared
+row norms that every restart shares, so a restart's scratch beyond its
+n x k distance matrix stays far below one n x d array.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .parallel import map_indexed, thread_budget
-
-_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -57,23 +56,13 @@ def _squared_distances(x: np.ndarray, x2: np.ndarray, centroids: np.ndarray) -> 
     return d2
 
 
-def _squared_distances_to(x: np.ndarray, point: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Squared distance of each row of ``x`` to ``point``, ``len(buf)`` rows at a time."""
-    n, step = x.shape[0], buf.shape[0]
-    d2 = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, step):
-        diff = np.subtract(x[lo:lo + step], point, out=buf[:min(step, n - lo)])
-        np.einsum("ij,ij->i", diff, diff, out=d2[lo:lo + step])
-    return d2
-
-
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(
+    x: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
-    buf = np.empty((min(n, _BLOCK_ROWS), x.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = x[first]
-    d2 = _squared_distances_to(x, centroids[0], buf)
+    centroids[0] = x[int(rng.integers(n))]
+    d2 = _squared_distances(x, x2, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -81,7 +70,7 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = x[idx]
-        np.minimum(d2, _squared_distances_to(x, centroids[j], buf), out=d2)
+        np.minimum(d2, _squared_distances(x, x2, centroids[j:j + 1])[:, 0], out=d2)
     return centroids
 
 
@@ -104,11 +93,12 @@ def _refill_empty(
         point_d2[far] = 0.0
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int) -> Clustering:
+def _lloyd(
+    x: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iters: int
+) -> Clustering:
     n, k = x.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     assignments = np.full(n, -1, dtype=np.int64)
-    x2 = np.einsum("ij,ij->i", x, x)[:, None]
     # the indicator's values and column pointers: one point per column
     ones, indptr = np.ones(n), np.arange(n + 1)
     history: list[float] = []
@@ -143,9 +133,11 @@ def _restarts(
     After a restart raises, no new restart starts and the exception of the
     earliest failed restart reaches the caller.
     """
+    x2 = np.einsum("ij,ij->i", x, x)[:, None]  # read-only, shared by every restart
+
     def restart(i: int) -> Clustering:
-        init = _plus_plus_init(x, k, np.random.default_rng(seeds[i]))
-        return _lloyd(x, init, max_iters)
+        init = _plus_plus_init(x, x2, k, np.random.default_rng(seeds[i]))
+        return _lloyd(x, x2, init, max_iters)
 
     return map_indexed(restart, len(seeds), thread_budget(threads))
 
@@ -156,13 +148,10 @@ def kmeans_fit(
     seed: int = 0,
     n_init: int = 10,
     max_iters: int = 300,
-    init_centroids: np.ndarray | None = None,
     threads: int | None = None,
 ) -> Clustering:
     """Cluster rows of ``x`` into ``k`` groups.
 
-    ``init_centroids`` bypasses seeding and restarts and runs a single
-    Lloyd pass from the given centers (used by equivariance tests).
     ``threads`` is the thread budget of the restarts; the result does not
     depend on it.
     """
@@ -176,12 +165,6 @@ def kmeans_fit(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of rows ({n})")
-
-    if init_centroids is not None:
-        init = np.asarray(init_centroids, dtype=np.float64)
-        if init.shape != (k, x.shape[1]):
-            raise ValueError("init_centroids must have shape (k, d)")
-        return _lloyd(x, init, max_iters)
 
     seeds = np.random.SeedSequence(seed).spawn(max(1, n_init))
     # min keeps the first of equal keys: the earliest restart wins ties

@@ -22,11 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import add_isolated_self_loops
+from .data import add_isolated_self_loops, symmetric_adjacency
 
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
+
+
+def _sub_seed(seed: int, *tags: int) -> int:
+    return int(np.random.SeedSequence([int(seed), *map(int, tags)]).generate_state(1)[0])
 
 
 # bytes of embedding rows one gather may hold when pairs or walk samples are
@@ -172,10 +176,9 @@ def cross_modality_loss(
     grads = [np.zeros_like(np.asarray(z, dtype=np.float64)) for z in z_list]
     for i in range(m):
         for j in range(i + 1, m):
-            pair_seed = np.random.SeedSequence([int(seed), i, j]).generate_state(1)[0]
             value, g_i, g_j = mms_loss(
                 z_list[i], z_list[j], delta=delta, negative_cap=negative_cap,
-                seed=int(pair_seed),
+                seed=_sub_seed(seed, i, j),
             )
             total += 2.0 * value
             grads[i] += 2.0 * g_i
@@ -259,14 +262,9 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
 
     edge_scores = _pair_scores(z_list, triu.row, triu.col)
     keep = edge_scores >= threshold
-    rows = triu.row[keep]
-    cols = triu.col[keep]
-    data = np.ones(rows.shape[0] * 2, dtype=np.float64)
-    kept_adj = sp.csr_matrix(
-        (data, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
+    ready, loops = add_isolated_self_loops(
+        symmetric_adjacency(n, triu.row[keep], triu.col[keep])
     )
-    ready, loops = add_isolated_self_loops(kept_adj)
     return PrunedGraph(
         edges=ready,
         threshold=threshold,

@@ -24,7 +24,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import MultimodalGraph, NormalizedOperators, normalize_adjacency
+from .data import (
+    MultimodalGraph,
+    NormalizedOperators,
+    normalize_adjacency,
+    symmetric_adjacency,
+)
 from .filters import (
     DualFilterConfig,
     RepairReport,
@@ -37,6 +42,8 @@ from .kmeans import Clustering, kmeans_fit
 from .losses import (
     PrunedGraph,
     SampleSet,
+    _sub_rng,
+    _sub_seed,
     community_loss,
     cross_modality_loss,
     hard_positive_sets,
@@ -112,6 +119,8 @@ class TrainConfig:
             raise ValueError("negatives_per_node must be >= 1")
         if self.mms_negatives < 1:
             raise ValueError("mms_negatives must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -134,9 +143,6 @@ class EpochLog:
     loss_comm: float
     pruned_edges: int
     nmi_vs_labels: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -171,10 +177,6 @@ class FrozenState:
     mms_seed: int
 
 
-def _sub_seed(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence([int(seed), *map(int, tags)]).generate_state(1)[0])
-
-
 def _softmax(v: np.ndarray) -> np.ndarray:
     shifted = v - v.max()
     e = np.exp(shifted)
@@ -202,7 +204,7 @@ def init_params(
     feature_dims: list[int], hidden_dim: int, seed: int = 0
 ) -> ModelParams:
     """Uniform +-sqrt(6 / (d_in + d_out)) projections, zero mixing logits."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_INIT]))
+    rng = _sub_rng(seed, _STREAM_INIT)
     weights = []
     for d in feature_dims:
         bound = math.sqrt(6.0 / (d + hidden_dim))
@@ -527,7 +529,7 @@ def fit(
             )
             logs.append(entry)
             if log_fh:
-                log_fh.write(entry.to_json() + "\n")
+                log_fh.write(json.dumps(asdict(entry)) + "\n")
     finally:
         if log_fh:
             log_fh.close()
@@ -669,19 +671,8 @@ def loss_gradient_checks(
         report.entries.append(GradCheckEntry(label, worst, tolerance))
 
     # neighborhood loss over a ring graph's walk samples
-    import scipy.sparse as sparse
-
     n = 12
-    ring = sparse.csr_matrix(
-        (
-            np.ones(2 * n),
-            (
-                np.concatenate([np.arange(n), np.arange(n)]),
-                np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) - 1) % n]),
-            ),
-        ),
-        shape=(n, n),
-    )
+    ring = symmetric_adjacency(n, np.arange(n), (np.arange(n) + 1) % n)
     samples = sample_neighborhoods(ring, 4, 4, seed=5)
     h = unit_rows(n, 6)
     _, grad = neighborhood_loss(h, samples)

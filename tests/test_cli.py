@@ -141,6 +141,12 @@ def test_diagnose_reports_json(dataset_dir, capsys):
     assert report["outliers"]["text"]["tau"] == 2.5
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_diagnose_rejects_non_finite_tau(tau, dataset_dir, capsys):
+    _expect_failure(["diagnose", "--data", str(dataset_dir), f"--tau={tau}"],
+                    capsys, match="tau")
+
+
 def test_diagnose_missing_manifest(tmp_path, capsys):
     _expect_failure(["diagnose", "--data", str(tmp_path / "nope.txt")], capsys)
 
@@ -310,6 +316,7 @@ def _bad_option(field, raw, no_fdd=False):
         _bad_option("alpha", "nan", no_fdd=True),
         _bad_option("beta", "nan", no_fdd=True),
         _bad_option("beta", "-1", no_fdd=True),
+        _bad_option("seed", "-1"),
     ],
 )
 def test_cluster_rejects_non_finite_or_negative_option(field, raw, no_fdd, dataset_dir,
@@ -323,6 +330,22 @@ def test_cluster_rejects_non_finite_or_negative_option(field, raw, no_fdd, datas
         capsys, match=field,
     )
     assert "non-finite" not in err  # the option is named, not a later symptom
+    assert not (tmp_path / "run").exists()  # rejected before --out is created
+
+
+@pytest.mark.parametrize("k_flag, config", [
+    (["--k", "0"], None),
+    (["--k", "25"], None),  # the dataset has 24 nodes
+    ([], "clusters = 0\n"),
+], ids=["k-0", "k-above-n", "config-clusters-0"])
+def test_cluster_rejects_cluster_count_out_of_range(k_flag, config, dataset_dir,
+                                                    tmp_path, capsys):
+    argv = ["cluster", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+            *FAST_TRAIN, *k_flag]
+    if config is not None:
+        (tmp_path / "train.txt").write_text(config)
+        argv += ["--config", str(tmp_path / "train.txt")]
+    _expect_failure(argv, capsys, match="cluster count")
     assert not (tmp_path / "run").exists()  # rejected before --out is created
 
 
@@ -380,6 +403,12 @@ def test_spectra_reports_and_files(dataset_dir, tmp_path, capsys):
     assert "FAIL" not in stdout
 
 
+def test_spectra_rejects_t_max_below_one(dataset_dir, tmp_path, capsys):
+    _expect_failure(["spectra", "--data", str(dataset_dir), "--t-max", "0",
+                     "--out", str(tmp_path / "spectra_out")], capsys, match="t_max")
+    assert not (tmp_path / "spectra_out").exists()
+
+
 # --------------------------------------------------------------- gradcheck
 
 def test_gradcheck_passes(dataset_dir, capsys):
@@ -390,6 +419,12 @@ def test_gradcheck_passes(dataset_dir, capsys):
     assert "end-to-end step gradient" in stdout
     assert "FAIL" not in stdout
     assert "max_rel_error=" in stdout
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "spectra"])
+def test_rejects_negative_seed(command, dataset_dir, capsys):
+    _expect_failure([command, "--data", str(dataset_dir), "--seed=-1"], capsys,
+                    match="seed")
 
 
 # ------------------------------------------------------------------ process

@@ -20,6 +20,7 @@ from mmgc.data import (
     read_feature_matrix,
     read_labels,
     save_dataset,
+    symmetric_adjacency,
     write_edge_list,
     write_feature_matrix,
     write_labels,
@@ -148,6 +149,21 @@ def test_edge_list_errors(tmp_path):
     path.write_text("0 9\n", encoding="utf-8")
     with pytest.raises(ValueError, match="out of range"):
         read_edge_list(path, 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetric_adjacency_matches_pair_builder(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    pairs = rng.integers(0, n, size=(60, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # repeat some pairs as given and some reversed
+    pairs = np.vstack([pairs, pairs[:10], pairs[10:20, ::-1]])
+    got = symmetric_adjacency(n, pairs[:, 0], pairs[:, 1])
+    want = edges_from_pairs(n, pairs.tolist())
+    assert got.dtype == np.float64
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_edge_file_rows_sorted(tmp_path):

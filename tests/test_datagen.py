@@ -41,6 +41,7 @@ def _spec(n=60, k=3, p_in=0.6, p_out=0.02, **kwargs):
         {"modalities": [ModalitySpec("a", 4, noise_sigma=float("inf"))]},
         {"modalities": [ModalitySpec("a", 4, signal_strength=float("nan"))]},
         {"modalities": [ModalitySpec("a", 4, signal_strength=float("inf"))]},
+        {"seed": -1},
     ],
 )
 def test_config_validation(kwargs):

@@ -150,6 +150,12 @@ def test_zscore_validation():
         zscore_outliers(np.zeros((3, 2)), tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_zscore_rejects_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        zscore_outliers(np.zeros((3, 2)), tau=tau)
+
+
 def test_zscore_report_serialization():
     x = np.zeros((10, 2))
     x[0, 0] = 100.0

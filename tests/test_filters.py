@@ -14,7 +14,6 @@ from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc import filters as filters_module
 from mmgc.filters import (
     DualFilterConfig,
-    dominant_eigenvalue,
     dual_filter,
     dual_filter_vjp,
     exact_response,
@@ -350,23 +349,6 @@ def test_spectral_response_rejects_negative_order():
         spectral_response(1.0, -1, 0.5)
 
 
-# ------------------------------------------------------------ power iteration
-
-def test_dominant_eigenvalue_identity():
-    res = dominant_eigenvalue(np.eye(5))
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert res.converged
-
-
-def test_dominant_eigenvalue_known_matrix():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((12, 12))
-    m = (m + m.T) / 2.0 + 12.0 * np.eye(12)  # shift makes the top dominant
-    res = dominant_eigenvalue(m, iters=500)
-    assert res.converged
-    assert res.value == pytest.approx(np.linalg.eigvalsh(m).max(), rel=1e-6)
-
-
 # ------------------------------------------------------------ outlier repair
 
 def _repaired(a_hat, x, cfg=None):
@@ -581,6 +563,15 @@ def test_spectra_report_checks_and_files(tmp_path):
     assert len(lines) > 1
     payload = report.to_json_dict()
     assert payload["checks"] == report.checks
+
+
+@pytest.mark.parametrize("t_max", [0, -2])
+def test_spectra_report_rejects_t_max_below_one(t_max):
+    rng = np.random.default_rng(22)
+    ops = normalize_adjacency(path_graph(5))
+    shifts = [feature_shift(rng.standard_normal((5, 3)))]
+    with pytest.raises(ValueError, match="t_max"):
+        spectra_report(ops, rng.standard_normal((5, 3)), shifts, DualFilterConfig(), t_max=t_max)
 
 
 def test_spectra_path_graph_strictly_decreasing():

@@ -26,6 +26,11 @@ def _blobs(seed=0, n_per=20, centers=((0.0, 0.0), (10.0, 10.0))):
     return np.vstack(parts), np.asarray(labels)
 
 
+def _sq_norms(x):
+    """The squared row norms that kmeans_fit shares with seeding and Lloyd."""
+    return np.einsum("ij,ij->i", x, x)[:, None]
+
+
 def test_k_equals_n_gives_zero_inertia():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((7, 3))
@@ -75,7 +80,7 @@ def test_same_seed_same_result():
 def test_explicit_init_centroids_respected():
     x, _ = _blobs(seed=7)
     init = np.array([[0.0, 0.0], [10.0, 10.0]])
-    res = kmeans_fit(x, 2, init_centroids=init)
+    res = kmeans._lloyd(x, _sq_norms(x), init, 300)
     assert np.all(res.assignments[:20] == 0)
     assert np.all(res.assignments[20:] == 1)
 
@@ -85,8 +90,8 @@ def test_fixed_init_permutation_equivariance():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 3))
     init = rng.standard_normal((3, 3))
-    res_a = kmeans_fit(x, 3, init_centroids=init)
-    res_b = kmeans_fit(x, 3, init_centroids=init[[2, 0, 1]])
+    res_a = kmeans._lloyd(x, _sq_norms(x), init, 300)
+    res_b = kmeans._lloyd(x, _sq_norms(x), init[[2, 0, 1]], 300)
     remap = np.array([1, 2, 0])  # old index -> new index under the roll
     assert np.array_equal(remap[res_a.assignments], res_b.assignments)
 
@@ -120,8 +125,6 @@ def test_validation_errors():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         kmeans_fit(bad, 2)
-    with pytest.raises(ValueError):
-        kmeans_fit(x, 2, init_centroids=np.zeros((3, 2)))
 
 
 def test_more_restarts_never_worse():
@@ -197,7 +200,7 @@ def _mean_update_lloyd(x, centroids, max_iters):
     n, k = x.shape[0], centroids.shape[0]
     centroids = centroids.copy()
     assignments = np.full(n, -1)
-    x2 = np.einsum("ij,ij->i", x, x)[:, None]
+    x2 = _sq_norms(x)
     for _ in range(max_iters):
         new_assign = kmeans._squared_distances(x, x2, centroids).argmin(axis=1)
         assert np.bincount(new_assign, minlength=k).min() > 0
@@ -214,8 +217,8 @@ def _mean_update_lloyd(x, centroids, max_iters):
     (_wide_clusters(seed=19, n=3000, d=7, k=9), 9),
 ], ids=["gaussian", "wide", "narrow"])
 def test_sparse_centroid_update_matches_cluster_means(x, k):
-    init = kmeans._plus_plus_init(x, k, np.random.default_rng(0))
-    res = kmeans._lloyd(x, init, 300)
+    init = kmeans._plus_plus_init(x, _sq_norms(x), k, np.random.default_rng(0))
+    res = kmeans._lloyd(x, _sq_norms(x), init, 300)
     assignments, centroids = _mean_update_lloyd(x, init, 300)
     assert res.assignments.tobytes() == assignments.tobytes()
     assert res.centroids.tobytes() == centroids.tobytes()
@@ -240,7 +243,7 @@ def test_refill_never_empties_another_cluster(x, k, seeds):
 
 def test_duplicates_only_input_refills_empty_clusters():
     x = _duplicates_only()
-    init = kmeans._plus_plus_init(x, 6, np.random.default_rng(0))
+    init = kmeans._plus_plus_init(x, _sq_norms(x), 6, np.random.default_rng(0))
     assert len(np.unique(init, axis=0)) == 4  # two centers start empty
     res = kmeans_fit(x, 6, seed=7)
     assert np.bincount(res.assignments, minlength=6).min() >= 1
@@ -283,12 +286,12 @@ def test_exception_in_a_restart_reaches_caller(monkeypatch):
     lock = threading.Lock()
     real_lloyd = kmeans._lloyd
 
-    def failing_lloyd(x, centroids, max_iters):
+    def failing_lloyd(x, x2, centroids, max_iters):
         with lock:
             calls.append(None)
             if len(calls) == 4:
                 raise RuntimeError("restart failed")
-        return real_lloyd(x, centroids, max_iters)
+        return real_lloyd(x, x2, centroids, max_iters)
 
     monkeypatch.setattr(kmeans, "_lloyd", failing_lloyd)
     x, _ = _blobs(seed=16)
@@ -302,14 +305,39 @@ def test_exception_in_a_restart_reaches_caller(monkeypatch):
 
 
 def test_plus_plus_scratch_below_one_n_by_d_array():
-    """Seeding distances are computed in row blocks: its peak allocation
-    stays below one n x d array, so concurrent restarts do not each hold one."""
+    """Seeding scores one center at a time with the Lloyd distance kernel
+    and the shared row norms: its peak allocation stays below one n x d
+    array, so concurrent restarts do not each hold one."""
     x = np.random.default_rng(17).standard_normal((16000, 64))
+    x2 = _sq_norms(x)
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        kmeans._plus_plus_init(x, 10, rng)
+        kmeans._plus_plus_init(x, x2, 10, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes
+
+
+def _reference_plus_plus(x, k, rng):
+    """k-means++ seeding with explicit ``((x - c) ** 2).sum(1)`` distances;
+    returns the chosen row indices."""
+    n = x.shape[0]
+    picks = [int(rng.integers(n))]
+    d2 = ((x - x[picks[0]]) ** 2).sum(1)
+    for _ in range(1, k):
+        total = d2.sum()
+        picks.append(int(rng.integers(n)) if total <= 0.0
+                     else int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, ((x - x[picks[-1]]) ** 2).sum(1))
+    return picks
+
+
+@pytest.mark.parametrize("n, d, k", [(50, 2, 3), (300, 8, 7), (1000, 64, 10)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plus_plus_picks_the_reference_rows(n, d, k, seed):
+    x = np.random.default_rng(100 + seed).standard_normal((n, d))
+    picks = _reference_plus_plus(x, k, np.random.default_rng(seed))
+    init = kmeans._plus_plus_init(x, _sq_norms(x), k, np.random.default_rng(seed))
+    assert init.tobytes() == x[picks].tobytes()
