@@ -315,9 +315,9 @@ def _cmd_spectra(args) -> int:
     params = init_params(
         [m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed
     )
-    _, s_list, z, _ = forward(graph, params, cfg, threads=args.threads)
+    _, s_list, _, h = forward(graph, params, cfg, threads=args.threads)
     ops = normalize_adjacency(graph.edges)
-    report = spectra_report(ops, z, s_list, cfg.filter_config(), t_max=args.t_max)
+    report = spectra_report(ops, h, s_list, cfg.filter_config(), t_max=args.t_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "spectra.csv")
@@ -335,7 +335,8 @@ def _cmd_gradcheck(args) -> int:
     k = args.k if args.k is not None else manifest_clusters
     if k is None:
         k = 4
-    k = max(1, min(k, sub.n_nodes))
+    if not 1 <= k <= sub.n_nodes:
+        raise ValueError(f"cluster count must lie in [1, {sub.n_nodes}] (--n-cap), got {k}")
     cfg = TrainConfig(seed=args.seed)
     cfg.validate()  # before loss_gradient_checks draws from the seed
 

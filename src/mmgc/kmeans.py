@@ -110,7 +110,6 @@ def _lloyd(
         point_d2 = d2[np.arange(n), new_assign]
         counts = np.bincount(new_assign, minlength=k)
         _refill_empty(x, centroids, new_assign, point_d2, counts)
-        point_d2 = np.maximum(point_d2, 0.0)
         history.append(float(point_d2.sum()))
         if np.array_equal(new_assign, assignments):
             break
@@ -125,7 +124,6 @@ def _restarts(
     x: np.ndarray,
     k: int,
     seeds: list[np.random.SeedSequence],
-    max_iters: int,
     threads: int | None = None,
 ) -> list[Clustering]:
     """One seeded Lloyd run per seed, in seed order, on the thread budget.
@@ -137,7 +135,7 @@ def _restarts(
 
     def restart(i: int) -> Clustering:
         init = _plus_plus_init(x, x2, k, np.random.default_rng(seeds[i]))
-        return _lloyd(x, x2, init, max_iters)
+        return _lloyd(x, x2, init, 300)
 
     return map_indexed(restart, len(seeds), thread_budget(threads))
 
@@ -147,10 +145,10 @@ def kmeans_fit(
     k: int,
     seed: int = 0,
     n_init: int = 10,
-    max_iters: int = 300,
     threads: int | None = None,
 ) -> Clustering:
-    """Cluster rows of ``x`` into ``k`` groups.
+    """Cluster rows of ``x`` into ``k`` groups with the best of ``n_init``
+    restarts, each of at most 300 Lloyd iterations.
 
     ``threads`` is the thread budget of the restarts; the result does not
     depend on it.
@@ -165,7 +163,9 @@ def kmeans_fit(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of rows ({n})")
+    if n_init < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
 
-    seeds = np.random.SeedSequence(seed).spawn(max(1, n_init))
+    seeds = np.random.SeedSequence(seed).spawn(n_init)
     # min keeps the first of equal keys: the earliest restart wins ties
-    return min(_restarts(x, k, seeds, max_iters, threads), key=lambda c: c.inertia)
+    return min(_restarts(x, k, seeds, threads), key=lambda c: c.inertia)

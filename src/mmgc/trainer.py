@@ -3,7 +3,7 @@
 Per modality a linear projection maps raw features into a shared space;
 a softmax-weighted combination feeds the dual filter.  With feature-domain
 denoising on, the raw features first pass ``repair_feature_outliers``, an
-extension of this repository (once, in ``_raw_features``, which fit,
+extension of this repository (once, in ``_prepare``, the setup that fit,
 forward and the gradient check share).  Gradients are computed
 analytically: the feature shift operators, walk samples, cluster
 centroids, and hard positive sets are treated as constants of the
@@ -230,15 +230,18 @@ def _forward(
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, z=z, h=h)
 
 
-def _raw_features(
-    graph: MultimodalGraph, ops: NormalizedOperators, cfg: TrainConfig, threads: int
-) -> tuple[list[np.ndarray], list[RepairReport]]:
-    """Each modality's attributes in 64-bit after the outlier repair, and
-    what the repair replaced."""
+def _prepare(
+    graph: MultimodalGraph, cfg: TrainConfig, threads: int | None
+) -> tuple[int, NormalizedOperators, list[np.ndarray], list[RepairReport]]:
+    """Validate ``cfg``, resolve the thread budget, normalize the adjacency and
+    repair each modality's 64-bit attributes: (threads, ops, xs, repair reports)."""
+    cfg.validate()
+    threads = thread_budget(threads)
+    ops = normalize_adjacency(graph.edges)
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
-    return xs, [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads)
-                for x in xs]
+    repairs = [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads) for x in xs]
+    return threads, ops, xs, repairs
 
 
 def forward(
@@ -248,10 +251,7 @@ def forward(
     threads: int | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
     """Repair, project, mix, and filter; returns (z_list, s_list, z, h)."""
-    cfg.validate()
-    threads = thread_budget(threads)
-    ops = normalize_adjacency(graph.edges)
-    xs, _ = _raw_features(graph, ops, cfg, threads)
+    threads, ops, xs, _ = _prepare(graph, cfg, threads)
     cache = _forward(xs, ops, params, cfg, threads)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
@@ -345,21 +345,18 @@ def replay_loss(
 
 
 class Adam:
-    """Standard Adam with bias correction; deterministic and stateful."""
+    """Standard Adam with bias correction, beta1 = 0.9, beta2 = 0.999 and
+    eps = 1e-8; deterministic and stateful."""
 
-    def __init__(self, shapes: list[tuple[int, ...]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shapes: list[tuple[int, ...]], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         correct1 = 1.0 - b1**self.step_count
         correct2 = 1.0 - b2**self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
@@ -367,7 +364,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
 
 
 def _prune(graph: MultimodalGraph, cache: ForwardCache, cfg: TrainConfig) -> PrunedGraph:
@@ -468,15 +465,12 @@ def fit(
     the thread budget (None: the CPU count); the result does not depend on it.
     """
     cfg = cfg or TrainConfig()
-    cfg.validate()
-    threads = thread_budget(threads)
     if k < 1:
         raise ValueError("cluster count must be >= 1")
     if k > graph.n_nodes:
         raise ValueError("cluster count exceeds the number of nodes")
 
-    ops = normalize_adjacency(graph.edges)
-    xs, repairs = _raw_features(graph, ops, cfg, threads)
+    threads, ops, xs, repairs = _prepare(graph, cfg, threads)
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
     adam = Adam(
         [w.shape for w in params.weights] + [params.combine_logits.shape],
@@ -600,7 +594,6 @@ def end_to_end_gradient_check(
     graph: MultimodalGraph,
     k: int,
     cfg: TrainConfig | None = None,
-    step: float = 1e-3,
     tolerance: float = 1e-3,
     max_coords: int = 40,
     seed: int = 0,
@@ -610,14 +603,13 @@ def end_to_end_gradient_check(
 
     The stochastic pieces of one training step (shift operators, walk
     samples, centroids, hard positive sets, impostor draws) are frozen,
-    so the step objective is a smooth function of the parameters.
-    ``threads`` is the thread budget, as for ``fit``.
+    so the step objective is a smooth function of the parameters; the
+    central differences step 1e-3.  ``threads`` is the thread budget, as
+    for ``fit``.
     """
+    step = 1e-3
     cfg = cfg or TrainConfig()
-    cfg.validate()
-    threads = thread_budget(threads)
-    ops = normalize_adjacency(graph.edges)
-    xs, _ = _raw_features(graph, ops, cfg, threads)
+    threads, ops, xs, _ = _prepare(graph, cfg, threads)
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(xs, ops, params, cfg, threads)
@@ -647,10 +639,9 @@ def end_to_end_gradient_check(
     return report
 
 
-def loss_gradient_checks(
-    seed: int = 0, step: float = 1e-4, tolerance: float = 1e-4
-) -> GradCheckReport:
-    """Finite-difference checks for each loss on small random inputs."""
+def loss_gradient_checks(seed: int = 0, tolerance: float = 1e-4) -> GradCheckReport:
+    """Finite-difference checks, step 1e-4, for each loss on small random inputs."""
+    step = 1e-4
     rng = np.random.default_rng(seed)
     report = GradCheckReport()
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from mmgc import filters, trainer
 from mmgc.cli import _build_parser, _synth_config, _train_config, main
 from mmgc.data import read_feature_matrix, save_dataset
 from mmgc.datagen import ModalitySpec, SynthConfig
@@ -403,6 +404,21 @@ def test_spectra_reports_and_files(dataset_dir, tmp_path, capsys):
     assert "FAIL" not in stdout
 
 
+def test_spectra_filters_once(dataset_dir, tmp_path, monkeypatch):
+    calls = []
+    real = filters.dual_filter
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # trainer imports dual_filter by name; filters calls its own global
+    monkeypatch.setattr(trainer, "dual_filter", counting)
+    monkeypatch.setattr(filters, "dual_filter", counting)
+    assert main(["spectra", "--data", str(dataset_dir), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_spectra_rejects_t_max_below_one(dataset_dir, tmp_path, capsys):
     _expect_failure(["spectra", "--data", str(dataset_dir), "--t-max", "0",
                      "--out", str(tmp_path / "spectra_out")], capsys, match="t_max")
@@ -419,6 +435,15 @@ def test_gradcheck_passes(dataset_dir, capsys):
     assert "end-to-end step gradient" in stdout
     assert "FAIL" not in stdout
     assert "max_rel_error=" in stdout
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "13", "999"])
+def test_gradcheck_rejects_cluster_count_outside_subgraph(k, dataset_dir, capsys,
+                                                          monkeypatch):
+    # rejected before any work: a gradient check would fail this test
+    monkeypatch.setattr("mmgc.cli.loss_gradient_checks", None)
+    _expect_failure(["gradcheck", "--data", str(dataset_dir), "--n-cap", "12", "--k", k],
+                    capsys, match="cluster count must lie in [1, 12]")
 
 
 @pytest.mark.parametrize("command", ["gradcheck", "spectra"])

@@ -487,6 +487,25 @@ def test_column_split_is_byte_identical(cols, threads, split_always):
     assert split_always == ([expected_blocks] * 2 if expected_blocks > 1 else [])
 
 
+def _plain_feature_series(s_bar, coeff, t):
+    """The feature-side factor as first written: sum_{s=0..t} (coeff * S)^s."""
+    eye = np.eye(s_bar.shape[0])
+    f = eye.copy()
+    for _ in range(t):
+        f = eye + coeff * (s_bar @ f)
+    return f
+
+
+@pytest.mark.parametrize("d, coeff, t", [(1, 0.5, 1), (7, 0.5, 10), (24, 0.25, 3), (64, 0.9, 30)])
+def test_feature_series_byte_identical_to_plain_recurrence(d, coeff, t):
+    rng = np.random.default_rng(d)
+    s_bar = filters_module._mean_shift(
+        [feature_shift(rng.standard_normal((50, d))) for _ in range(2)]
+    )
+    got = filters_module._series(s_bar, np.eye(d), coeff, t)
+    assert got.tobytes() == _plain_feature_series(s_bar, coeff, t).tobytes()
+
+
 def test_column_split_stays_off_below_threshold(monkeypatch):
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     y0 = np.random.default_rng(8).standard_normal((300, 64))
@@ -543,7 +562,8 @@ def test_spectra_report_checks_and_files(tmp_path):
     ops = normalize_adjacency(er_graph(40, 0.15, seed=3))
     z = rng.standard_normal((40, 8))
     shifts = [feature_shift(rng.standard_normal((40, 8)))]
-    report = spectra_report(ops, z, shifts, DualFilterConfig(), t_max=20)
+    h = dual_filter(ops.a_hat, z, shifts, DualFilterConfig())
+    report = spectra_report(ops, h, shifts, DualFilterConfig(), t_max=20)
     assert report.passed, report.checks
     expected_keys = {
         "node_response_non_increasing",
@@ -572,6 +592,15 @@ def test_spectra_report_rejects_t_max_below_one(t_max):
     shifts = [feature_shift(rng.standard_normal((5, 3)))]
     with pytest.raises(ValueError, match="t_max"):
         spectra_report(ops, rng.standard_normal((5, 3)), shifts, DualFilterConfig(), t_max=t_max)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (5, 4)])
+def test_spectra_report_rejects_h_of_wrong_shape(shape):
+    rng = np.random.default_rng(23)
+    ops = normalize_adjacency(path_graph(5))
+    shifts = [feature_shift(rng.standard_normal((5, 3)))]
+    with pytest.raises(ValueError, match=r"h must have shape \(5, 3\)"):
+        spectra_report(ops, rng.standard_normal(shape), shifts, DualFilterConfig())
 
 
 def test_spectra_path_graph_strictly_decreasing():

@@ -125,6 +125,9 @@ def test_validation_errors():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         kmeans_fit(bad, 2)
+    for n_init in (0, -5):
+        with pytest.raises(ValueError, match="n_init"):
+            kmeans_fit(x, 2, n_init=n_init)
 
 
 def test_more_restarts_never_worse():
@@ -254,7 +257,7 @@ def test_tied_restarts_pick_the_first(cpus):
     # k = n: every restart reaches inertia 0, each with its own labelling
     x = np.random.default_rng(14).standard_normal((6, 2))
     seeds = np.random.SeedSequence(3).spawn(10)
-    runs = kmeans._restarts(x, 6, seeds, 300, threads=cpus)
+    runs = kmeans._restarts(x, 6, seeds, threads=cpus)
     assert {r.inertia for r in runs} == {0.0}
     assert len({r.assignments.tobytes() for r in runs}) > 1
     assert (_fit_fields(kmeans_fit(x, 6, seed=3, threads=cpus))
