@@ -8,10 +8,10 @@ Subcommands:
 * ``spectra``   frequency-response report for the configured filter
 * ``gradcheck`` finite-difference verification of the analytic gradients
 
-Every command accepts ``--threads``, the thread budget of ``cluster``,
-``spectra`` and ``gradcheck`` (default: the CPU count; it must be >= 1).
-It bounds the k-means restarts run at once and the column blocks of the
-node-domain filter series.  Each block needs ``filters._SPLIT_WORK``
+``cluster``, ``spectra`` and ``gradcheck`` accept ``--threads``, their
+thread budget (default: the CPU count; it must be >= 1).  It bounds the
+k-means restarts run at once and the column blocks of the node-domain
+filter series.  Each block needs ``filters._SPLIT_WORK``
 (2.5 million) nonzeros times columns per sparse pass, so the series splits
 in two from, for example, 16000 nodes of mean degree 16 at 20 columns, and
 graphs of a few thousand nodes run it on one thread.  Results
@@ -33,16 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    induce_subgraph,
-    load_dataset,
-    normalize_adjacency,
-    parse_keyvalues,
-    write_feature_matrix,
-)
+from .data import induce_subgraph, load_dataset, parse_keyvalues, write_feature_matrix
 from .datagen import ModalitySpec, SynthConfig, generate
 from .diagnostics import OUTLIER_TAU, distance_correlation, zscore_outliers
-from .filters import DualFilterConfig, spectra_report
+from .filters import _DENSE_LIMIT, DualFilterConfig, spectra_report
 from .metrics import all_metrics
 from .parallel import thread_budget
 from .trainer import (
@@ -154,14 +148,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="sample a synthetic dataset")
+    p = sub.add_parser("generate", help="sample a synthetic dataset")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("diagnose", parents=[common],
-                       help="cross-modal correlation and outlier report")
+    p = sub.add_parser("diagnose", help="cross-modal correlation and outlier report")
     p.add_argument("--data", required=True, type=Path, help="manifest path")
     p.add_argument("--tau", type=float, default=OUTLIER_TAU)
     p.set_defaults(func=_cmd_diagnose)
@@ -310,14 +302,17 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_spectra(args) -> int:
     graph, _ = load_dataset(args.data)
+    if graph.n_nodes > _DENSE_LIMIT:  # before any filtering
+        raise ValueError(f"spectra is limited to n <= {_DENSE_LIMIT} nodes, "
+                         f"got {graph.n_nodes}")
     cfg = TrainConfig(**_train_options_given(args))
     cfg.validate()  # before init_params draws from the seed
     params = init_params(
         [m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed
     )
-    _, s_list, _, h = forward(graph, params, cfg, threads=args.threads)
-    ops = normalize_adjacency(graph.edges)
-    report = spectra_report(ops, h, s_list, cfg.filter_config(), t_max=args.t_max)
+    ops, cache = forward(graph, params, cfg, threads=args.threads)
+    report = spectra_report(ops, cache.h, cache.s_list, cfg.filter_config(),
+                            t_max=args.t_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "spectra.csv")
@@ -360,8 +355,9 @@ def _cmd_gradcheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        raise _fail(f"--threads must be >= 1, got {args.threads}")
+    threads = getattr(args, "threads", None)  # generate and diagnose have none
+    if threads is not None and threads < 1:
+        raise _fail(f"--threads must be >= 1, got {threads}")
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

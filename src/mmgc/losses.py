@@ -252,11 +252,8 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
 
     rng = _sub_rng(seed)
     us = rng.integers(0, n, size=n_edges)
-    vs = rng.integers(0, n, size=n_edges)
-    clash = us == vs
-    while clash.any():
-        vs[clash] = rng.integers(0, n, size=int(clash.sum()))
-        clash = us == vs
+    vs = rng.integers(0, n - 1, size=n_edges)  # a rank among the nodes other than u
+    vs += vs >= us
     sample_scores = _pair_scores(z_list, us, vs)
     threshold = float(sample_scores.mean() + sample_scores.std())
 
@@ -300,10 +297,12 @@ def sample_neighborhoods(
 
     Positives are the ``walk_length`` visited nodes (start excluded as a
     position, revisits kept).  Negatives are ``negatives_per_node``
-    uniform draws from the nodes outside the walk and the anchor,
-    resampled on collision; when no such node exists the anchor's row is
-    all -1.  Every node must have at least one neighbor (see
-    ``PrunedGraph``).
+    independent uniform draws from the nodes outside the walk and the
+    anchor; when no such node exists the anchor's row is all -1.  Each
+    draw is a uniform rank among those nodes, mapped to a node id by
+    stepping it past the anchor's sorted excluded ids, so the cost is
+    O(n * walk_length * negatives_per_node) with no redraws.  Every node
+    must have at least one neighbor (see ``PrunedGraph``).
     """
     adj = sp.csr_matrix(adj)
     n = adj.shape[0]
@@ -317,27 +316,24 @@ def sample_neighborhoods(
 
     rng = _sub_rng(seed)
     current = np.arange(n, dtype=np.int64)
-    visits = np.empty((walk_length, n), dtype=np.int64)
+    positives = np.empty((n, walk_length), dtype=np.int64)
     for step in range(walk_length):
         offsets = rng.integers(0, degrees[current])
         current = adj.indices[adj.indptr[current] + offsets]
-        visits[step] = current
+        positives[:, step] = current
 
-    positives = np.ascontiguousarray(visits.T)
-    negatives = np.full((n, negatives_per_node), -1, dtype=np.int64)
-    for i in range(n):
-        forbidden = set(positives[i].tolist())
-        forbidden.add(i)
-        if len(forbidden) >= n:
-            continue
-        out = negatives[i]
-        filled = 0
-        while filled < negatives_per_node:
-            draws = rng.integers(0, n, size=negatives_per_node - filled)
-            for d in draws:
-                if int(d) not in forbidden:
-                    out[filled] = d
-                    filled += 1
+    # each anchor's excluded ids ascending, repeats moved past every node id
+    excluded = np.sort(np.column_stack([np.arange(n), positives]), axis=1)
+    repeat = excluded[:, 1:] == excluded[:, :-1]
+    excluded[:, 1:][repeat] = n
+    excluded.sort(axis=1)
+    allowed = n - 1 - walk_length + repeat.sum(axis=1)
+    # rank r among the allowed ids is the id reached by stepping r past each
+    # excluded id at or below it, in ascending order
+    negatives = rng.integers(0, np.maximum(allowed, 1)[:, None], size=(n, negatives_per_node))
+    for column in excluded.T:
+        negatives += negatives >= column[:, None]
+    negatives[allowed == 0] = -1
     return SampleSet(positives=positives, negatives=negatives)
 
 

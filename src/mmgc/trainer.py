@@ -249,13 +249,14 @@ def forward(
     params: ModelParams,
     cfg: TrainConfig,
     threads: int | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
-    """Repair, project, mix, and filter; returns (z_list, s_list, z, h)."""
+) -> tuple[NormalizedOperators, ForwardCache]:
+    """Repair, project, mix, and filter; returns the normalized operators and
+    the cache holding z_list, s_list, z and h."""
     threads, ops, xs, _ = _prepare(graph, cfg, threads)
     cache = _forward(xs, ops, params, cfg, threads)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
-    return cache.z_list, cache.s_list, cache.z, cache.h
+    return ops, cache
 
 
 def _loss_components(

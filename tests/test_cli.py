@@ -10,11 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from mmgc import filters, trainer
+from mmgc import cli, filters, trainer
 from mmgc.cli import _build_parser, _synth_config, _train_config, main
 from mmgc.data import read_feature_matrix, save_dataset
 from mmgc.datagen import ModalitySpec, SynthConfig
 from mmgc.trainer import TrainConfig
+
+from helpers import random_graph
 
 GEN_CONFIG = """\
 n = 40
@@ -358,9 +360,24 @@ def test_rejects_non_positive_threads(command, threads, dataset_dir, tmp_path, c
     else:
         (tmp_path / "gen.txt").write_text(GEN_CONFIG)
         argv = ["generate", "--config", str(tmp_path / "gen.txt")]
-    _expect_failure(argv + ["--out", str(tmp_path / "run"), "--threads", threads],
-                    capsys, match="--threads")
+    argv += ["--out", str(tmp_path / "run"), "--threads", threads]
+    if command == "cluster":
+        _expect_failure(argv, capsys, match="--threads")
+    else:  # generate has no thread budget, so argparse refuses the flag
+        _expect_unknown_threads(argv, capsys)
     assert not (tmp_path / "run").exists()  # rejected before --out is created
+
+
+def _expect_unknown_threads(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_diagnose_refuses_threads(dataset_dir, capsys):
+    _expect_unknown_threads(["diagnose", "--data", str(dataset_dir), "--threads", "2"],
+                            capsys)
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -417,6 +434,41 @@ def test_spectra_filters_once(dataset_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(filters, "dual_filter", counting)
     assert main(["spectra", "--data", str(dataset_dir), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def _count_setup_calls(monkeypatch, names):
+    """Wrap each named trainer global to count its calls; the cli module is
+    wrapped too, so a normalization of its own would also be counted."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(trainer, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counting)
+        monkeypatch.setattr(cli, name, counting, raising=False)
+    return calls
+
+
+def test_spectra_normalizes_adjacency_once(dataset_dir, tmp_path, monkeypatch):
+    calls = _count_setup_calls(monkeypatch, ["normalize_adjacency"])
+    assert main(["spectra", "--data", str(dataset_dir), "--out", str(tmp_path)]) == 0
+    assert calls == {"normalize_adjacency": 1}
+
+
+def test_spectra_rejects_graph_above_dense_limit_before_work(tmp_path, capsys,
+                                                             monkeypatch):
+    n = filters._DENSE_LIMIT + 1
+    manifest = save_dataset(random_graph(n, (3, 2), seed=1, p=0.002), tmp_path / "ds")
+    calls = _count_setup_calls(
+        monkeypatch, ["normalize_adjacency", "repair_feature_outliers", "dual_filter"]
+    )
+    _expect_failure(["spectra", "--data", str(manifest), "--out", str(tmp_path / "out")],
+                    capsys, match=f"limited to n <= {filters._DENSE_LIMIT}")
+    assert set(calls.values()) == {0}
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectra_rejects_t_max_below_one(dataset_dir, tmp_path, capsys):

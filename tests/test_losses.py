@@ -365,6 +365,26 @@ def test_prune_scratch_below_two_n_by_d_arrays():
     assert _traced_peak(lambda: prune_graph(adj, zs, seed=1)) < 2 * _BIG_ARRAY
 
 
+def test_prune_two_nodes_never_pairs_a_node_with_itself(monkeypatch):
+    pairs = []
+    real = losses_module._pair_scores
+
+    def recording(zs, us, vs):
+        pairs.append((us.copy(), vs.copy()))
+        return real(zs, us, vs)
+
+    monkeypatch.setattr(losses_module, "_pair_scores", recording)
+    rng = np.random.default_rng(14)
+    zs = [_unit_rows(rng.standard_normal((2, 3))) for _ in range(2)]
+    for seed in range(50):
+        prune_graph(complete_graph(2), zs, seed=seed)
+    references = pairs[::2]  # each call scores its reference pairs, then its edges
+    assert len(references) == 50
+    for us, vs in references:
+        assert (us != vs).all()
+        assert set(us.tolist()) | set(vs.tolist()) <= {0, 1}
+
+
 # ------------------------------------------------------------- walk sampling
 
 def test_walks_are_valid_paths():
@@ -379,14 +399,45 @@ def test_walks_are_valid_paths():
             assert dense[a, b] == 1.0
 
 
+def _padded_anchors(samples, n):
+    """Check every anchor's negatives against its walk; return the anchors
+    whose walk and anchor cover all ``n`` nodes (their rows must be -1)."""
+    padded = []
+    for anchor, (pos, neg) in enumerate(zip(samples.positives, samples.negatives)):
+        excluded = set(pos.tolist()) | {anchor}
+        if len(excluded) == n:
+            assert (neg == -1).all()
+            padded.append(anchor)
+        else:
+            assert ((neg >= 0) & (neg < n)).all()
+            assert excluded.isdisjoint(neg.tolist())
+    return padded
+
+
 def test_negatives_avoid_walk_and_anchor():
     adj = ring_graph(15)
     samples = sample_neighborhoods(adj, walk_length=4, negatives_per_node=6, seed=0)
-    for anchor in range(15):
-        neg = set(samples.negatives[anchor].tolist())
-        assert len(samples.negatives[anchor]) == 6
-        assert anchor not in neg
-        assert neg.isdisjoint(set(samples.positives[anchor].tolist()))
+    assert samples.negatives.shape == (15, 6)
+    assert _padded_anchors(samples, 15) == []
+    for n in (3, 5, 12, 40):
+        for seed in range(40):
+            samples = sample_neighborhoods(ring_graph(n), 4, 6, seed=seed)
+            _padded_anchors(samples, n)
+
+
+def test_negatives_are_uniform_outside_the_walk():
+    # isolated nodes carry a self-loop, so every walk stays at its anchor
+    n, q = 9, 20_000
+    adj = passthrough_pruned(sp.csr_matrix((n, n))).edges
+    samples = sample_neighborhoods(adj, walk_length=3, negatives_per_node=q, seed=0)
+    assert (samples.positives == np.arange(n)[:, None]).all()
+    p = 1.0 / (n - 1)
+    sd = math.sqrt(q * p * (1 - p))
+    for anchor in range(n):
+        counts = np.bincount(samples.negatives[anchor], minlength=n)
+        assert counts[anchor] == 0
+        others = np.delete(counts, anchor)
+        assert np.all(np.abs(others - q * p) <= 5 * sd), (anchor, others)
 
 
 def test_sampling_deterministic_and_seed_sensitive():
@@ -413,6 +464,27 @@ def test_empty_complement_gives_empty_negatives():
     assert samples.positives.shape == (2, 3)
     assert samples.negatives.shape == (2, 4)
     assert (samples.negatives == -1).all()
+    # a walk of 4 covers at most 5 ring nodes: on rings of 3 and 5 some
+    # anchors have nothing left to draw and others do; on larger rings none
+    for n in (3, 5, 12, 40):
+        padded = sum(
+            len(_padded_anchors(sample_neighborhoods(ring_graph(n), 4, 3, seed=seed), n))
+            for seed in range(40)
+        )
+        if n <= 5:
+            assert 0 < padded < 40 * n
+        else:
+            assert padded == 0
+
+
+def test_sampling_scratch_below_four_n_by_walk_arrays():
+    """Negatives are ranks stepped past sorted excluded ids one column at a
+    time: one call, outputs included, allocates less than four n x walk int64
+    arrays, not an n x q x walk comparison."""
+    adj = passthrough_pruned(_random_graph(_BIG_N, 8 * _BIG_N, seed=15)).edges
+    walk = 10
+    peak = _traced_peak(lambda: sample_neighborhoods(adj, walk, 10, seed=15))
+    assert peak < 4 * _BIG_N * walk * 8
 
 
 def test_sampling_validation():

@@ -108,19 +108,20 @@ def test_model_params_copy_is_deep():
 def test_forward_shapes(small_graph):
     cfg = TrainConfig(hidden_dim=8)
     params = init_params([6, 4], 8, seed=0)
-    z_list, s_list, z, h = forward(small_graph, params, cfg)
+    ops, cache = forward(small_graph, params, cfg)
     n = small_graph.n_nodes
-    assert len(z_list) == 2 and len(s_list) == 2
-    assert all(zi.shape == (n, 8) for zi in z_list)
-    assert all(si.shape == (8, 8) for si in s_list)
-    assert z.shape == (n, 8) and h.shape == (n, 8)
+    assert ops.a_hat.shape == (n, n)
+    assert len(cache.z_list) == 2 and len(cache.s_list) == 2
+    assert all(zi.shape == (n, 8) for zi in cache.z_list)
+    assert all(si.shape == (8, 8) for si in cache.s_list)
+    assert cache.z.shape == (n, 8) and cache.h.shape == (n, 8)
 
 
 def test_forward_zero_logits_average_modalities(small_graph):
     cfg = TrainConfig(hidden_dim=8)
     params = init_params([6, 4], 8, seed=1)
-    z_list, _, z, _ = forward(small_graph, params, cfg)
-    assert np.allclose(z, 0.5 * (z_list[0] + z_list[1]), atol=1e-12)
+    cache = forward(small_graph, params, cfg)[1]
+    assert np.allclose(cache.z, 0.5 * (cache.z_list[0] + cache.z_list[1]), atol=1e-12)
 
 
 def test_forward_single_modality_mix_is_identity(small_graph):
@@ -131,15 +132,15 @@ def test_forward_single_modality_mix_is_identity(small_graph):
     )
     cfg = TrainConfig(hidden_dim=8)
     params = init_params([6], 8, seed=0)
-    z_list, _, z, _ = forward(solo, params, cfg)
-    assert np.array_equal(z, z_list[0])
+    cache = forward(solo, params, cfg)[1]
+    assert np.array_equal(cache.z, cache.z_list[0])
 
 
 def test_forward_disabled_filter_is_identity(small_graph):
     cfg = TrainConfig(hidden_dim=8, alpha=0.0, no_fdd=True)
     params = init_params([6, 4], 8, seed=0)
-    _, _, z, h = forward(small_graph, params, cfg)
-    assert np.allclose(h, z, atol=1e-14)
+    cache = forward(small_graph, params, cfg)[1]
+    assert np.allclose(cache.h, cache.z, atol=1e-14)
 
 
 @pytest.mark.parametrize("switch,repaired", [
@@ -150,7 +151,7 @@ def test_forward_repairs_attributes_only_with_fdd(switch, repaired):
     graph.modalities[0].x[11, 4] = 60.0
     cfg = TrainConfig(hidden_dim=8, **switch)
     params = init_params([6, 4], 8, seed=0)
-    z_list, _, _, _ = forward(graph, params, cfg)
+    z_list = forward(graph, params, cfg)[1].z_list
     raw = [m.x.astype(np.float64) @ w for m, w in zip(graph.modalities, params.weights)]
     assert np.array_equal(z_list[1], raw[1])
     assert np.array_equal(z_list[0], raw[0]) != repaired
@@ -307,7 +308,7 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     def run(threads=None):
         result = fit(graph, 3, cfg, threads=threads)
         params = init_params([12, 5], cfg.hidden_dim, cfg.seed)
-        h = forward(graph, params, cfg, threads=threads)[3]
+        h = forward(graph, params, cfg, threads=threads)[1].h
         return result.h.tobytes(), result.clustering.assignments.tobytes(), h.tobytes()
 
     serial = run(threads=1)
