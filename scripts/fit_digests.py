@@ -6,13 +6,17 @@
 For each workload of ``mmbench/run.py`` the script generates the graph of
 data seed 0, fits it with the workload's training config and prints three
 sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
-benchmark's own digest) and of the generated ``edges.txt``.  A change that
-claims to keep every output the same prints the same lines as its parent.
-BLAS runs with the benchmark's thread count unless the environment sets one.
+benchmark's own digest) and of the generated ``edges.txt``.  Then, for each
+``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
+that switch on and prints the switch with the ``h`` and assignment digests,
+so the branches the workloads skip are covered too.  A change that claims to
+keep every output the same prints the same lines as its parent.  BLAS runs
+with the benchmark's thread count unless the environment sets one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -47,6 +51,17 @@ def main() -> None:
             graph, _ = load_dataset(summary.manifest)
         result = fit(graph, synth.k, TrainConfig(**workload.train_config()))
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments), edges,
+              flush=True)
+        if name == "planted-1k":
+            base_graph, base_k = graph, synth.k
+
+    base = run.WORKLOADS["planted-1k"]
+    print("planted-1k switch h assignments")
+    switches = [f.name for f in dataclasses.fields(TrainConfig) if f.name.startswith("no_")]
+    for switch in switches:
+        cfg = TrainConfig(**{**base.train_config(), switch: True})
+        result = fit(base_graph, base_k, cfg)
+        print(switch, _sha(result.h.tobytes()), digest(result.clustering.assignments),
               flush=True)
 
 

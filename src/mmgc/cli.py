@@ -86,7 +86,12 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def _parse_value(tp: type, raw: str, key: str):
-    return _parse_bool(raw, key) if tp is bool else tp(raw)
+    if tp is bool:
+        return _parse_bool(raw, key)
+    try:
+        return tp(raw)
+    except ValueError:
+        raise ValueError(f"{key} must parse as {tp.__name__}, got {raw!r}") from None
 
 
 def _check_required(cls, given, where: str) -> None:
@@ -236,7 +241,7 @@ def _train_config(args) -> tuple[TrainConfig, int | None]:
     clusters = None
     for key, raw in (parse_keyvalues(args.config) if args.config else {}).items():
         if key == "clusters":
-            clusters = int(raw)
+            clusters = _parse_value(int, raw, key)
         elif key in _TRAIN_OPTIONS:
             options[key] = _parse_value(_TRAIN_OPTIONS[key], raw, key)
         else:

@@ -7,8 +7,9 @@ extension of this repository (once, in ``_prepare``, the setup that fit,
 forward and the gradient check share).  Gradients are computed
 analytically: the feature shift operators, walk samples, cluster
 centroids, and hard positive sets are treated as constants of the
-current step, and the same freeze applies in finite-difference replay
-so the two paths are comparable.
+current step.  One ``_step_gradients`` gives a step's losses and
+parameter gradients to training and to the finite-difference replay of
+``end_to_end_gradient_check``, so both paths share the same freeze.
 
 ``fit``, ``forward`` and ``end_to_end_gradient_check`` take one thread
 budget, ``threads`` (None means ``os.cpu_count()``).  It bounds the column
@@ -169,7 +170,6 @@ class ForwardCache:
 class FrozenState:
     """Step constants: everything the gradient treats as data."""
 
-    shifts: list[np.ndarray]
     samples: SampleSet | None
     assignments: np.ndarray | None
     centroids_norm: np.ndarray | None
@@ -259,90 +259,63 @@ def forward(
     return ops, cache
 
 
-def _loss_components(
-    cache: ForwardCache, frozen: FrozenState, cfg: TrainConfig
-) -> tuple[dict[str, float], np.ndarray, list[np.ndarray]]:
-    """Loss values plus gradients on normalized h and normalized z_i."""
-    h_norm, _ = _row_normalize(cache.h)
-    components = {"mod": 0.0, "nbr": 0.0, "comm": 0.0}
-    grad_h_norm = np.zeros_like(h_norm)
-    grads_z_norm = [np.zeros_like(z) for z in cache.z_list]
-
-    if not cfg.no_mod_loss:
-        z_norms = [_row_normalize(z)[0] for z in cache.z_list]
-        value, grads = cross_modality_loss(
-            [h_norm] + z_norms,
-            delta=cfg.delta,
-            negative_cap=cfg.mms_negatives,
-            seed=frozen.mms_seed,
-        )
-        components["mod"] = value
-        grad_h_norm += grads[0]
-        for i in range(len(cache.z_list)):
-            grads_z_norm[i] += grads[i + 1]
-
-    if not cfg.no_nbr_loss:
-        value, grad = neighborhood_loss(h_norm, frozen.samples)
-        components["nbr"] = value
-        grad_h_norm += grad
-
-    if not cfg.no_comm_loss:
-        value, grad = community_loss(
-            h_norm, frozen.assignments, frozen.centroids_norm, frozen.hard_sets
-        )
-        components["comm"] = value
-        grad_h_norm += grad
-
-    return components, grad_h_norm, grads_z_norm
-
-
-def _backward(
+def _step_gradients(
     xs: list[np.ndarray],
     ops: NormalizedOperators,
     params: ModelParams,
     cache: ForwardCache,
-    grad_h_norm: np.ndarray,
-    grads_z_norm: list[np.ndarray],
+    frozen: FrozenState,
     cfg: TrainConfig,
     threads: int,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Parameter gradients; shift operators are constants of the step."""
+) -> tuple[dict[str, float], list[np.ndarray], np.ndarray]:
+    """Loss values and parameter gradients (weight decay included) of one
+    step; ``cache.s_list`` and ``frozen`` are its constants.  The unit z_i
+    rows are freed before the neighborhood loss and the filter VJP."""
     h_norm, h_norms = _row_normalize(cache.h)
+    components = {"mod": 0.0, "nbr": 0.0, "comm": 0.0}
+    grad_h_norm = np.zeros_like(h_norm)
+    grads_z_mod = None
+
+    if not cfg.no_mod_loss:
+        z_units = [_row_normalize(z) for z in cache.z_list]
+        components["mod"], grads = cross_modality_loss(
+            [h_norm] + [z_norm for z_norm, _ in z_units],
+            delta=cfg.delta,
+            negative_cap=cfg.mms_negatives,
+            seed=frozen.mms_seed,
+        )
+        grad_h_norm += grads[0]
+        grads_z_mod = [
+            _row_normalize_vjp(z_norm, norms, g)
+            for (z_norm, norms), g in zip(z_units, grads[1:])
+        ]
+        del z_units, grads
+
+    if not cfg.no_nbr_loss:
+        components["nbr"], grad = neighborhood_loss(h_norm, frozen.samples)
+        grad_h_norm += grad
+
+    if not cfg.no_comm_loss:
+        components["comm"], grad = community_loss(
+            h_norm, frozen.assignments, frozen.centroids_norm, frozen.hard_sets
+        )
+        grad_h_norm += grad
+
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
+    del h_norm, grad_h_norm
     grad_z = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, cfg.filter_config(),
                              threads=threads)
 
-    grad_weights = []
-    mix_sensitivity = np.empty(len(cache.z_list))
-    for i, (x, z_i) in enumerate(zip(xs, cache.z_list)):
-        z_i_norm, z_i_norms = _row_normalize(z_i)
-        grad_z_i = cache.combine_weights[i] * grad_z
-        grad_z_i = grad_z_i + _row_normalize_vjp(z_i_norm, z_i_norms, grads_z_norm[i])
-        grad_w = x.T @ grad_z_i + 2.0 * cfg.weight_decay * params.weights[i]
-        grad_weights.append(grad_w)
-        mix_sensitivity[i] = float(np.sum(grad_z * z_i))
     w = cache.combine_weights
+    grad_weights = []
+    for i, x in enumerate(xs):
+        grad_z_i = w[i] * grad_z
+        if grads_z_mod is not None:
+            grad_z_i = grad_z_i + grads_z_mod[i]
+        grad_weights.append(x.T @ grad_z_i + 2.0 * cfg.weight_decay * params.weights[i])
+    mix_sensitivity = np.array([float(np.sum(grad_z * z_i)) for z_i in cache.z_list])
     grad_logits = w * (mix_sensitivity - float(w @ mix_sensitivity))
-    return grad_weights, grad_logits
-
-
-def replay_loss(
-    xs: list[np.ndarray],
-    ops: NormalizedOperators,
-    params: ModelParams,
-    cfg: TrainConfig,
-    frozen: FrozenState,
-    threads: int = 1,
-) -> float:
-    """Step objective under frozen stochastic state, for finite differences.
-
-    Includes the weight decay penalty so its gradient is part of the
-    comparison.  The forward runs in 64-bit like the training path.
-    """
-    cache = _forward(xs, ops, params, cfg, threads, shifts=frozen.shifts)
-    components, _, _ = _loss_components(cache, frozen, cfg)
-    penalty = cfg.weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
-    return sum(components.values()) + penalty
+    return components, grad_weights, grad_logits
 
 
 class Adam:
@@ -421,7 +394,6 @@ def _step_state(
             seed=_sub_seed(cfg.seed, _STREAM_WALKS, epoch),
         )
     return FrozenState(
-        shifts=cache.s_list,
         samples=samples,
         assignments=assignments,
         centroids_norm=centroids_norm,
@@ -493,16 +465,13 @@ def fit(
             if _refreshes_clustering(epoch, cfg):
                 latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
             if any_loss:
-                components, grad_h_norm, grads_z_norm = _loss_components(
-                    cache, frozen, cfg
+                components, grad_weights, grad_logits = _step_gradients(
+                    xs, ops, params, cache, frozen, cfg, threads
                 )
                 # divergence guard: keep the last finite parameter state
                 if not all(math.isfinite(v) for v in components.values()):
                     stopped_at = epoch
                     break
-                grad_weights, grad_logits = _backward(
-                    xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg, threads
-                )
                 last_finite = params.copy()
                 adam.step(
                     params.weights + [params.combine_logits],
@@ -616,13 +585,16 @@ def end_to_end_gradient_check(
     cache = _forward(xs, ops, params, cfg, threads)
     frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, threads)
 
-    components, grad_h_norm, grads_z_norm = _loss_components(cache, frozen, cfg)
-    grad_weights, grad_logits = _backward(
-        xs, ops, params, cache, grad_h_norm, grads_z_norm, cfg, threads
+    _, grad_weights, grad_logits = _step_gradients(
+        xs, ops, params, cache, frozen, cfg, threads
     )
 
     def objective() -> float:
-        return replay_loss(xs, ops, params, cfg, frozen, threads)
+        """The step objective under the frozen state, weight decay included."""
+        replay = _forward(xs, ops, params, cfg, threads, shifts=cache.s_list)
+        components, _, _ = _step_gradients(xs, ops, params, replay, frozen, cfg, threads)
+        penalty = cfg.weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+        return sum(components.values()) + penalty
 
     rng = np.random.default_rng(seed)
     report = GradCheckReport()

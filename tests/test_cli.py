@@ -352,6 +352,29 @@ def test_cluster_rejects_cluster_count_out_of_range(k_flag, config, dataset_dir,
     assert not (tmp_path / "run").exists()  # rejected before --out is created
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("cluster", "epochs = x", "epochs"),
+    ("cluster", "clusters = four", "clusters"),
+    ("generate", "n = 3e2", "n"),
+    ("generate", "modality.image.dim = 2.5", "modality.image.dim"),
+], ids=["train-key", "clusters", "synth-scalar", "modality-dim"])
+def test_config_value_that_does_not_parse_names_its_key(command, line, key, dataset_dir,
+                                                        tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    if command == "cluster":
+        config.write_text(line + "\n")
+        argv = ["cluster", "--data", str(dataset_dir), *FAST_TRAIN]
+    else:
+        # the line replaces the key's own line of the valid config
+        lines = [l for l in GEN_CONFIG.splitlines() if not l.startswith(key + " =")]
+        config.write_text("\n".join(lines + [line]) + "\n")
+        argv = ["generate"]
+    argv += ["--config", str(config), "--out", str(tmp_path / "run")]
+    err = _expect_failure(argv, capsys, match=f"{key} must parse as")
+    assert repr(line.split(" = ")[1]) in err
+    assert not (tmp_path / "run").exists()  # rejected before --out is created
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["cluster", "generate"])
 def test_rejects_non_positive_threads(command, threads, dataset_dir, tmp_path, capsys):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from mmgc import filters
+from mmgc import filters, trainer
 from mmgc.data import induce_subgraph, load_dataset
 from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc.trainer import (
@@ -284,6 +285,32 @@ def test_fit_divergence_stops_on_record(tmp_path):
     assert a.shape == (200,) and a.min() >= 0 and a.max() < 4
 
 
+def test_fit_stops_when_a_loss_turns_non_finite(monkeypatch):
+    # the third neighborhood loss (epoch 2) reads NaN; the step's gradients
+    # are dropped and the parameters stay those of a 2-epoch fit
+    graph = random_graph(40, [6, 4], seed=3, labels_k=3)
+    calls = []
+    real = trainer.neighborhood_loss
+
+    def nan_on_third(h_norm, samples):
+        value, grad = real(h_norm, samples)
+        calls.append(value)
+        return (math.nan if len(calls) == 3 else value), grad
+
+    monkeypatch.setattr(trainer, "neighborhood_loss", nan_on_third)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(graph, 3, TrainConfig(epochs=6))
+    assert result.stopped_at == 2
+    assert [e.epoch for e in result.epoch_logs] == [0, 1]
+
+    monkeypatch.setattr(trainer, "neighborhood_loss", real)
+    reference = fit(graph, 3, TrainConfig(epochs=2)).params
+    for got, want in zip(result.params.weights, reference.weights):
+        assert np.array_equal(got, want)
+    assert np.array_equal(result.params.combine_logits, reference.combine_logits)
+
+
 def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     """With the node-series column split forced on, budgets 1 and 3, and the
     budget a patched CPU count gives, train to the same bits."""
@@ -366,6 +393,21 @@ def test_end_to_end_gradient_check_passes():
     report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
     assert any(e.name == "combine_logits" for e in report.entries)
+
+
+@pytest.mark.parametrize("switches", [
+    {"no_nbr_loss": True, "no_comm_loss": True},
+    {"no_mod_loss": True, "no_comm_loss": True},
+    {"no_mod_loss": True, "no_nbr_loss": True},
+    {"no_fdd": True},
+    {"no_aas": True},
+    {"no_hps": True},
+], ids=["mod-loss-only", "nbr-loss-only", "comm-loss-only", "no-fdd", "no-aas", "no-hps"])
+def test_end_to_end_gradient_check_per_switch(switches):
+    graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
+    cfg = TrainConfig(hidden_dim=6, walk_length=3, mms_negatives=4, **switches)
+    report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
+    assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
 
 
 def test_end_to_end_gradient_check_with_flags():
