@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the byte-identity digests of every benchmark workload's reference fit.
 
-    python3 scripts/fit_digests.py
+    python3 scripts/fit_digests.py [--threads N]
 
 For each workload of ``mmbench/run.py`` the script generates the graph of
 data seed 0, fits it with the workload's training config and prints three
@@ -12,10 +12,15 @@ that switch on and prints the switch with the ``h`` and assignment digests,
 so the branches the workloads skip are covered too.  A change that claims to
 keep every output the same prints the same lines as its parent.  BLAS runs
 with the benchmark's thread count unless the environment sets one.
+
+``--threads N`` passes the thread budget N to every ``fit`` (default: the
+CPU count), so byte identity across budgets is one diff of the output with
+``--threads 1`` against the output without it.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -31,6 +36,13 @@ def _sha(data: bytes) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Print the byte-identity digests of the "
+                                                 "benchmark workloads' reference fits.")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="thread budget of every fit (default: the CPU count)")
+    threads = parser.parse_args().threads
+    if threads is not None and threads < 1:
+        parser.error(f"--threads must be >= 1, got {threads}")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "mmbench")]
     import run  # mmbench/run.py; it imports no numpy, so BLAS is not loaded yet
 
@@ -49,7 +61,7 @@ def main() -> None:
             summary = generate(synth, Path(tmp))
             edges = _sha((Path(tmp) / "edges.txt").read_bytes())
             graph, _ = load_dataset(summary.manifest)
-        result = fit(graph, synth.k, TrainConfig(**workload.train_config()))
+        result = fit(graph, synth.k, TrainConfig(**workload.train_config()), threads=threads)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments), edges,
               flush=True)
         if name == "planted-1k":
@@ -60,7 +72,7 @@ def main() -> None:
     switches = [f.name for f in dataclasses.fields(TrainConfig) if f.name.startswith("no_")]
     for switch in switches:
         cfg = TrainConfig(**{**base.train_config(), switch: True})
-        result = fit(base_graph, base_k, cfg)
+        result = fit(base_graph, base_k, cfg, threads=threads)
         print(switch, _sha(result.h.tobytes()), digest(result.clustering.assignments),
               flush=True)
 

@@ -10,8 +10,9 @@ Subcommands:
 
 ``cluster``, ``spectra`` and ``gradcheck`` accept ``--threads``, their
 thread budget (default: the CPU count; it must be >= 1).  It bounds the
-k-means restarts run at once and the column blocks of the node-domain
-filter series.  Each block needs ``filters._SPLIT_WORK``
+k-means restart groups run at once (groups of five restarts, so up to
+ceil(n_init / 5) threads) and the column blocks of the node-domain filter
+series.  Each block needs ``filters._SPLIT_WORK``
 (2.5 million) nonzeros times columns per sparse pass, so the series splits
 in two from, for example, 16000 nodes of mean degree 16 at 20 columns, and
 graphs of a few thousand nodes run it on one thread.  Results
@@ -143,9 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        help="thread budget for the k-means restarts and the node-filter column "
-             "split of large graphs (default: the CPU count); results do not "
-             "depend on it",
+        help="thread budget for the k-means restarts, run in groups of five on up "
+             "to ceil(n_init/5) threads, and the node-filter column split of large "
+             "graphs (default: the CPU count); results do not depend on it",
     )
 
     parser = argparse.ArgumentParser(

@@ -9,16 +9,26 @@ ever left without members.  Centroids are updated with one sparse
 cluster-by-point indicator product, which sums each cluster's rows in
 point order, as a per-cluster mean would, without gathering them.
 
-The restarts run at the same time on the thread budget (``threads``;
-None means ``os.cpu_count()``), at most one thread per restart, the
-calling thread included; numpy releases the interpreter lock inside the
-distance products and reductions.  Each restart depends only on its own
-child seed and its result is kept by restart index, so the outcome never
-depends on the budget.  A multi-threaded BLAS competes with these threads
-for the cores; the gain needs one BLAS thread per process.  Seeding
-scores each new center with the Lloyd distance kernel and the squared
-row norms that every restart shares, so a restart's scratch beyond its
-n x k distance matrix stays far below one n x d array.
+Restarts run in lockstep groups of ``_GROUP`` (5) consecutive seeds.  Per
+Lloyd iteration a group computes one distance product over the stacked
+centroids of its live restarts and one stacked indicator product for all
+their centroid sums; a restart leaves its group on the iteration its
+assignments repeat.  Each restart gets the bits it would get alone: every
+distance is the same dot product, the assignment takes the first minimum
+as ``argmin`` does, and each cluster still sums its rows in point order.
+With k = 1 each restart runs alone, because a one-row product takes
+BLAS's matrix-vector path, whose bits differ.
+
+The groups run at the same time on the thread budget (``threads``; None
+means ``os.cpu_count()``), at most one thread per group, the calling
+thread included; numpy releases the interpreter lock inside the products
+and reductions.  The groups are fixed by ``n_init`` alone and results are
+kept by restart index, so the outcome never depends on the budget.  A
+multi-threaded BLAS competes with these threads for the cores; the gain
+needs one BLAS thread per process.  Seeding scores each new center with
+the Lloyd distance kernel and the squared row norms that every restart
+shares; a group's scratch, about 400 bytes per point for 5 restarts of
+k = 4, stays below one n x d array.
 """
 
 from __future__ import annotations
@@ -46,9 +56,10 @@ class Clustering:
 
 
 def _squared_distances(x: np.ndarray, x2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Row-to-centroid squared distances; ``x2`` holds the squared row norms, (n, 1)."""
-    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = x @ centroids.T
+    """Centroid-to-row squared distances, (m, n) for m centroids; ``x2`` holds
+    the squared row norms, (n,)."""
+    c2 = np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    d2 = centroids @ x.T
     d2 *= 2.0
     np.subtract(x2, d2, out=d2)
     d2 += c2
@@ -62,7 +73,7 @@ def _plus_plus_init(
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     centroids[0] = x[int(rng.integers(n))]
-    d2 = _squared_distances(x, x2, centroids[:1])[:, 0]
+    d2 = _squared_distances(x, x2, centroids[:1])[0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -70,7 +81,7 @@ def _plus_plus_init(
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = x[idx]
-        np.minimum(d2, _squared_distances(x, x2, centroids[j:j + 1])[:, 0], out=d2)
+        np.minimum(d2, _squared_distances(x, x2, centroids[j:j + 1])[0], out=d2)
     return centroids
 
 
@@ -93,31 +104,79 @@ def _refill_empty(
         point_d2[far] = 0.0
 
 
+def _assign(
+    x: np.ndarray, x2: np.ndarray, centroids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assignments and point distances, (restarts, n) each, for stacked
+    centroids of k rows per restart.  A point takes the first centroid at
+    its minimum, as argmin picks it: the number of centroids before it,
+    all above the minimum."""
+    d2 = _squared_distances(x, x2, centroids).reshape(-1, k, x.shape[0])
+    point_d2 = d2.min(axis=1)
+    above = d2[:, 0] != point_d2
+    assignments = above.astype(np.intp)
+    for j in range(1, k - 1):
+        above &= d2[:, j] != point_d2
+        assignments += above
+    return assignments, point_d2
+
+
+def _centroid_means(x: np.ndarray, assignments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Stacked cluster means, (restarts * k, d), from one cluster-by-point
+    indicator per restart: each point column holds one entry per restart,
+    so each cluster sums its rows in point order."""
+    group, n = assignments.shape
+    k = counts.shape[1]
+    rows = (assignments + np.arange(0, group * k, k)[:, None]).T.ravel()
+    indicator = sp.csc_matrix(
+        (np.ones(rows.size), rows, np.arange(0, rows.size + 1, group)), shape=(group * k, n)
+    )
+    centroids = indicator @ x
+    centroids /= counts.reshape(-1, 1)
+    return centroids
+
+
 def _lloyd(
-    x: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iters: int
-) -> Clustering:
-    n, k = x.shape[0], centroids.shape[0]
-    centroids = centroids.copy()
-    assignments = np.full(n, -1, dtype=np.int64)
-    # the indicator's values and column pointers: one point per column
-    ones, indptr = np.ones(n), np.arange(n + 1)
-    history: list[float] = []
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        d2 = _squared_distances(x, x2, centroids)
-        new_assign = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), new_assign]
-        counts = np.bincount(new_assign, minlength=k)
-        _refill_empty(x, centroids, new_assign, point_d2, counts)
-        history.append(float(point_d2.sum()))
-        if np.array_equal(new_assign, assignments):
+    x: np.ndarray, x2: np.ndarray, inits: np.ndarray, max_iters: int
+) -> list[Clustering]:
+    """Lloyd runs from each of the ``inits`` (restarts, k, d), in lockstep.
+
+    The live restarts share one distance product over their stacked
+    centroids and one stacked indicator product per iteration; a restart
+    leaves the group on the iteration its assignments repeat.
+    """
+    group, k, _ = inits.shape
+    live = list(range(group))
+    centroids = inits.reshape(group * k, -1).copy()  # the live restarts', stacked
+    assignments = np.full((group, x.shape[0]), -1, dtype=np.intp)
+    histories: list[list[float]] = [[] for _ in live]
+    results: list[Clustering | None] = [None] * group
+    for iterations in range(1, max_iters + 1):
+        new_assign, point_d2 = _assign(x, x2, centroids, k)
+        counts = np.zeros((len(live), k), dtype=np.intp)
+        moving = []
+        for i, r in enumerate(live):
+            counts[i] = np.bincount(new_assign[i], minlength=k)
+            block = centroids[i * k:(i + 1) * k]
+            _refill_empty(x, block, new_assign[i], point_d2[i], counts[i])
+            histories[r].append(float(point_d2[i].sum()))
+            if np.array_equal(new_assign[i], assignments[i]):
+                results[r] = Clustering(new_assign[i].copy(), block.copy(), histories[r][-1],
+                                        iterations, histories[r])
+            else:
+                moving.append(i)
+        live = [live[i] for i in moving]
+        if not live:
             break
-        assignments = new_assign
-        indicator = sp.csc_matrix((ones, assignments, indptr), shape=(k, n))
-        centroids = indicator @ x
-        centroids /= counts[:, None]
-    return Clustering(assignments, centroids, history[-1], iterations, history)
+        assignments = new_assign[moving]
+        centroids = _centroid_means(x, assignments, counts[moving])
+    for i, r in enumerate(live):  # stopped by max_iters, with updated centroids
+        results[r] = Clustering(assignments[i].copy(), centroids[i * k:(i + 1) * k].copy(),
+                                histories[r][-1], max_iters, histories[r])
+    return results
+
+
+_GROUP = 5  # restarts per lockstep group; fixed, so the bits never follow the budget
 
 
 def _restarts(
@@ -126,18 +185,27 @@ def _restarts(
     seeds: list[np.random.SeedSequence],
     threads: int | None = None,
 ) -> list[Clustering]:
-    """One seeded Lloyd run per seed, in seed order, on the thread budget.
+    """One seeded Lloyd run per seed, in seed order, in lockstep groups of
+    ``_GROUP`` consecutive seeds that run on the thread budget.
 
-    After a restart raises, no new restart starts and the exception of the
-    earliest failed restart reaches the caller.
+    After a group raises, no new group starts and the exception of the
+    earliest failed group reaches the caller.
     """
-    x2 = np.einsum("ij,ij->i", x, x)[:, None]  # read-only, shared by every restart
+    x2 = np.einsum("ij,ij->i", x, x)  # read-only, shared by every restart
+    # a one-row product takes BLAS's matrix-vector path, whose bits differ
+    # from the stacked product's, so with k = 1 each restart runs alone
+    size = _GROUP if k > 1 else 1
+    starts = range(0, len(seeds), size)
 
-    def restart(i: int) -> Clustering:
-        init = _plus_plus_init(x, x2, k, np.random.default_rng(seeds[i]))
-        return _lloyd(x, x2, init, 300)
+    def run_group(g: int) -> list[Clustering]:
+        inits = np.stack([
+            _plus_plus_init(x, x2, k, np.random.default_rng(seed))
+            for seed in seeds[starts[g]:starts[g] + size]
+        ])
+        return _lloyd(x, x2, inits, 300)
 
-    return map_indexed(restart, len(seeds), thread_budget(threads))
+    groups = map_indexed(run_group, len(starts), thread_budget(threads))
+    return [run for group in groups for run in group]
 
 
 def kmeans_fit(

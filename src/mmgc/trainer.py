@@ -14,7 +14,8 @@ parameter gradients to training and to the finite-difference replay of
 ``fit``, ``forward`` and ``end_to_end_gradient_check`` take one thread
 budget, ``threads`` (None means ``os.cpu_count()``).  It bounds the column
 split of the node-domain filter series (in the filter, its VJP and the
-repair) and the concurrent k-means restarts; results never depend on it.
+repair) and the concurrent k-means restart groups (five restarts each, so
+up to ceil(n_init / 5) threads); results never depend on it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Lloyd iteration, plus-plus seeding, and restart selection."""
+"""Lloyd iteration, plus-plus seeding, lockstep groups and restart selection."""
 
 from __future__ import annotations
 
@@ -28,7 +28,12 @@ def _blobs(seed=0, n_per=20, centers=((0.0, 0.0), (10.0, 10.0))):
 
 def _sq_norms(x):
     """The squared row norms that kmeans_fit shares with seeding and Lloyd."""
-    return np.einsum("ij,ij->i", x, x)[:, None]
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _lloyd_alone(x, init, max_iters=300):
+    """One restart from ``init``, run as a lockstep group of one."""
+    return kmeans._lloyd(x, _sq_norms(x), init[None], max_iters)[0]
 
 
 def test_k_equals_n_gives_zero_inertia():
@@ -80,7 +85,7 @@ def test_same_seed_same_result():
 def test_explicit_init_centroids_respected():
     x, _ = _blobs(seed=7)
     init = np.array([[0.0, 0.0], [10.0, 10.0]])
-    res = kmeans._lloyd(x, _sq_norms(x), init, 300)
+    res = _lloyd_alone(x, init)
     assert np.all(res.assignments[:20] == 0)
     assert np.all(res.assignments[20:] == 1)
 
@@ -90,8 +95,8 @@ def test_fixed_init_permutation_equivariance():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 3))
     init = rng.standard_normal((3, 3))
-    res_a = kmeans._lloyd(x, _sq_norms(x), init, 300)
-    res_b = kmeans._lloyd(x, _sq_norms(x), init[[2, 0, 1]], 300)
+    res_a = _lloyd_alone(x, init)
+    res_b = _lloyd_alone(x, init[[2, 0, 1]])
     remap = np.array([1, 2, 0])  # old index -> new index under the roll
     assert np.array_equal(remap[res_a.assignments], res_b.assignments)
 
@@ -184,7 +189,8 @@ def _wide_clusters(seed=18, n=1000, d=64, k=4):
 ], ids=["duplicates-only", "gaussian", "wide"])
 def test_restarts_byte_identical_for_any_cpu_count(x, k, monkeypatch):
     """The restarts follow the thread budget: an explicit one, or the CPU
-    count when it is None; the result is the same for every budget."""
+    count when it is None; the result is the same for every budget, also
+    with eight groups on more threads than cores."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
     try:
@@ -192,9 +198,13 @@ def test_restarts_byte_identical_for_any_cpu_count(x, k, monkeypatch):
         for cpus in (1, 3):
             _with_cpus(monkeypatch, cpus)
             fits.append(_fit_fields(kmeans_fit(x, k, seed=7)))
+        seeds = np.random.SeedSequence(7).spawn(40)
+        many = [[_fit_fields(r) for r in kmeans._restarts(x, k, seeds, threads=t)]
+                for t in (1, 8)]
     finally:
         sys.setswitchinterval(interval)
     assert all(f == fits[0] for f in fits)
+    assert many[0] == many[1]
 
 
 def _mean_update_lloyd(x, centroids, max_iters):
@@ -205,13 +215,46 @@ def _mean_update_lloyd(x, centroids, max_iters):
     assignments = np.full(n, -1)
     x2 = _sq_norms(x)
     for _ in range(max_iters):
-        new_assign = kmeans._squared_distances(x, x2, centroids).argmin(axis=1)
+        new_assign = kmeans._squared_distances(x, x2, centroids).argmin(axis=0)
         assert np.bincount(new_assign, minlength=k).min() > 0
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
         centroids = np.vstack([x[assignments == j].mean(axis=0) for j in range(k)])
     return assignments, centroids
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_assignment_takes_the_first_minimum_as_argmin(k):
+    """With duplicated centers every point ties between two centroids; the
+    stacked assignment picks the first, as argmin does, for each restart."""
+    x = _duplicates_only()
+    x2 = _sq_norms(x)
+    picks = np.random.default_rng(24).choice([0, 20, 35, 45], size=(4, k))
+    picks[:, -1] = picks[:, 0]  # the last center repeats the first
+    inits = x[picks]
+    assignments, point_d2 = kmeans._assign(x, x2, inits.reshape(-1, 3), k)
+    for i, init in enumerate(inits):
+        d2 = kmeans._squared_distances(x, x2, init)
+        assert ((d2 == d2.min(axis=0)).sum(axis=0) > 1).any()
+        assert assignments[i].tobytes() == d2.argmin(axis=0).tobytes()
+        assert point_d2[i].tobytes() == d2.min(axis=0).tobytes()
+
+
+def test_max_iters_stop_returns_the_updated_centroids():
+    """A restart stopped by max_iters returns the means of its last
+    assignments, in a group as alone, whatever iteration the others stop on."""
+    x = _wide_clusters()
+    inits = np.stack([kmeans._plus_plus_init(x, _sq_norms(x), 4, np.random.default_rng(s))
+                      for s in range(5)])
+    for max_iters in (1, 2, 3):
+        group = kmeans._lloyd(x, _sq_norms(x), inits, max_iters)
+        assert [_fit_fields(r) for r in group] == [
+            _fit_fields(_lloyd_alone(x, init, max_iters)) for init in inits]
+        for r in group:
+            if r.iterations == max_iters:
+                means = np.vstack([x[r.assignments == j].mean(axis=0) for j in range(4)])
+                assert r.centroids.tobytes() == means.tobytes()
 
 
 @pytest.mark.parametrize("x, k", [
@@ -221,7 +264,7 @@ def _mean_update_lloyd(x, centroids, max_iters):
 ], ids=["gaussian", "wide", "narrow"])
 def test_sparse_centroid_update_matches_cluster_means(x, k):
     init = kmeans._plus_plus_init(x, _sq_norms(x), k, np.random.default_rng(0))
-    res = kmeans._lloyd(x, _sq_norms(x), init, 300)
+    res = _lloyd_alone(x, init)
     assignments, centroids = _mean_update_lloyd(x, init, 300)
     assert res.assignments.tobytes() == assignments.tobytes()
     assert res.centroids.tobytes() == centroids.tobytes()
@@ -264,8 +307,11 @@ def test_tied_restarts_pick_the_first(cpus):
             == _fit_fields(kmeans_fit(x, 6, seed=3, n_init=1)))
 
 
-@pytest.mark.parametrize("cpus, n_init, helpers", [(1, 10, 0), (2, 10, 1), (8, 10, 7), (8, 3, 2)])
+@pytest.mark.parametrize("cpus, n_init, helpers",
+                         [(1, 10, 0), (2, 10, 1), (8, 10, 1), (8, 3, 0), (8, 23, 4)])
 def test_helper_threads_bounded_by_cpus_and_restarts(cpus, n_init, helpers, monkeypatch):
+    """One thread per lockstep group of five restarts: min(threads, groups) - 1
+    helpers besides the calling thread."""
     started = []
     real_thread = threading.Thread
 
@@ -285,16 +331,18 @@ def test_helper_threads_bounded_by_cpus_and_restarts(cpus, n_init, helpers, monk
 
 
 def test_exception_in_a_restart_reaches_caller(monkeypatch):
+    """A group whose Lloyd run raises starts no new group; the helpers are
+    joined before the exception reaches the caller."""
     calls = []
     lock = threading.Lock()
     real_lloyd = kmeans._lloyd
 
-    def failing_lloyd(x, x2, centroids, max_iters):
+    def failing_lloyd(x, x2, inits, max_iters):
         with lock:
-            calls.append(None)
-            if len(calls) == 4:
+            calls.append(len(inits))
+            if len(calls) == 2:
                 raise RuntimeError("restart failed")
-        return real_lloyd(x, x2, centroids, max_iters)
+        return real_lloyd(x, x2, inits, max_iters)
 
     monkeypatch.setattr(kmeans, "_lloyd", failing_lloyd)
     x, _ = _blobs(seed=16)
@@ -302,9 +350,54 @@ def test_exception_in_a_restart_reaches_caller(monkeypatch):
     for cpus in (1, 2):
         calls.clear()
         with pytest.raises(RuntimeError, match="restart failed"):
-            kmeans_fit(x, 2, seed=0, n_init=10, threads=cpus)
-        assert len(calls) < 10  # no new restart starts after a failure
+            kmeans_fit(x, 2, seed=0, n_init=20, threads=cpus)  # four groups of five
+        assert set(calls) == {5}
+        assert len(calls) < 4  # no new group starts after a failure
         assert threading.active_count() == before  # helpers joined
+
+
+@pytest.mark.parametrize("x, k", [
+    (_duplicates_only(), 6),
+    (np.random.default_rng(13).standard_normal((200, 4)), 5),
+    (_wide_clusters(), 4),
+], ids=["duplicates-only", "gaussian", "wide"])
+def test_group_size_never_changes_a_restart(x, k, monkeypatch):
+    """Every restart gets the same bits in lockstep groups of any size,
+    including a last group that is not full."""
+    seeds = np.random.SeedSequence(7).spawn(10)
+    runs = []
+    for size in (1, 3, 5, 10):
+        monkeypatch.setattr(kmeans, "_GROUP", size)
+        runs.append([_fit_fields(r) for r in kmeans._restarts(x, k, seeds, threads=2)]
+                    + [_fit_fields(kmeans_fit(x, k, seed=7))])
+    assert all(r == runs[0] for r in runs)
+
+
+def test_mixed_group_matches_each_restart_alone(monkeypatch):
+    """Restarts 1 and 3 of the group start with a duplicated center, so they
+    refill an empty cluster while the others do not; every restart leaves
+    the group on its own iteration with the bits of a run alone."""
+    x = _wide_clusters(seed=21, n=600, d=8)
+    rng = np.random.default_rng(22)
+    inits = np.stack([x[rng.choice(len(x), 4, replace=False)] for _ in range(5)])
+    inits[1, 2] = inits[1, 0]
+    inits[3, 1] = inits[3, 3]
+    refills = []
+    real_refill = kmeans._refill_empty
+
+    def spy(x, centroids, assignments, point_d2, counts):
+        refills[-1] |= bool((counts == 0).any())
+        real_refill(x, centroids, assignments, point_d2, counts)
+
+    monkeypatch.setattr(kmeans, "_refill_empty", spy)
+    alone = []
+    for init in inits:
+        refills.append(False)
+        alone.append(_lloyd_alone(x, init))
+    assert refills == [False, True, False, True, False]
+    group = kmeans._lloyd(x, _sq_norms(x), inits, 300)
+    assert len({r.iterations for r in group}) > 1
+    assert [_fit_fields(r) for r in group] == [_fit_fields(r) for r in alone]
 
 
 def test_plus_plus_scratch_below_one_n_by_d_array():
@@ -320,6 +413,23 @@ def test_plus_plus_scratch_below_one_n_by_d_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < x.nbytes
+
+
+def test_lockstep_group_scratch_below_one_n_by_d_array():
+    """One group of five restarts at k = 4 holds its stacked distances,
+    assignments and indicator, and still peaks below one n x d array."""
+    x = _wide_clusters(seed=23, n=4000, d=64)
+    x2 = _sq_norms(x)
+    inits = np.stack([kmeans._plus_plus_init(x, x2, 4, np.random.default_rng(s))
+                      for s in range(5)])
+    tracemalloc.start()
+    try:
+        runs = kmeans._lloyd(x, x2, inits, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(r.iterations for r in runs) > 2
     assert peak < x.nbytes
 
 
