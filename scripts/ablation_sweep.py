@@ -11,12 +11,16 @@ a metric table.  Expects a dataset manifest (see run_synthetic.py or
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 from mmgc.cli import main as mmgc
+from mmgc.trainer import TrainConfig
 
-FLAGS = ("no-fdd", "no-mod-loss", "no-nbr-loss", "no-aas", "no-comm-loss", "no-hps")
+# the six switches, in TrainConfig's order: no-fdd, no-mod-loss, ..., no-hps
+FLAGS = tuple(f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)
+              if f.name.startswith("no_"))
 METRICS = ("acc", "nmi", "f1", "ari", "cs")
 
 

@@ -9,17 +9,10 @@ Subcommands:
 * ``gradcheck`` finite-difference verification of the analytic gradients
 
 ``cluster``, ``spectra`` and ``gradcheck`` accept ``--threads``, their
-thread budget (default: the CPU count; it must be >= 1).  It bounds the
-k-means restart groups run at once (groups of five restarts, so up to
-ceil(n_init / 5) threads) and the column blocks of the node-domain filter
-series.  Each block needs ``filters._SPLIT_WORK``
-(2.5 million) nonzeros times columns per sparse pass, so the series splits
-in two from, for example, 16000 nodes of mean degree 16 at 20 columns, and
-graphs of a few thousand nodes run it on one thread.  Results
-never depend on the budget (runs are reproducible for a fixed seed).
-With a budget above 1 and no BLAS thread count set in the environment,
-``cluster`` notes on stderr that one BLAS thread per process avoids
-contention with these threads.
+thread budget (default: the CPU count; it must be >= 1); ``parallel.py``
+describes what it bounds.  With a budget above 1 and no BLAS thread count
+set in the environment, ``cluster`` notes on stderr that one BLAS thread
+per process avoids contention with these threads.
 """
 
 from __future__ import annotations
@@ -57,16 +50,10 @@ _FLAG_SPELLINGS = {"t_layers": "--t", "walk_length": "--walk-len"}
 
 
 def _option_types(cls) -> dict[str, type]:
-    """The int, float and bool fields of a config dataclass; ``int | None`` is int."""
+    """The int, float and bool fields of a config dataclass."""
     hints = typing.get_type_hints(cls)
-    out = {}
-    for f in dataclasses.fields(cls):
-        tp = hints[f.name]
-        if type(None) in typing.get_args(tp):
-            (tp,) = set(typing.get_args(tp)) - {type(None)}
-        if tp in (int, float, bool):
-            out[f.name] = tp
-    return out
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
+            if hints[f.name] in (int, float, bool)}
 
 
 _TRAIN_OPTIONS = _option_types(TrainConfig)

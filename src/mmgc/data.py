@@ -87,10 +87,9 @@ def induce_subgraph(graph: MultimodalGraph, n: int) -> MultimodalGraph:
 
 @dataclass
 class NormalizedOperators:
-    """Symmetrically normalized adjacency and the degrees used to build it."""
+    """Symmetrically normalized adjacency."""
 
     a_hat: sp.csr_matrix
-    degrees: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +334,7 @@ def normalize_adjacency(adj: sp.csr_matrix) -> NormalizedOperators:
     inv_sqrt = 1.0 / np.sqrt(degrees)
     d_half = sp.diags(inv_sqrt)
     a_hat = (d_half @ adj @ d_half).tocsr()
-    return NormalizedOperators(a_hat=a_hat, degrees=degrees)
+    return NormalizedOperators(a_hat=a_hat)
 
 
 def laplacian(ops: NormalizedOperators) -> sp.csr_matrix:

@@ -19,14 +19,11 @@ as ``argmin`` does, and each cluster still sums its rows in point order.
 With k = 1 each restart runs alone, because a one-row product takes
 BLAS's matrix-vector path, whose bits differ.
 
-The groups run at the same time on the thread budget (``threads``; None
-means ``os.cpu_count()``), at most one thread per group, the calling
-thread included; numpy releases the interpreter lock inside the products
-and reductions.  The groups are fixed by ``n_init`` alone and results are
-kept by restart index, so the outcome never depends on the budget.  A
-multi-threaded BLAS competes with these threads for the cores; the gain
-needs one BLAS thread per process.  Seeding scores each new center with
-the Lloyd distance kernel and the squared row norms that every restart
+The groups run at the same time on the thread budget (``threads``, see
+``parallel.py``), at most one thread per group.  The groups are fixed by
+``n_init`` alone and results are kept by restart index, so the outcome
+never depends on the budget.  Seeding scores each new center with the
+Lloyd distance kernel and the squared row norms that every restart
 shares; a group's scratch, about 400 bytes per point for 5 restarts of
 k = 4, stays below one n x d array.
 """

@@ -1,11 +1,23 @@
 """The thread budget and the one way work is spread over it.
 
 Callers pass a budget (``--threads`` on the command line, ``threads=`` on
-``fit``); ``None`` means ``os.cpu_count()``.  ``map_indexed`` runs indexed
-work items on up to that many threads, the calling thread included, and
-keeps each result at its index, so the outcome never depends on the
-thread count.  numpy and scipy release the interpreter lock inside the
-products and reductions that dominate each item.
+``fit``, ``forward`` and ``end_to_end_gradient_check``); ``None`` means
+``os.cpu_count()``.  It bounds two things.  k-means runs its restarts in
+lockstep groups of five (``kmeans._GROUP``), one thread per group, so up
+to ceil(n_init / 5) threads.  The node-domain filter series, in the
+filter, its VJP and the outlier repair, splits its columns into blocks,
+one thread per block, when each block gets at least ``filters._SPLIT_WORK``
+(2.5 million) nonzeros times columns per sparse pass: a 16000-node graph
+of mean degree 16 splits in two from 20 columns, and graphs of a few
+thousand nodes keep one thread.  A multi-threaded BLAS competes with
+these threads for the cores, so the gain needs one BLAS thread per
+process.
+
+``map_indexed`` runs indexed work items on up to the budget's threads,
+the calling thread included, and keeps each result at its index, so the
+outcome never depends on the thread count.  numpy and scipy release the
+interpreter lock inside the products and reductions that dominate each
+item.
 """
 
 from __future__ import annotations

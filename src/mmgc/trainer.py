@@ -12,16 +12,14 @@ parameter gradients to training and to the finite-difference replay of
 ``end_to_end_gradient_check``, so both paths share the same freeze.
 
 ``fit``, ``forward`` and ``end_to_end_gradient_check`` take one thread
-budget, ``threads`` (None means ``os.cpu_count()``).  It bounds the column
-split of the node-domain filter series (in the filter, its VJP and the
-repair) and the concurrent k-means restart groups (five restarts each, so
-up to ceil(n_init / 5) threads); results never depend on it.
+budget, ``threads``; ``parallel.py`` describes what it bounds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,6 +47,7 @@ from .losses import (
     community_loss,
     cross_modality_loss,
     hard_positive_sets,
+    mms_loss,
     neighborhood_loss,
     passthrough_pruned,
     prune_graph,
@@ -64,6 +63,10 @@ _STREAM_WALKS = 2
 _STREAM_MMS = 3
 _STREAM_KMEANS = 4
 
+# impostors per row in the cross-modality margin loss: the loss costs
+# O(n * 256 * d) time and O(n * 256) memory rather than O(n^2 * d) and O(n^2)
+_IMPOSTOR_CAP = 256
+
 
 @dataclass
 class TrainConfig:
@@ -72,14 +75,12 @@ class TrainConfig:
     t_layers: int = 10          # filter series truncation order
     theta: float = 0.3          # hard positive fraction per cluster
     delta: float = 0.1          # contrastive margin
-    walk_length: int = 10       # walk steps per anchor
-    negatives_per_node: int | None = None  # defaults to walk_length
+    walk_length: int = 10       # walk steps and negatives per anchor
     lr: float = 1e-3
     weight_decay: float = 1e-5
     epochs: int = 100
     kmeans_interval: int = 5
     hidden_dim: int = 64
-    mms_negatives: int = 256    # impostor cap per row in the margin loss
     seed: int = 0
     no_fdd: bool = False        # no feature-domain denoising: beta -> 0, no outlier repair
     no_mod_loss: bool = False
@@ -91,10 +92,6 @@ class TrainConfig:
     def filter_config(self) -> DualFilterConfig:
         beta = 0.0 if self.no_fdd else self.beta
         return DualFilterConfig(alpha=self.alpha, beta=beta, t_layers=self.t_layers)
-
-    @property
-    def resolved_negatives(self) -> int:
-        return self.walk_length if self.negatives_per_node is None else self.negatives_per_node
 
     def validate(self) -> None:
         # the raw values: filter_config() zeroes beta under no_fdd
@@ -117,10 +114,6 @@ class TrainConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.walk_length < 1:
             raise ValueError("walk_length must be >= 1")
-        if self.resolved_negatives < 1:
-            raise ValueError("negatives_per_node must be >= 1")
-        if self.mms_negatives < 1:
-            raise ValueError("mms_negatives must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -163,7 +156,6 @@ class ForwardCache:
     z_list: list[np.ndarray]
     s_list: list[np.ndarray]
     combine_weights: np.ndarray
-    z: np.ndarray
     h: np.ndarray
 
 
@@ -228,7 +220,7 @@ def _forward(
     for w_i, z_i in zip(weights, z_list):
         z += w_i * z_i
     h = dual_filter(ops.a_hat, z, s_list, cfg.filter_config(), threads=threads)
-    return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, z=z, h=h)
+    return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
 
 def _prepare(
@@ -252,7 +244,7 @@ def forward(
     threads: int | None = None,
 ) -> tuple[NormalizedOperators, ForwardCache]:
     """Repair, project, mix, and filter; returns the normalized operators and
-    the cache holding z_list, s_list, z and h."""
+    the cache holding z_list, s_list and h."""
     threads, ops, xs, _ = _prepare(graph, cfg, threads)
     cache = _forward(xs, ops, params, cfg, threads)
     if not np.isfinite(cache.h).all():
@@ -282,7 +274,7 @@ def _step_gradients(
         components["mod"], grads = cross_modality_loss(
             [h_norm] + [z_norm for z_norm, _ in z_units],
             delta=cfg.delta,
-            negative_cap=cfg.mms_negatives,
+            negative_cap=_IMPOSTOR_CAP,
             seed=frozen.mms_seed,
         )
         grad_h_norm += grads[0]
@@ -391,7 +383,7 @@ def _step_state(
         samples = sample_neighborhoods(
             pruned.edges,
             cfg.walk_length,
-            cfg.resolved_negatives,
+            cfg.walk_length,
             seed=_sub_seed(cfg.seed, _STREAM_WALKS, epoch),
         )
     return FrozenState(
@@ -454,12 +446,11 @@ def fit(
     pruned = _prune(graph, _forward(xs, ops, params, cfg, threads), cfg)
 
     logs: list[EpochLog] = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     frozen = None
     stopped_at = None
     latest_nmi: float | None = None
     any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
-    try:
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         for epoch in range(cfg.epochs):
             cache = _forward(xs, ops, params, cfg, threads)
             frozen = _step_state(epoch, cache, pruned, k, cfg, threads, frozen)
@@ -495,9 +486,6 @@ def fit(
             logs.append(entry)
             if log_fh:
                 log_fh.write(json.dumps(asdict(entry)) + "\n")
-    finally:
-        if log_fh:
-            log_fh.close()
 
     cache = _forward(xs, ops, params, cfg, threads)
     final_clustering = kmeans_fit(
@@ -624,8 +612,6 @@ def loss_gradient_checks(seed: int = 0, tolerance: float = 1e-4) -> GradCheckRep
         return _row_normalize(x)[0]
 
     # margin loss, full impostor set and capped
-    from .losses import mms_loss
-
     for label, cap in (("mms_loss_full", None), ("mms_loss_capped", 3)):
         z_a = unit_rows(7, 5)
         z_b = unit_rows(7, 5)

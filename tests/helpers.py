@@ -89,10 +89,8 @@ def reference_exact(a_hat, z, shifts, alpha, beta) -> np.ndarray:
     n = a_dense.shape[0]
     s_bar = np.mean([np.asarray(s, float) for s in shifts], axis=0)
     d = s_bar.shape[0]
-    lap = np.eye(n) - a_dense
     left = np.linalg.inv((1.0 + alpha) * np.eye(n) - alpha * a_dense)
     right = np.linalg.inv((1.0 + beta) * np.eye(d) - beta * s_bar)
-    del lap
     return left @ np.asarray(z, float) @ right
 
 

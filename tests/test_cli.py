@@ -30,8 +30,7 @@ modality.text.noise_sigma = 1.0
 modality.image.dim = 4
 """
 
-FAST_TRAIN = ["--epochs", "2", "--hidden-dim", "8", "--walk-len", "3",
-              "--mms-negatives", "8"]
+FAST_TRAIN = ["--epochs", "2", "--hidden-dim", "8", "--walk-len", "3"]
 
 
 # the historic flag spellings; every other TrainConfig field is --field-name
@@ -42,8 +41,6 @@ def _other_value(value):
     """A value of the same type that differs from a field's default."""
     if isinstance(value, bool):
         return not value
-    if value is None:
-        return 3
     if isinstance(value, int):
         return value + 2
     return value * 2.5 + 0.125
@@ -192,8 +189,7 @@ def test_cluster_warns_when_training_diverges(dataset_dir, tmp_path, capsys):
 def test_cluster_k_precedence(dataset_dir, tmp_path):
     # every cluster is refilled when it empties, so exactly k ids appear
     config = tmp_path / "train.txt"
-    config.write_text("clusters = 2\nepochs = 2\nhidden_dim = 8\n"
-                      "walk_length = 3\nmms_negatives = 8\n")
+    config.write_text("clusters = 2\nepochs = 2\nhidden_dim = 8\nwalk_length = 3\n")
 
     def run(extra, out):
         assert main(["cluster", "--data", str(dataset_dir),
@@ -208,8 +204,7 @@ def test_cluster_k_precedence(dataset_dir, tmp_path):
 
 def test_cluster_flag_overrides_config_scalar(dataset_dir, tmp_path):
     config = tmp_path / "train.txt"
-    config.write_text("epochs = 1\nhidden_dim = 8\nwalk_length = 3\n"
-                      "mms_negatives = 8\n")
+    config.write_text("epochs = 1\nhidden_dim = 8\nwalk_length = 3\n")
     out = tmp_path / "run"
     assert main(["cluster", "--data", str(dataset_dir),
                  "--out", str(out), "--config", str(config),
@@ -260,8 +255,7 @@ def test_cluster_accepts_ablation_flags(dataset_dir, tmp_path):
 
 def test_cluster_config_boolean_flags(dataset_dir, tmp_path, capsys):
     config = tmp_path / "train.txt"
-    config.write_text("no_fdd = true\nepochs = 1\nhidden_dim = 8\n"
-                      "walk_length = 3\nmms_negatives = 8\n")
+    config.write_text("no_fdd = true\nepochs = 1\nhidden_dim = 8\nwalk_length = 3\n")
     out = tmp_path / "run"
     assert main(["cluster", "--data", str(dataset_dir),
                  "--out", str(out), "--config", str(config)]) == 0
@@ -294,6 +288,20 @@ def test_cluster_flag_and_config_key_agree(field, tmp_path):
     config.write_text(f"{field} = {value}\n")
     cfg, _ = _train_config(parser.parse_args(base + ["--config", str(config)]))
     assert cfg == expected
+
+
+@pytest.mark.parametrize("key, value", [("negatives_per_node", "4"), ("mms_negatives", "8")])
+def test_cluster_refuses_removed_options(key, value, dataset_dir, tmp_path, capsys):
+    # the walk draws walk_length negatives and the impostor cap is a constant
+    argv = ["cluster", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+            *FAST_TRAIN]
+    config = tmp_path / "train.txt"
+    config.write_text(f"{key} = {value}\n")
+    _expect_failure([*argv, "--config", str(config)], capsys,
+                    match=f"unknown config key {key!r}")
+    flag = "--" + key.replace("_", "-")
+    _expect_unrecognized([*argv, flag, value], capsys, flag)
+    assert not (tmp_path / "run").exists()  # refused before --out is created
 
 
 def _bad_option(field, raw, no_fdd=False):
@@ -387,20 +395,20 @@ def test_rejects_non_positive_threads(command, threads, dataset_dir, tmp_path, c
     if command == "cluster":
         _expect_failure(argv, capsys, match="--threads")
     else:  # generate has no thread budget, so argparse refuses the flag
-        _expect_unknown_threads(argv, capsys)
+        _expect_unrecognized(argv, capsys, "--threads")
     assert not (tmp_path / "run").exists()  # rejected before --out is created
 
 
-def _expect_unknown_threads(argv, capsys):
+def _expect_unrecognized(argv, capsys, flag):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_diagnose_refuses_threads(dataset_dir, capsys):
-    _expect_unknown_threads(["diagnose", "--data", str(dataset_dir), "--threads", "2"],
-                            capsys)
+    _expect_unrecognized(["diagnose", "--data", str(dataset_dir), "--threads", "2"],
+                         capsys, "--threads")
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

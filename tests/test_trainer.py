@@ -33,10 +33,10 @@ def test_train_config_defaults():
     cfg = TrainConfig()
     assert cfg.alpha == 1.0 and cfg.beta == 1.0 and cfg.t_layers == 10
     assert cfg.theta == 0.3 and cfg.delta == 0.1
-    assert cfg.walk_length == 10 and cfg.resolved_negatives == 10
+    assert cfg.walk_length == 10
     assert cfg.lr == 1e-3 and cfg.weight_decay == 1e-5
     assert cfg.epochs == 100 and cfg.kmeans_interval == 5
-    assert cfg.hidden_dim == 64 and cfg.mms_negatives == 256
+    assert cfg.hidden_dim == 64 and trainer._IMPOSTOR_CAP == 256
     cfg.validate()
 
 
@@ -45,11 +45,6 @@ def test_filter_config_respects_fdd_switch():
     fc = cfg.filter_config()
     assert fc.alpha == 2.0 and fc.beta == 0.0
     assert TrainConfig(beta=3.0).filter_config().beta == 3.0
-
-
-def test_negatives_default_to_walk_length():
-    assert TrainConfig(walk_length=7).resolved_negatives == 7
-    assert TrainConfig(walk_length=7, negatives_per_node=2).resolved_negatives == 2
 
 
 @pytest.mark.parametrize(
@@ -62,10 +57,10 @@ def test_negatives_default_to_walk_length():
         {"theta": 0.0},
         {"theta": 1.5},
         {"walk_length": 0},
-        {"negatives_per_node": 0},
-        {"mms_negatives": 0},
         {"alpha": -1.0},
         {"t_layers": 0},
+        {"weight_decay": -1.0},
+        {"seed": -1},
     ],
 )
 def test_train_config_validation(kwargs):
@@ -115,14 +110,16 @@ def test_forward_shapes(small_graph):
     assert len(cache.z_list) == 2 and len(cache.s_list) == 2
     assert all(zi.shape == (n, 8) for zi in cache.z_list)
     assert all(si.shape == (8, 8) for si in cache.s_list)
-    assert cache.z.shape == (n, 8) and cache.h.shape == (n, 8)
+    assert cache.h.shape == (n, 8)
 
 
 def test_forward_zero_logits_average_modalities(small_graph):
-    cfg = TrainConfig(hidden_dim=8)
+    # with the filter disabled, h is the mix of the projections
+    cfg = TrainConfig(hidden_dim=8, alpha=0.0, no_fdd=True)
     params = init_params([6, 4], 8, seed=1)
     cache = forward(small_graph, params, cfg)[1]
-    assert np.allclose(cache.z, 0.5 * (cache.z_list[0] + cache.z_list[1]), atol=1e-12)
+    assert np.array_equal(cache.combine_weights, [0.5, 0.5])
+    assert np.allclose(cache.h, 0.5 * (cache.z_list[0] + cache.z_list[1]), atol=1e-12)
 
 
 def test_forward_single_modality_mix_is_identity(small_graph):
@@ -131,17 +128,19 @@ def test_forward_single_modality_mix_is_identity(small_graph):
         modalities=[small_graph.modalities[0]],
         labels=None,
     )
-    cfg = TrainConfig(hidden_dim=8)
+    cfg = TrainConfig(hidden_dim=8, alpha=0.0, no_fdd=True)
     params = init_params([6], 8, seed=0)
     cache = forward(solo, params, cfg)[1]
-    assert np.array_equal(cache.z, cache.z_list[0])
+    assert np.array_equal(cache.combine_weights, [1.0])
+    assert np.allclose(cache.h, cache.z_list[0], atol=1e-14)
 
 
 def test_forward_disabled_filter_is_identity(small_graph):
     cfg = TrainConfig(hidden_dim=8, alpha=0.0, no_fdd=True)
     params = init_params([6, 4], 8, seed=0)
     cache = forward(small_graph, params, cfg)[1]
-    assert np.allclose(cache.h, cache.z, atol=1e-14)
+    w = cache.combine_weights
+    assert np.allclose(cache.h, w[0] * cache.z_list[0] + w[1] * cache.z_list[1], atol=1e-14)
 
 
 @pytest.mark.parametrize("switch,repaired", [
@@ -172,8 +171,9 @@ def test_fit_reports_repairs_per_modality(switch, replaced):
 
 # ----------------------------------------------------------------------- fit
 
-def test_fit_smoke_and_logs(small_graph, tmp_path):
-    cfg = TrainConfig(hidden_dim=8, epochs=3, walk_length=3, mms_negatives=8)
+def test_fit_smoke_and_logs(small_graph, tmp_path, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)  # below 24 nodes: the capped loss
+    cfg = TrainConfig(hidden_dim=8, epochs=3, walk_length=3)
     log_path = tmp_path / "epochs.jsonl"
     result = fit(small_graph, k=3, cfg=cfg, log_path=log_path)
 
@@ -197,8 +197,9 @@ def test_fit_smoke_and_logs(small_graph, tmp_path):
         assert entry["nmi_vs_labels"] is not None  # labels present
 
 
-def test_fit_deterministic(small_graph):
-    cfg = TrainConfig(hidden_dim=8, epochs=2, walk_length=3, mms_negatives=8)
+def test_fit_deterministic(small_graph, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)
+    cfg = TrainConfig(hidden_dim=8, epochs=2, walk_length=3)
     a = fit(small_graph, k=3, cfg=cfg)
     b = fit(small_graph, k=3, cfg=cfg)
     assert np.array_equal(a.clustering.assignments, b.clustering.assignments)
@@ -206,9 +207,10 @@ def test_fit_deterministic(small_graph):
     assert a.epoch_logs[-1].loss_total == b.epoch_logs[-1].loss_total
 
 
-def test_fit_seed_changes_trajectory(small_graph):
-    cfg_a = TrainConfig(hidden_dim=8, epochs=2, walk_length=3, mms_negatives=8, seed=0)
-    cfg_b = TrainConfig(hidden_dim=8, epochs=2, walk_length=3, mms_negatives=8, seed=1)
+def test_fit_seed_changes_trajectory(small_graph, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)
+    cfg_a = TrainConfig(hidden_dim=8, epochs=2, walk_length=3, seed=0)
+    cfg_b = TrainConfig(hidden_dim=8, epochs=2, walk_length=3, seed=1)
     a = fit(small_graph, k=3, cfg=cfg_a)
     b = fit(small_graph, k=3, cfg=cfg_b)
     assert not np.array_equal(a.h, b.h)
@@ -227,17 +229,17 @@ def test_fit_all_losses_disabled_keeps_params(small_graph):
     assert result.epoch_logs[-1].loss_total == 0.0
 
 
-def test_fit_no_aas_passthrough(small_graph):
-    cfg = TrainConfig(hidden_dim=8, epochs=1, walk_length=3, mms_negatives=8, no_aas=True)
+def test_fit_no_aas_passthrough(small_graph, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)
+    cfg = TrainConfig(hidden_dim=8, epochs=1, walk_length=3, no_aas=True)
     result = fit(small_graph, k=3, cfg=cfg)
     assert result.pruned.disabled is True
     assert result.pruned.removed_count == 0
 
 
-def test_fit_no_comm_loss_skips_interim_clustering(small_graph):
-    cfg = TrainConfig(
-        hidden_dim=8, epochs=2, walk_length=3, mms_negatives=8, no_comm_loss=True
-    )
+def test_fit_no_comm_loss_skips_interim_clustering(small_graph, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)
+    cfg = TrainConfig(hidden_dim=8, epochs=2, walk_length=3, no_comm_loss=True)
     result = fit(small_graph, k=3, cfg=cfg)
     assert all(e.loss_comm == 0.0 for e in result.epoch_logs)
     assert all(e.nmi_vs_labels is None for e in result.epoch_logs)
@@ -251,10 +253,9 @@ def test_fit_k_validation(small_graph):
         fit(small_graph, k=10_000, cfg=TrainConfig(hidden_dim=4, epochs=1))
 
 
-def test_fit_training_reduces_loss(small_graph):
-    cfg = TrainConfig(
-        hidden_dim=8, epochs=30, walk_length=3, mms_negatives=8, lr=5e-3
-    )
+def test_fit_training_reduces_loss(small_graph, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)
+    cfg = TrainConfig(hidden_dim=8, epochs=30, walk_length=3, lr=5e-3)
     result = fit(small_graph, k=3, cfg=cfg)
     first = result.epoch_logs[0].loss_total
     last = min(e.loss_total for e in result.epoch_logs[-5:])
@@ -321,7 +322,8 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
                     ModalitySpec("image", 5, noise_sigma=0.5)],
     )
     graph, _ = load_dataset(generate(synth, tmp_path).manifest)
-    cfg = TrainConfig(epochs=3, kmeans_interval=2, hidden_dim=16, mms_negatives=32)
+    cfg = TrainConfig(epochs=3, kmeans_interval=2, hidden_dim=16)
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 32)
     monkeypatch.setattr(filters, "_SPLIT_WORK", 1)
     blocks = []
     real = filters.map_indexed
@@ -346,6 +348,18 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run() == serial
     assert blocks and set(blocks) == {3}
+
+
+@pytest.mark.parametrize("walk_length", [3, 7])
+def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
+    cfg = TrainConfig(hidden_dim=8, walk_length=walk_length)
+    params = init_params([6, 4], 8, seed=0)
+    cache = forward(small_graph, params, cfg)[1]
+    pruned = trainer._prune(small_graph, cache, cfg)
+    samples = trainer._step_state(0, cache, pruned, 3, cfg, threads=1).samples
+    n = small_graph.n_nodes
+    assert samples.positives.shape == (n, walk_length)
+    assert samples.negatives.shape == (n, walk_length)
 
 
 @pytest.mark.parametrize("threads", [0, -2])
@@ -387,9 +401,10 @@ def test_loss_gradient_checks_pass():
         assert entry.passed, (entry.name, entry.max_rel_error)
 
 
-def test_end_to_end_gradient_check_passes():
+def test_end_to_end_gradient_check_passes(monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)  # the capped margin loss
     graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
-    cfg = TrainConfig(hidden_dim=6, walk_length=3, mms_negatives=4)
+    cfg = TrainConfig(hidden_dim=6, walk_length=3)
     report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
     assert any(e.name == "combine_logits" for e in report.entries)
@@ -403,18 +418,17 @@ def test_end_to_end_gradient_check_passes():
     {"no_aas": True},
     {"no_hps": True},
 ], ids=["mod-loss-only", "nbr-loss-only", "comm-loss-only", "no-fdd", "no-aas", "no-hps"])
-def test_end_to_end_gradient_check_per_switch(switches):
+def test_end_to_end_gradient_check_per_switch(switches, monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)
     graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
-    cfg = TrainConfig(hidden_dim=6, walk_length=3, mms_negatives=4, **switches)
+    cfg = TrainConfig(hidden_dim=6, walk_length=3, **switches)
     report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
 
 
-def test_end_to_end_gradient_check_with_flags():
+def test_end_to_end_gradient_check_with_flags(monkeypatch):
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)
     graph = random_graph(10, (4,), seed=1, p=0.35, labels_k=2)
-    cfg = TrainConfig(
-        hidden_dim=5, walk_length=2, mms_negatives=4,
-        no_mod_loss=True, no_hps=True,
-    )
+    cfg = TrainConfig(hidden_dim=5, walk_length=2, no_mod_loss=True, no_hps=True)
     report = end_to_end_gradient_check(graph, k=2, cfg=cfg, max_coords=15)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
