@@ -9,9 +9,14 @@ sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
 benchmark's own digest) and of the generated ``edges.txt``.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
 that switch on and prints the switch with the ``h`` and assignment digests,
-so the branches the workloads skip are covered too.  A change that claims to
-keep every output the same prints the same lines as its parent.  BLAS runs
-with the benchmark's thread count unless the environment sets one.
+so the branches the workloads skip are covered too.  Last come three more
+fits with planted-1k's training config, for paths no workload reaches: a
+200-node planted graph (the margin loss scores all pairs, as n - 1 <= 256,
+and the node series never splits), the same graph with k = 1, and planted-1k's
+graph with a third 300-column modality (three modality pairs, and the outlier
+repair's second 256-column block).  A change that claims to keep every output
+the same prints the same lines as its parent.  BLAS runs with the
+benchmark's thread count unless the environment sets one.
 
 ``--threads N`` passes the thread budget N to every ``fit`` (default: the
 CPU count), so byte identity across budgets is one diff of the output with
@@ -51,16 +56,20 @@ def main() -> None:
     from worker import digest  # mmbench/worker.py
 
     from mmgc.data import load_dataset
-    from mmgc.datagen import generate
+    from mmgc.datagen import ModalitySpec, generate
     from mmgc.trainer import TrainConfig, fit
 
-    print("workload h assignments edges")
-    for name, workload in run.WORKLOADS.items():
-        synth = workload.synth_config(run.DATA_SEED)
+    def load(synth):
         with tempfile.TemporaryDirectory() as tmp:
             summary = generate(synth, Path(tmp))
             edges = _sha((Path(tmp) / "edges.txt").read_bytes())
             graph, _ = load_dataset(summary.manifest)
+        return graph, edges
+
+    print("workload h assignments edges")
+    for name, workload in run.WORKLOADS.items():
+        synth = workload.synth_config(run.DATA_SEED)
+        graph, edges = load(synth)
         result = fit(graph, synth.k, TrainConfig(**workload.train_config()), threads=threads)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments), edges,
               flush=True)
@@ -74,6 +83,17 @@ def main() -> None:
         cfg = TrainConfig(**{**base.train_config(), switch: True})
         result = fit(base_graph, base_k, cfg, threads=threads)
         print(switch, _sha(result.h.tobytes()), digest(result.clustering.assignments),
+              flush=True)
+
+    print("planted-1k config h assignments")
+    small, _ = load(dataclasses.replace(base, n=200).synth_config(run.DATA_SEED))
+    wide = base.synth_config(run.DATA_SEED)
+    wide.modalities.append(ModalitySpec("audio", 300, signal_strength=1.0, noise_sigma=0.5))
+    three, _ = load(wide)
+    for name, graph, k in (("n200", small, base_k), ("n200-k1", small, 1),
+                           ("three-modalities", three, base_k)):
+        result = fit(graph, k, TrainConfig(**base.train_config()), threads=threads)
+        print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments),
               flush=True)
 
 

@@ -16,8 +16,6 @@ their centroid sums; a restart leaves its group on the iteration its
 assignments repeat.  Each restart gets the bits it would get alone: every
 distance is the same dot product, the assignment takes the first minimum
 as ``argmin`` does, and each cluster still sums its rows in point order.
-With k = 1 each restart runs alone, because a one-row product takes
-BLAS's matrix-vector path, whose bits differ.
 
 The groups run at the same time on the thread budget (``threads``, see
 ``parallel.py``), at most one thread per group.  The groups are fixed by
@@ -189,15 +187,12 @@ def _restarts(
     earliest failed group reaches the caller.
     """
     x2 = np.einsum("ij,ij->i", x, x)  # read-only, shared by every restart
-    # a one-row product takes BLAS's matrix-vector path, whose bits differ
-    # from the stacked product's, so with k = 1 each restart runs alone
-    size = _GROUP if k > 1 else 1
-    starts = range(0, len(seeds), size)
+    starts = range(0, len(seeds), _GROUP)
 
     def run_group(g: int) -> list[Clustering]:
         inits = np.stack([
             _plus_plus_init(x, x2, k, np.random.default_rng(seed))
-            for seed in seeds[starts[g]:starts[g] + size]
+            for seed in seeds[starts[g]:starts[g] + _GROUP]
         ])
         return _lloyd(x, x2, inits, 300)
 

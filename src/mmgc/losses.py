@@ -11,7 +11,9 @@ per anchor, so the neighborhood loss is vectorized over anchors.
 Edge pruning and the neighborhood loss gather the embedding rows of
 the pairs they score in row blocks of at most 512 KiB (``_GATHER_BYTES``),
 so their scratch is O(block * walk_length * d) rather than O(|E| * d)
-and O(n * walk_length * d), with the same bits for any block size.
+and O(n * walk_length * d), with the same bits for any block size.  The
+gather serves the scores only: the neighborhood loss takes its gradient
+through sparse anchor-by-sample matrices of O(n * walk_length) entries.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ def _sub_seed(seed: int, *tags: int) -> int:
 # scored (at least one row per block): 1024 pairs or 102 walks of 10 at
 # d=64.  At n=16000, d=64, walk 10, 130k edges and three embeddings,
 # prune_graph took 240 ms with 512 KiB, 258 ms with 2 MiB and 478 ms with
-# 8 MiB, and the neighborhood loss 109 to 139 ms across these sizes (2-core
-# Xeon VM, 4 MB L2 per core, one BLAS thread).
+# 8 MiB, and the neighborhood loss, which gathers for its scores only, 65
+# to 71 ms across these sizes (minimum of 15 calls; 2-core Xeon VM, 4 MB L2
+# per core, one BLAS thread).
 _GATHER_BYTES = 1 << 19
 
 
@@ -281,35 +284,31 @@ class SampleSet:
     """Walk positives and negative draws, one row per anchor.
 
     ``positives`` is an int64 array of shape (n, walk_length) holding the
-    nodes each anchor's walk visited; ``negatives`` has shape (n, q), and
-    an entry of -1 is padding that scores nothing (a row of -1 marks an
-    anchor with no node left to draw from).
+    nodes each anchor's walk visited; ``negatives`` has shape
+    (n, walk_length) too, and an entry of -1 is padding that scores nothing
+    (a row of -1 marks an anchor with no node left to draw from).
     """
 
     positives: np.ndarray
     negatives: np.ndarray
 
 
-def sample_neighborhoods(
-    adj: sp.csr_matrix, walk_length: int, negatives_per_node: int, seed: int = 0
-) -> SampleSet:
+def sample_neighborhoods(adj: sp.csr_matrix, walk_length: int, *, seed: int = 0) -> SampleSet:
     """One uniform random walk plus uniform negative draws per anchor.
 
     Positives are the ``walk_length`` visited nodes (start excluded as a
-    position, revisits kept).  Negatives are ``negatives_per_node``
-    independent uniform draws from the nodes outside the walk and the
-    anchor; when no such node exists the anchor's row is all -1.  Each
-    draw is a uniform rank among those nodes, mapped to a node id by
-    stepping it past the anchor's sorted excluded ids, so the cost is
-    O(n * walk_length * negatives_per_node) with no redraws.  Every node
-    must have at least one neighbor (see ``PrunedGraph``).
+    position, revisits kept).  Negatives are ``walk_length`` independent
+    uniform draws from the nodes outside the walk and the anchor; when no
+    such node exists the anchor's row is all -1.  Each draw is a uniform
+    rank among those nodes, mapped to a node id by stepping it past the
+    anchor's sorted excluded ids, so the cost is O(n * walk_length^2)
+    with no redraws.  Every node must have at least one neighbor (see
+    ``PrunedGraph``).
     """
     adj = sp.csr_matrix(adj)
     n = adj.shape[0]
     if walk_length < 1:
         raise ValueError("walk_length must be >= 1")
-    if negatives_per_node < 0:
-        raise ValueError("negatives_per_node must be >= 0")
     degrees = np.diff(adj.indptr)
     if (degrees == 0).any():
         raise ValueError("every node needs a neighbor; add self-loops first")
@@ -330,7 +329,7 @@ def sample_neighborhoods(
     allowed = n - 1 - walk_length + repeat.sum(axis=1)
     # rank r among the allowed ids is the id reached by stepping r past each
     # excluded id at or below it, in ascending order
-    negatives = rng.integers(0, np.maximum(allowed, 1)[:, None], size=(n, negatives_per_node))
+    negatives = rng.integers(0, np.maximum(allowed, 1)[:, None], size=(n, walk_length))
     for column in excluded.T:
         negatives += negatives >= column[:, None]
     negatives[allowed == 0] = -1
@@ -370,14 +369,15 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet):
         (pos, ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]),
         (neg, en / (sum_p + sum_n)[:, None]),
     ):
-        for blk in blocks:
-            grad[blk] += np.einsum("rc,rcd->rd", coef[blk], h[idx[blk]])
+        # row r lists anchor r's kept samples in sample order; a csr product
+        # adds each row's entries in stored order
         keep = idx >= 0
-        anchors = np.broadcast_to(np.arange(n)[:, None], idx.shape)
-        scatter = sp.csr_matrix(
-            (coef[keep], (idx[keep], anchors[keep])), shape=(n, n)
-        )
-        grad += scatter @ h
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        pairs = sp.csr_matrix((coef[keep], idx[keep], indptr), shape=(n, n))
+        back = pairs.T.tocsr()  # row j: the anchors that drew j, ascending
+        back.sum_duplicates()  # an anchor's repeats add in sample order
+        grad += pairs @ h
+        grad += back @ h
     return value, grad
 
 

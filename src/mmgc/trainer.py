@@ -381,10 +381,7 @@ def _step_state(
     samples = None
     if not cfg.no_nbr_loss:
         samples = sample_neighborhoods(
-            pruned.edges,
-            cfg.walk_length,
-            cfg.walk_length,
-            seed=_sub_seed(cfg.seed, _STREAM_WALKS, epoch),
+            pruned.edges, cfg.walk_length, seed=_sub_seed(cfg.seed, _STREAM_WALKS, epoch)
         )
     return FrozenState(
         samples=samples,
@@ -624,7 +621,7 @@ def loss_gradient_checks(seed: int = 0, tolerance: float = 1e-4) -> GradCheckRep
     # neighborhood loss over a ring graph's walk samples
     n = 12
     ring = symmetric_adjacency(n, np.arange(n), (np.arange(n) + 1) % n)
-    samples = sample_neighborhoods(ring, 4, 4, seed=5)
+    samples = sample_neighborhoods(ring, 4, seed=5)
     h = unit_rows(n, 6)
     _, grad = neighborhood_loss(h, samples)
     fn = lambda: neighborhood_loss(h, samples)[0]

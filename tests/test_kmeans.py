@@ -44,12 +44,22 @@ def test_k_equals_n_gives_zero_inertia():
     assert len(set(res.assignments.tolist())) == 7
 
 
-def test_k_equals_one_gives_mean_centroid():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((30, 4))
-    res = kmeans_fit(x, 1, seed=0)
-    assert np.allclose(res.centroids[0], x.mean(axis=0), atol=1e-12)
-    assert np.all(res.assignments == 0)
+def test_k_equals_one_gives_mean_centroid(monkeypatch):
+    """With k = 1 the restarts run in lockstep groups like any other k: every
+    point joins the one cluster at the column mean, and neither the group
+    size nor the thread budget changes the assignments or centroids."""
+    for n in (30, 1000):
+        x = np.random.default_rng(n).standard_normal((n, 4))
+        fits = []
+        for size in (1, 5):
+            monkeypatch.setattr(kmeans, "_GROUP", size)
+            fits += [kmeans_fit(x, 1, seed=0, threads=t) for t in (1, 2)]
+        for res in fits:
+            assert np.all(res.assignments == 0)
+            assert np.allclose(res.centroids[0], x.mean(axis=0), atol=1e-12)
+            assert res.assignments.tobytes() == fits[0].assignments.tobytes()
+            assert res.centroids.tobytes() == fits[0].centroids.tobytes()
+            assert res.inertia == pytest.approx(fits[0].inertia, rel=1e-12, abs=0)
 
 
 def test_separated_blobs_recovered_exactly():

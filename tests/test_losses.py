@@ -389,7 +389,7 @@ def test_prune_two_nodes_never_pairs_a_node_with_itself(monkeypatch):
 
 def test_walks_are_valid_paths():
     adj = ring_graph(12)
-    samples = sample_neighborhoods(adj, walk_length=5, negatives_per_node=4, seed=3)
+    samples = sample_neighborhoods(adj, walk_length=5, seed=3)
     dense = adj.toarray()
     for anchor in range(12):
         pos = samples.positives[anchor]
@@ -416,25 +416,28 @@ def _padded_anchors(samples, n):
 
 def test_negatives_avoid_walk_and_anchor():
     adj = ring_graph(15)
-    samples = sample_neighborhoods(adj, walk_length=4, negatives_per_node=6, seed=0)
-    assert samples.negatives.shape == (15, 6)
+    samples = sample_neighborhoods(adj, walk_length=4, seed=0)
+    assert samples.negatives.shape == (15, 4)
     assert _padded_anchors(samples, 15) == []
     for n in (3, 5, 12, 40):
         for seed in range(40):
-            samples = sample_neighborhoods(ring_graph(n), 4, 6, seed=seed)
+            samples = sample_neighborhoods(ring_graph(n), 4, seed=seed)
             _padded_anchors(samples, n)
 
 
 def test_negatives_are_uniform_outside_the_walk():
-    # isolated nodes carry a self-loop, so every walk stays at its anchor
-    n, q = 9, 20_000
+    # isolated nodes carry a self-loop, so every walk stays at its anchor;
+    # the draws of 2000 seeds give each anchor 20000 negatives
+    n, walk, seeds = 9, 10, 2000
     adj = passthrough_pruned(sp.csr_matrix((n, n))).edges
-    samples = sample_neighborhoods(adj, walk_length=3, negatives_per_node=q, seed=0)
-    assert (samples.positives == np.arange(n)[:, None]).all()
+    draws = [sample_neighborhoods(adj, walk, seed=seed) for seed in range(seeds)]
+    assert all((s.positives == np.arange(n)[:, None]).all() for s in draws)
+    negatives = np.hstack([s.negatives for s in draws])
+    q = walk * seeds
     p = 1.0 / (n - 1)
     sd = math.sqrt(q * p * (1 - p))
     for anchor in range(n):
-        counts = np.bincount(samples.negatives[anchor], minlength=n)
+        counts = np.bincount(negatives[anchor], minlength=n)
         assert counts[anchor] == 0
         others = np.delete(counts, anchor)
         assert np.all(np.abs(others - q * p) <= 5 * sd), (anchor, others)
@@ -442,9 +445,9 @@ def test_negatives_are_uniform_outside_the_walk():
 
 def test_sampling_deterministic_and_seed_sensitive():
     adj = ring_graph(10)
-    s1 = sample_neighborhoods(adj, 4, 3, seed=5)
-    s2 = sample_neighborhoods(adj, 4, 3, seed=5)
-    s3 = sample_neighborhoods(adj, 4, 3, seed=6)
+    s1 = sample_neighborhoods(adj, 4, seed=5)
+    s2 = sample_neighborhoods(adj, 4, seed=5)
+    s3 = sample_neighborhoods(adj, 4, seed=6)
     assert all(np.array_equal(a, b) for a, b in zip(s1.positives, s2.positives))
     assert all(np.array_equal(a, b) for a, b in zip(s1.negatives, s2.negatives))
     assert any(
@@ -455,20 +458,20 @@ def test_sampling_deterministic_and_seed_sensitive():
 def test_degree_zero_rejected():
     adj = edges_from_pairs(3, [(0, 1)])  # node 2 isolated
     with pytest.raises(ValueError, match="self-loops"):
-        sample_neighborhoods(adj, 2, 2)
+        sample_neighborhoods(adj, 2)
 
 
 def test_empty_complement_gives_empty_negatives():
     adj = complete_graph(2)
-    samples = sample_neighborhoods(adj, walk_length=3, negatives_per_node=4, seed=0)
+    samples = sample_neighborhoods(adj, walk_length=3, seed=0)
     assert samples.positives.shape == (2, 3)
-    assert samples.negatives.shape == (2, 4)
+    assert samples.negatives.shape == (2, 3)
     assert (samples.negatives == -1).all()
     # a walk of 4 covers at most 5 ring nodes: on rings of 3 and 5 some
     # anchors have nothing left to draw and others do; on larger rings none
     for n in (3, 5, 12, 40):
         padded = sum(
-            len(_padded_anchors(sample_neighborhoods(ring_graph(n), 4, 3, seed=seed), n))
+            len(_padded_anchors(sample_neighborhoods(ring_graph(n), 4, seed=seed), n))
             for seed in range(40)
         )
         if n <= 5:
@@ -483,16 +486,28 @@ def test_sampling_scratch_below_four_n_by_walk_arrays():
     arrays, not an n x q x walk comparison."""
     adj = passthrough_pruned(_random_graph(_BIG_N, 8 * _BIG_N, seed=15)).edges
     walk = 10
-    peak = _traced_peak(lambda: sample_neighborhoods(adj, walk, 10, seed=15))
+    peak = _traced_peak(lambda: sample_neighborhoods(adj, walk, seed=15))
     assert peak < 4 * _BIG_N * walk * 8
 
 
 def test_sampling_validation():
     adj = ring_graph(5)
     with pytest.raises(ValueError):
-        sample_neighborhoods(adj, 0, 2)
-    with pytest.raises(ValueError):
-        sample_neighborhoods(adj, 2, -1)
+        sample_neighborhoods(adj, 0)
+
+
+@pytest.mark.parametrize("walk", [1, 3, 10])
+def test_sampler_draws_walk_length_negatives(walk):
+    samples = sample_neighborhoods(ring_graph(40), walk, seed=1)
+    assert samples.positives.shape == (40, walk)
+    assert samples.negatives.shape == (40, walk)
+
+
+def test_sampler_refuses_a_positional_seed_or_count():
+    # a third positional argument, once the negatives count, is never
+    # taken for the seed
+    with pytest.raises(TypeError):
+        sample_neighborhoods(ring_graph(5), 2, 3)
 
 
 # --------------------------------------------------------- neighborhood loss
@@ -546,7 +561,7 @@ def test_neighborhood_rect_matches_ragged_oracle():
     n = 9
     h = _unit_rows(rng.standard_normal((n, 4)))
     adj = ring_graph(n)
-    samples = sample_neighborhoods(adj, 3, 3, seed=2)
+    samples = sample_neighborhoods(adj, 3, seed=2)
     value, grad = neighborhood_loss(h, samples)
     want, want_grad = _per_anchor_loss(h, samples)
     assert value == pytest.approx(want, rel=1e-12)
@@ -560,7 +575,7 @@ def test_neighborhood_mixed_negatives_match_per_anchor_oracle():
     adj = edges_from_pairs(
         n, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5), (5, 6), (6, 7)]
     )
-    samples = sample_neighborhoods(adj, walk_length=12, negatives_per_node=3, seed=0)
+    samples = sample_neighborhoods(adj, walk_length=12, seed=0)
     padded = (samples.negatives == -1).all(axis=1)
     assert padded.sum() == 1 and (samples.negatives[~padded] >= 0).all()
     h = _unit_rows(np.random.default_rng(13).standard_normal((n, 4)))
@@ -574,7 +589,7 @@ def test_neighborhood_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     n = 8
     h = _unit_rows(rng.standard_normal((n, 3)))
-    samples = sample_neighborhoods(ring_graph(n), 3, 2, seed=4)
+    samples = sample_neighborhoods(ring_graph(n), 3, seed=4)
     value, grad = neighborhood_loss(h, samples)
     _check_gradient(lambda x: neighborhood_loss(x, samples)[0], h, grad, seed=2)
 
@@ -641,6 +656,20 @@ def test_neighborhood_is_byte_identical_for_any_block_size(rows, monkeypatch):
     got_value, got_grad = neighborhood_loss(h, samples)
     assert got_value == value
     assert got_grad.tobytes() == grad.tobytes()
+
+
+def test_neighborhood_sums_repeated_walk_visits_as_first_written():
+    """On a 5-node ring a 10-step walk revisits nodes, some three times or
+    more, so the transposed pairs matrix sums repeated entries; the loss
+    still equals the plain one byte for byte."""
+    n = 5
+    h = _unit_rows(np.random.default_rng(14).standard_normal((n, 3)))
+    samples = sample_neighborhoods(ring_graph(n), 10, seed=14)
+    visits = [np.bincount(row, minlength=n).max() for row in samples.positives]
+    assert max(visits) >= 3
+    value, grad = neighborhood_loss(h, samples)
+    want_value, want_grad = _plain_neighborhood_loss(h, samples)
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
 
 def test_neighborhood_scratch_below_four_n_by_d_arrays():
