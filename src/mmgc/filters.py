@@ -20,11 +20,16 @@ cannot do this: its feature-domain pass multiplies every row by one
 d x d matrix, so it spreads an entry-level spike over the row instead
 of removing it.
 
-The node-domain series, the bulk of the filter, its VJP and the repair,
-splits its columns over a thread budget (``threads``) when the graph is
-large enough (``_SPLIT_WORK``): each thread runs the whole series on its
-own column block.  Every output entry is summed in the same order as on
-one thread, so the result never depends on the budget.
+The node-domain series, the bulk of the filter's cost, is linear and
+acts on rows, so it commutes with the projections that act on columns.
+Training therefore runs it once per fit, on the attributes:
+``repair_feature_outliers`` returns ``node_filter`` of the repaired
+attributes, and every training step calls ``dual_filter`` and its VJP
+with alpha = 0, which runs the feature half alone.  The series splits
+its columns over a thread budget (``threads``) when the graph is large
+enough (``_SPLIT_WORK``): each thread runs the whole series on its own
+column block.  Every output entry is summed in the same order as on one
+thread, so the result never depends on the budget.
 """
 
 from __future__ import annotations
@@ -163,9 +168,28 @@ def dual_filter(
     ca = cfg.alpha / (cfg.alpha + 1.0)
     cb = cfg.beta / (cfg.beta + 1.0)
     prefactor = 1.0 / ((cfg.alpha + 1.0) * (cfg.beta + 1.0))
-    left = _left_series_apply(a_hat, z, ca, cfg.t_layers, threads)
+    # with alpha = 0 every node pass adds 0 * (A @ y): skip the passes, and
+    # read z, which nothing below updates in place
+    left = z if ca == 0.0 else _left_series_apply(a_hat, z, ca, cfg.t_layers, threads)
     right = _series(s_bar, np.eye(s_bar.shape[0]), cb, cfg.t_layers)
     return prefactor * (left @ right)
+
+
+def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -> np.ndarray:
+    """The node-domain half of the dual filter on its own, as a new array:
+    ``sum_{s=0..t} (ca * A)^s x / (alpha + 1)`` with ``ca = alpha / (alpha + 1)``.
+
+    It acts on rows, so it commutes with any right factor: ``dual_filter`` of
+    ``x @ W`` equals, up to rounding, ``dual_filter`` of ``node_filter(x) @ W``
+    with alpha set to 0.  Each column is summed in the same order whatever the
+    other columns and the budget ``threads``; with alpha = 0 the result is a
+    copy of ``x`` and no sparse product runs.
+    """
+    if cfg.alpha == 0.0:
+        return np.array(x, dtype=np.float64)
+    out = _left_series_apply(a_hat, x, cfg.alpha / (cfg.alpha + 1.0), cfg.t_layers, threads)
+    out /= cfg.alpha + 1.0
+    return out
 
 
 # columns screened at once by repair_feature_outliers: bounds its scratch
@@ -183,39 +207,43 @@ class RepairReport:
 
 def repair_feature_outliers(
     a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1
-) -> RepairReport:
-    """Replace entry-level outliers of one modality's raw attributes in place.
+) -> tuple[RepairReport, np.ndarray]:
+    """Replace entry-level outliers of one modality's raw attributes in place,
+    and return the report with ``node_filter`` of the repaired attributes.
 
-    ``x`` is a float64 array.  The estimate ``x_hat`` is the node-domain
-    half of the dual filter, ``sum_s (ca * A)^s x / (alpha + 1)``, which
-    works column by column at O(t * nnz(A)) per column; the feature
-    domain is left out because its kernel alone costs O(n * d^2).  An
-    entry whose residual ``x - x_hat`` lies more than ``OUTLIER_TAU``
-    population standard deviations from its column's mean residual is
-    replaced.  Its replacement is the same filter applied once more with
-    the flagged entries set to their column median, so that it does not
-    carry the outlier itself.  Columns whose residual is constant are
-    skipped, and so are sparse or discrete columns, those whose median
-    absolute deviation is zero: there at least half of the entries share
-    one value, the rare values are the signal and a z-screen would flag
-    them all.  Nothing changes when ``cfg.beta == 0`` (FDD off) or
-    ``cfg.alpha == 0`` (then ``x_hat`` is ``x``).  ``threads`` bounds the
-    column split of the node-domain series.
+    ``x`` is a float64 array.  The estimate ``x_hat`` is ``node_filter(x)``,
+    the node-domain half of the dual filter, which works column by column
+    at O(t * nnz(A)) per column; the feature domain is left out because
+    its kernel alone costs O(n * d^2).  An entry whose residual
+    ``x - x_hat`` lies more than ``OUTLIER_TAU`` population standard
+    deviations from its column's mean residual is replaced.  Its
+    replacement is the same filter applied once more with the flagged
+    entries set to their column median, so that it does not carry the
+    outlier itself.  Columns whose residual is constant are skipped, and
+    so are sparse or discrete columns, those whose median absolute
+    deviation is zero: there at least half of the entries share one value,
+    the rare values are the signal and a z-screen would flag them all.
+    Nothing changes when ``cfg.beta == 0`` (FDD off) or ``cfg.alpha == 0``
+    (then ``x_hat`` is ``x``).  The returned filter of the repaired ``x``
+    reuses ``x_hat`` for every column left unchanged and filters only the
+    repaired columns again; its bits are those of ``node_filter`` on the
+    repaired ``x``.  ``threads`` bounds the column split of the node-domain
+    series.
     """
     cfg.validate()
     if x.shape[0] != a_hat.shape[0]:
         raise ValueError("row count of x must match the adjacency")
     report = RepairReport(entries_replaced=0, sparse_columns=0)
     if cfg.beta == 0.0 or cfg.alpha == 0.0:
-        return report
-    ca = cfg.alpha / (cfg.alpha + 1.0)
+        return report, node_filter(a_hat, x, cfg, threads)
+    filtered = np.empty_like(x)
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
         block = x[:, start:start + _REPAIR_COLUMNS]
         median = np.median(block, axis=0)
         dense = np.median(np.abs(block - median), axis=0) > 0.0
         report.sparse_columns += int((~dense).sum())
-        x_hat = _left_series_apply(a_hat, block, ca, cfg.t_layers, threads)
-        x_hat /= cfg.alpha + 1.0
+        x_hat = filtered[:, start:start + _REPAIR_COLUMNS]  # kept for the unhit columns
+        x_hat[...] = node_filter(a_hat, block, cfg, threads)
         mask = zscore_outliers(block - x_hat, tau=OUTLIER_TAU).entry_mask
         mask &= dense
         hit = mask.any(axis=0)
@@ -226,11 +254,11 @@ def repair_feature_outliers(
         # filter the hit columns again with their outliers at the column median
         cols, flagged = block[:, hit], mask[:, hit]
         cols[flagged] = np.broadcast_to(median[hit], cols.shape)[flagged]
-        refit = _left_series_apply(a_hat, cols, ca, cfg.t_layers, threads)
-        refit /= cfg.alpha + 1.0
+        refit = node_filter(a_hat, cols, cfg, threads)
         cols[flagged] = refit[flagged]
         block[:, hit] = cols
-    return report
+        x_hat[:, hit] = node_filter(a_hat, cols, cfg, threads)
+    return report, filtered
 
 
 def dual_filter_vjp(

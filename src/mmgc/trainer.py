@@ -3,13 +3,19 @@
 Per modality a linear projection maps raw features into a shared space;
 a softmax-weighted combination feeds the dual filter.  With feature-domain
 denoising on, the raw features first pass ``repair_feature_outliers``, an
-extension of this repository (once, in ``_prepare``, the setup that fit,
-forward and the gradient check share).  Gradients are computed
-analytically: the feature shift operators, walk samples, cluster
-centroids, and hard positive sets are treated as constants of the
-current step.  One ``_step_gradients`` gives a step's losses and
-parameter gradients to training and to the finite-difference replay of
-``end_to_end_gradient_check``, so both paths share the same freeze.
+extension of this repository.  The filter's node half acts on rows and the
+projections on columns, so it runs once, on the attributes: ``_prepare``,
+the setup that fit, forward and the gradient check share, keeps each
+modality's repaired attributes ``x_i`` and their node-filtered copy
+``xf_i``.  A forward mixes ``sum_i w_i xf_i W_i`` and applies the filter's
+feature half alone (``dual_filter`` with alpha = 0); the raw projections
+``x_i W_i`` feed the feature shifts, pruning and the modality loss.
+Gradients are computed analytically: the feature shift operators, walk
+samples, cluster centroids, and hard positive sets are treated as
+constants of the current step.  One ``_step_gradients`` gives a step's
+losses and parameter gradients to training and to the finite-difference
+replay of ``end_to_end_gradient_check``, so both paths share the same
+freeze.
 
 ``fit``, ``forward`` and ``end_to_end_gradient_check`` take one thread
 budget, ``threads``; ``parallel.py`` describes what it bounds.
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -205,36 +211,43 @@ def init_params(
     return ModelParams(weights=weights, combine_logits=np.zeros(len(feature_dims)))
 
 
+def _feature_half(cfg: TrainConfig) -> DualFilterConfig:
+    """The filter a training step runs: the node half ran once, in ``_prepare``."""
+    return replace(cfg.filter_config(), alpha=0.0)
+
+
 def _forward(
     xs: list[np.ndarray],
+    xfs: list[np.ndarray],
     ops: NormalizedOperators,
     params: ModelParams,
     cfg: TrainConfig,
-    threads: int,
     shifts: list[np.ndarray] | None = None,
 ) -> ForwardCache:
     z_list = [x @ w for x, w in zip(xs, params.weights)]
     s_list = shifts if shifts is not None else [feature_shift(z) for z in z_list]
     weights = _softmax(params.combine_logits)
-    z = np.zeros_like(z_list[0])
-    for w_i, z_i in zip(weights, z_list):
-        z += w_i * z_i
-    h = dual_filter(ops.a_hat, z, s_list, cfg.filter_config(), threads=threads)
+    u = np.zeros_like(z_list[0])
+    for w_i, xf, w in zip(weights, xfs, params.weights):
+        u += w_i * (xf @ w)
+    h = dual_filter(ops.a_hat, u, s_list, _feature_half(cfg))
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
 
-def _prepare(
-    graph: MultimodalGraph, cfg: TrainConfig, threads: int | None
-) -> tuple[int, NormalizedOperators, list[np.ndarray], list[RepairReport]]:
-    """Validate ``cfg``, resolve the thread budget, normalize the adjacency and
-    repair each modality's 64-bit attributes: (threads, ops, xs, repair reports)."""
+def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> tuple[
+    int, NormalizedOperators, list[np.ndarray], list[np.ndarray], list[RepairReport]
+]:
+    """Validate ``cfg``, resolve the thread budget, normalize the adjacency,
+    repair each modality's 64-bit attributes and node-filter them:
+    (threads, ops, xs, xfs, repair reports)."""
     cfg.validate()
     threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
-    repairs = [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads) for x in xs]
-    return threads, ops, xs, repairs
+    repairs, xfs = zip(*(repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads)
+                         for x in xs))
+    return threads, ops, xs, list(xfs), list(repairs)
 
 
 def forward(
@@ -245,8 +258,8 @@ def forward(
 ) -> tuple[NormalizedOperators, ForwardCache]:
     """Repair, project, mix, and filter; returns the normalized operators and
     the cache holding z_list, s_list and h."""
-    threads, ops, xs, _ = _prepare(graph, cfg, threads)
-    cache = _forward(xs, ops, params, cfg, threads)
+    threads, ops, xs, xfs, _ = _prepare(graph, cfg, threads)
+    cache = _forward(xs, xfs, ops, params, cfg)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
     return ops, cache
@@ -254,12 +267,12 @@ def forward(
 
 def _step_gradients(
     xs: list[np.ndarray],
+    xfs: list[np.ndarray],
     ops: NormalizedOperators,
     params: ModelParams,
     cache: ForwardCache,
     frozen: FrozenState,
     cfg: TrainConfig,
-    threads: int,
 ) -> tuple[dict[str, float], list[np.ndarray], np.ndarray]:
     """Loss values and parameter gradients (weight decay included) of one
     step; ``cache.s_list`` and ``frozen`` are its constants.  The unit z_i
@@ -296,17 +309,18 @@ def _step_gradients(
 
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
     del h_norm, grad_h_norm
-    grad_z = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, cfg.filter_config(),
-                             threads=threads)
+    grad_u = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, _feature_half(cfg))
 
     w = cache.combine_weights
     grad_weights = []
-    for i, x in enumerate(xs):
-        grad_z_i = w[i] * grad_z
+    mix_sensitivity = np.empty(len(xs))
+    for i, (x, xf, weight) in enumerate(zip(xs, xfs, params.weights)):
+        pulled = xf.T @ grad_u  # <grad_u, xf_i W_i> = <pulled, W_i>
+        mix_sensitivity[i] = float(np.sum(pulled * weight))
+        grad = w[i] * pulled
         if grads_z_mod is not None:
-            grad_z_i = grad_z_i + grads_z_mod[i]
-        grad_weights.append(x.T @ grad_z_i + 2.0 * cfg.weight_decay * params.weights[i])
-    mix_sensitivity = np.array([float(np.sum(grad_z * z_i)) for z_i in cache.z_list])
+            grad += x.T @ grads_z_mod[i]
+        grad_weights.append(grad + 2.0 * cfg.weight_decay * weight)
     grad_logits = w * (mix_sensitivity - float(w @ mix_sensitivity))
     return components, grad_weights, grad_logits
 
@@ -433,14 +447,14 @@ def fit(
     if k > graph.n_nodes:
         raise ValueError("cluster count exceeds the number of nodes")
 
-    threads, ops, xs, repairs = _prepare(graph, cfg, threads)
+    threads, ops, xs, xfs, repairs = _prepare(graph, cfg, threads)
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
     adam = Adam(
         [w.shape for w in params.weights] + [params.combine_logits.shape],
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(xs, ops, params, cfg, threads), cfg)
+    pruned = _prune(graph, _forward(xs, xfs, ops, params, cfg), cfg)
 
     logs: list[EpochLog] = []
     frozen = None
@@ -449,13 +463,13 @@ def fit(
     any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
     with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         for epoch in range(cfg.epochs):
-            cache = _forward(xs, ops, params, cfg, threads)
+            cache = _forward(xs, xfs, ops, params, cfg)
             frozen = _step_state(epoch, cache, pruned, k, cfg, threads, frozen)
             if _refreshes_clustering(epoch, cfg):
                 latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
             if any_loss:
                 components, grad_weights, grad_logits = _step_gradients(
-                    xs, ops, params, cache, frozen, cfg, threads
+                    xs, xfs, ops, params, cache, frozen, cfg
                 )
                 # divergence guard: keep the last finite parameter state
                 if not all(math.isfinite(v) for v in components.values()):
@@ -484,7 +498,7 @@ def fit(
             if log_fh:
                 log_fh.write(json.dumps(asdict(entry)) + "\n")
 
-    cache = _forward(xs, ops, params, cfg, threads)
+    cache = _forward(xs, xfs, ops, params, cfg)
     final_clustering = kmeans_fit(
         cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs), threads=threads
     )
@@ -565,20 +579,20 @@ def end_to_end_gradient_check(
     """
     step = 1e-3
     cfg = cfg or TrainConfig()
-    threads, ops, xs, _ = _prepare(graph, cfg, threads)
+    threads, ops, xs, xfs, _ = _prepare(graph, cfg, threads)
     params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
 
-    cache = _forward(xs, ops, params, cfg, threads)
+    cache = _forward(xs, xfs, ops, params, cfg)
     frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, threads)
 
     _, grad_weights, grad_logits = _step_gradients(
-        xs, ops, params, cache, frozen, cfg, threads
+        xs, xfs, ops, params, cache, frozen, cfg
     )
 
     def objective() -> float:
         """The step objective under the frozen state, weight decay included."""
-        replay = _forward(xs, ops, params, cfg, threads, shifts=cache.s_list)
-        components, _, _ = _step_gradients(xs, ops, params, replay, frozen, cfg, threads)
+        replay = _forward(xs, xfs, ops, params, cfg, shifts=cache.s_list)
+        components, _, _ = _step_gradients(xs, xfs, ops, params, replay, frozen, cfg)
         penalty = cfg.weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
         return sum(components.values()) + penalty
 

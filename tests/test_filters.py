@@ -19,6 +19,7 @@ from mmgc.filters import (
     exact_response,
     exact_solution,
     feature_shift,
+    node_filter,
     objective_gradient,
     repair_feature_outliers,
     spectra_report,
@@ -353,7 +354,7 @@ def test_spectral_response_rejects_negative_order():
 
 def _repaired(a_hat, x, cfg=None):
     out = x.copy()
-    report = repair_feature_outliers(a_hat, out, cfg or DualFilterConfig())
+    report, _ = repair_feature_outliers(a_hat, out, cfg or DualFilterConfig())
     return out, report
 
 
@@ -444,9 +445,60 @@ def test_repair_is_off_without_filter_strength():
     # trace of the spike, which the first filter pass would still carry
     assert abs(on[7, 2]) < 1.0
     assert report.entries_replaced == 1
-    for cfg in (DualFilterConfig(beta=0.0), DualFilterConfig(alpha=0.0)):
-        off, report = _repaired(ops.a_hat, x, cfg)
+    for cfg, want in ((DualFilterConfig(beta=0.0), _plain_series(ops.a_hat, x, 0.5, 10) / 2.0),
+                      (DualFilterConfig(alpha=0.0), x)):
+        off = x.copy()
+        report, filtered = repair_feature_outliers(ops.a_hat, off, cfg)
         assert off.tobytes() == x.tobytes() and report.entries_replaced == 0
+        assert filtered.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [2, 256])
+def test_repair_returns_node_filter_of_repaired_attributes(block, monkeypatch):
+    # columns without a hit reuse the screen's pass over x; the hit columns
+    # are filtered again after their repair
+    monkeypatch.setattr(filters_module, "_REPAIR_COLUMNS", block)
+    ops, x, _ = _instance(80, 9, seed=5)
+    x[5, ::2] += 40.0
+    x[33, 1::3] -= 40.0
+    repaired = x.copy()
+    report, filtered = repair_feature_outliers(ops.a_hat, repaired, DualFilterConfig())
+    hit = np.any(repaired != x, axis=0)
+    assert report.entries_replaced > 0 and hit.any() and not hit.all()
+    want = _plain_series(ops.a_hat, repaired, 0.5, 10) / 2.0
+    assert filtered.tobytes() == want.tobytes()
+    assert node_filter(ops.a_hat, repaired, DualFilterConfig()).tobytes() == want.tobytes()
+    assert (filtered[:, ~hit].tobytes()
+            == node_filter(ops.a_hat, x, DualFilterConfig())[:, ~hit].tobytes())
+
+
+class _NoProducts:
+    """An adjacency whose products raise, so any node-domain pass fails."""
+
+    def __init__(self, n):
+        self.shape = (n, n)
+
+    def __matmul__(self, other):
+        raise AssertionError("node-domain pass with alpha = 0")
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_alpha_zero_makes_no_node_pass(beta):
+    ops, z, shifts = _instance(40, 5, seed=12, m=2)
+    cfg = DualFilterConfig(alpha=0.0, beta=beta)
+    before = z.copy()
+    right = filters_module._series(filters_module._mean_shift(shifts), np.eye(5),
+                                   beta / (beta + 1.0), cfg.t_layers)
+    # the t passes of the series, each adding 0 * (A @ y), as run before the skip
+    want = (1.0 / (beta + 1.0)) * (
+        filters_module._series(ops.a_hat, z, 0.0, cfg.t_layers) @ right
+    )
+    for apply in (dual_filter, dual_filter_vjp):
+        got = apply(_NoProducts(40), z, shifts, cfg)
+        assert got.tobytes() == want.tobytes()
+        assert z.tobytes() == before.tobytes() and not np.shares_memory(got, z)
+    copied = node_filter(_NoProducts(40), z, cfg)
+    assert copied.tobytes() == z.tobytes() and not np.shares_memory(copied, z)
 
 
 # -------------------------------------------------------------- column split
@@ -550,9 +602,11 @@ def test_dual_filter_and_repair_identical_for_any_budget(split_always):
         assert (dual_filter_vjp(ops.a_hat, z, shifts, cfg, threads).tobytes()
                 == dual_filter_vjp(ops.a_hat, z, shifts, cfg).tobytes())
         serial, split = x.copy(), x.copy()
-        assert repair_feature_outliers(ops.a_hat, serial, cfg).entries_replaced > 0
-        repair_feature_outliers(ops.a_hat, split, cfg, threads)
+        report, serial_filtered = repair_feature_outliers(ops.a_hat, serial, cfg)
+        assert report.entries_replaced > 0
+        _, split_filtered = repair_feature_outliers(ops.a_hat, split, cfg, threads)
         assert split.tobytes() == serial.tobytes()
+        assert split_filtered.tobytes() == serial_filtered.tobytes()
 
 
 # -------------------------------------------------------------- full report

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from mmgc import filters, trainer
-from mmgc.data import induce_subgraph, load_dataset
+from mmgc.data import (
+    ModalityFeatures,
+    MultimodalGraph,
+    induce_subgraph,
+    load_dataset,
+    symmetric_adjacency,
+)
 from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc.trainer import (
     Adam,
@@ -24,7 +30,7 @@ from mmgc.trainer import (
     loss_gradient_checks,
 )
 
-from helpers import random_graph
+from helpers import random_graph, rel_frobenius
 
 
 # ------------------------------------------------------------- configuration
@@ -158,6 +164,72 @@ def test_forward_repairs_attributes_only_with_fdd(switch, repaired):
     if repaired:
         changed = np.flatnonzero(np.any(z_list[0] != raw[0], axis=1))
         assert changed.tolist() == [11]
+
+
+@pytest.mark.parametrize("no_fdd", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_forward_matches_dual_filter_of_the_mix(alpha, no_fdd):
+    # the node half runs once on the attributes; filtering the mix of the
+    # projections instead gives the same h up to rounding
+    graph = random_graph(60, (7, 4, 5), seed=5, p=0.1)
+    graph.modalities[1].x[9, 2] = 60.0  # a spike for the repair
+    cfg = TrainConfig(hidden_dim=6, alpha=alpha, no_fdd=no_fdd)
+    params = init_params([7, 4, 5], 6, seed=2)
+    params.combine_logits[:] = [0.3, -0.5, 0.1]
+    ops, cache = forward(graph, params, cfg)
+    w = cache.combine_weights
+    mix = sum(w_i * z_i for w_i, z_i in zip(w, cache.z_list))
+    want = filters.dual_filter(ops.a_hat, mix, cache.s_list, cfg.filter_config())
+    assert rel_frobenius(cache.h, want) <= 1e-12
+
+
+def test_node_series_runs_in_setup_only(monkeypatch):
+    graph = random_graph(80, (6, 4), seed=3, p=0.08)
+    graph.modalities[0].x[11, 4] = 60.0
+    runs = []
+    real = filters._left_series_apply
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "_left_series_apply", counting)
+    counts = []
+    for epochs in (1, 4):
+        runs.clear()
+        fit(graph, 2, TrainConfig(hidden_dim=8, epochs=epochs, kmeans_interval=2))
+        counts.append(len(runs))
+    # one screening pass per modality, two more for modality 0's repaired column
+    assert counts == [4, 4]
+
+
+def test_filtered_attributes_identical_for_any_budget(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 4000
+    edges = symmetric_adjacency(n, rng.integers(0, n, 48000), rng.integers(0, n, 48000))
+    xs = [rng.standard_normal((n, d)).astype(np.float32) for d in (120, 30)]
+    xs[0][7, 3] = xs[1][20, 5] = 80.0  # so both take the repaired columns' pass
+    graph = MultimodalGraph(
+        edges=edges, modalities=[ModalityFeatures(f"m{i}", x) for i, x in enumerate(xs)],
+        labels=None,
+    )
+    blocks = []
+    real = filters.map_indexed
+
+    def counting(work, count, threads):
+        blocks.append(count)
+        return real(work, count, threads)
+
+    monkeypatch.setattr(filters, "map_indexed", counting)
+    results = {}
+    for threads in (1, 2, 8):
+        blocks.clear()
+        _, ops, _, xfs, repairs = trainer._prepare(graph, TrainConfig(), threads)
+        results[threads] = [xf.tobytes() for xf in xfs]
+        assert all(r.entries_replaced > 0 for r in repairs)
+        assert max(blocks, default=1) == min(threads, 4)
+    assert ops.a_hat.nnz * 120 >= 4 * filters._SPLIT_WORK
+    assert results[2] == results[1] and results[8] == results[1]
 
 
 @pytest.mark.parametrize("switch,replaced", [({}, 1), ({"no_fdd": True}, 0)])
