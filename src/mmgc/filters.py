@@ -22,10 +22,9 @@ of removing it.
 
 The node-domain series, the bulk of the filter's cost, is linear and
 acts on rows, so it commutes with the projections that act on columns.
-Training therefore runs it once per fit, on the attributes:
-``repair_feature_outliers`` returns ``node_filter`` of the repaired
-attributes, and every training step calls ``dual_filter`` and its VJP
-with alpha = 0, which runs the feature half alone.  The series splits
+``node_filter`` runs it alone, so that training can filter the
+attributes once per fit and have each step call ``dual_filter`` and its
+VJP with alpha = 0, which runs the feature half alone.  The series splits
 its columns over a thread budget (``threads``) when the graph is large
 enough (``_SPLIT_WORK``): each thread runs the whole series on its own
 column block.  Every output entry is summed in the same order as on one
@@ -181,19 +180,22 @@ def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -
 
     It acts on rows, so it commutes with any right factor: ``dual_filter`` of
     ``x @ W`` equals, up to rounding, ``dual_filter`` of ``node_filter(x) @ W``
-    with alpha set to 0.  Each column is summed in the same order whatever the
-    other columns and the budget ``threads``; with alpha = 0 the result is a
-    copy of ``x`` and no sparse product runs.
+    with alpha set to 0.  It runs ``_REPAIR_COLUMNS`` columns at a time, and
+    each column is summed in the same order whatever the other columns and
+    the budget ``threads``.
     """
-    if cfg.alpha == 0.0:
-        return np.array(x, dtype=np.float64)
-    out = _left_series_apply(a_hat, x, cfg.alpha / (cfg.alpha + 1.0), cfg.t_layers, threads)
+    ca = cfg.alpha / (cfg.alpha + 1.0)
+    out = np.empty(x.shape, dtype=np.float64)
+    for start in range(0, x.shape[1], _REPAIR_COLUMNS):
+        cols = slice(start, start + _REPAIR_COLUMNS)
+        out[:, cols] = _left_series_apply(a_hat, x[:, cols], ca, cfg.t_layers, threads)
     out /= cfg.alpha + 1.0
     return out
 
 
-# columns screened at once by repair_feature_outliers: bounds its scratch
-# memory at a few n x 256 arrays whatever the attribute width
+# columns node-filtered or screened at once by node_filter and
+# repair_feature_outliers: bounds their scratch memory at a few n x 256
+# arrays whatever the attribute width
 _REPAIR_COLUMNS = 256
 
 
@@ -207,9 +209,8 @@ class RepairReport:
 
 def repair_feature_outliers(
     a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1
-) -> tuple[RepairReport, np.ndarray]:
-    """Replace entry-level outliers of one modality's raw attributes in place,
-    and return the report with ``node_filter`` of the repaired attributes.
+) -> RepairReport:
+    """Replace entry-level outliers of one modality's raw attributes in place.
 
     ``x`` is a float64 array.  The estimate ``x_hat`` is ``node_filter(x)``,
     the node-domain half of the dual filter, which works column by column
@@ -224,26 +225,21 @@ def repair_feature_outliers(
     deviation is zero: there at least half of the entries share one value,
     the rare values are the signal and a z-screen would flag them all.
     Nothing changes when ``cfg.beta == 0`` (FDD off) or ``cfg.alpha == 0``
-    (then ``x_hat`` is ``x``).  The returned filter of the repaired ``x``
-    reuses ``x_hat`` for every column left unchanged and filters only the
-    repaired columns again; its bits are those of ``node_filter`` on the
-    repaired ``x``.  ``threads`` bounds the column split of the node-domain
-    series.
+    (then ``x_hat`` is ``x``).  ``threads`` bounds the column split of the
+    node-domain series.
     """
     cfg.validate()
     if x.shape[0] != a_hat.shape[0]:
         raise ValueError("row count of x must match the adjacency")
     report = RepairReport(entries_replaced=0, sparse_columns=0)
     if cfg.beta == 0.0 or cfg.alpha == 0.0:
-        return report, node_filter(a_hat, x, cfg, threads)
-    filtered = np.empty_like(x)
+        return report
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
         block = x[:, start:start + _REPAIR_COLUMNS]
         median = np.median(block, axis=0)
         dense = np.median(np.abs(block - median), axis=0) > 0.0
         report.sparse_columns += int((~dense).sum())
-        x_hat = filtered[:, start:start + _REPAIR_COLUMNS]  # kept for the unhit columns
-        x_hat[...] = node_filter(a_hat, block, cfg, threads)
+        x_hat = node_filter(a_hat, block, cfg, threads)
         mask = zscore_outliers(block - x_hat, tau=OUTLIER_TAU).entry_mask
         mask &= dense
         hit = mask.any(axis=0)
@@ -257,8 +253,7 @@ def repair_feature_outliers(
         refit = node_filter(a_hat, cols, cfg, threads)
         cols[flagged] = refit[flagged]
         block[:, hit] = cols
-        x_hat[:, hit] = node_filter(a_hat, cols, cfg, threads)
-    return report, filtered
+    return report
 
 
 def dual_filter_vjp(

@@ -4,12 +4,16 @@ Per modality a linear projection maps raw features into a shared space;
 a softmax-weighted combination feeds the dual filter.  With feature-domain
 denoising on, the raw features first pass ``repair_feature_outliers``, an
 extension of this repository.  The filter's node half acts on rows and the
-projections on columns, so it runs once, on the attributes: ``_prepare``,
-the setup that fit, forward and the gradient check share, keeps each
-modality's repaired attributes ``x_i`` and their node-filtered copy
-``xf_i``.  A forward mixes ``sum_i w_i xf_i W_i`` and applies the filter's
-feature half alone (``dual_filter`` with alpha = 0); the raw projections
-``x_i W_i`` feed the feature shifts, pruning and the modality loss.
+projections on columns, so it can run on the attributes instead of the
+mix: ``_prepare``, the setup that fit, forward and the gradient check
+share, then keeps each modality's repaired attributes ``x_i`` and their
+node-filtered copy ``xf_i``, a forward mixes ``sum_i w_i xf_i W_i`` and
+applies the filter's feature half alone (``dual_filter`` with alpha = 0),
+and the raw projections ``x_i W_i`` feed the feature shifts, pruning and
+the modality loss.  That pays when the attributes have fewer columns
+than the mix has over all of a run's filter passes (``_filters_once``):
+a fit of 100 epochs, or any fit of narrow attributes.  Otherwise each
+forward and VJP filters the mix, with both halves.
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
 constants of the current step.  One ``_step_gradients`` gives a step's
@@ -42,6 +46,7 @@ from .filters import (
     dual_filter,
     dual_filter_vjp,
     feature_shift,
+    node_filter,
     repair_feature_outliers,
 )
 from .kmeans import Clustering, kmeans_fit
@@ -211,43 +216,62 @@ def init_params(
     return ModelParams(weights=weights, combine_logits=np.zeros(len(feature_dims)))
 
 
-def _feature_half(cfg: TrainConfig) -> DualFilterConfig:
-    """The filter a training step runs: the node half ran once, in ``_prepare``."""
-    return replace(cfg.filter_config(), alpha=0.0)
+@dataclass
+class _Setup:
+    """What ``_prepare`` hands to fit, forward and the gradient check."""
+
+    threads: int
+    ops: NormalizedOperators
+    xs: list[np.ndarray]                # repaired 64-bit attributes
+    xfs: list[np.ndarray] | None        # node-filtered xs, or None: each step filters the mix
+    step_filter: DualFilterConfig       # the filter each forward applies to the mix
+    repairs: list[RepairReport]
+
+
+def _filters_once(widths: list[int], cfg: TrainConfig, node_runs: int) -> bool:
+    """Whether setup node-filters the attributes, ``sum(widths)`` columns once,
+    rather than each of ``node_runs`` forwards and VJPs filtering the
+    ``hidden_dim`` columns of the mix.  Both run the same t-pass sparse
+    series per column, so the path with fewer columns wins; the dense
+    ``xf_i @ W_i`` it adds per step is left out of the count."""
+    return cfg.alpha > 0.0 and sum(widths) <= cfg.hidden_dim * node_runs
 
 
 def _forward(
-    xs: list[np.ndarray],
-    xfs: list[np.ndarray],
-    ops: NormalizedOperators,
+    setup: _Setup,
     params: ModelParams,
-    cfg: TrainConfig,
     shifts: list[np.ndarray] | None = None,
 ) -> ForwardCache:
-    z_list = [x @ w for x, w in zip(xs, params.weights)]
+    z_list = [x @ w for x, w in zip(setup.xs, params.weights)]
     s_list = shifts if shifts is not None else [feature_shift(z) for z in z_list]
     weights = _softmax(params.combine_logits)
+    if setup.xfs is None:
+        mixed = z_list
+    else:
+        mixed = (xf @ w for xf, w in zip(setup.xfs, params.weights))
     u = np.zeros_like(z_list[0])
-    for w_i, xf, w in zip(weights, xfs, params.weights):
-        u += w_i * (xf @ w)
-    h = dual_filter(ops.a_hat, u, s_list, _feature_half(cfg))
+    for w_i, m_i in zip(weights, mixed):
+        u += w_i * m_i
+    h = dual_filter(setup.ops.a_hat, u, s_list, setup.step_filter, threads=setup.threads)
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
 
-def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> tuple[
-    int, NormalizedOperators, list[np.ndarray], list[np.ndarray], list[RepairReport]
-]:
+def _prepare(
+    graph: MultimodalGraph, cfg: TrainConfig, threads: int | None, node_runs: int
+) -> _Setup:
     """Validate ``cfg``, resolve the thread budget, normalize the adjacency,
-    repair each modality's 64-bit attributes and node-filter them:
-    (threads, ops, xs, xfs, repair reports)."""
+    repair each modality's 64-bit attributes and, when ``_filters_once``
+    says so for ``node_runs`` filter runs, node-filter them."""
     cfg.validate()
     threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
-    repairs, xfs = zip(*(repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads)
-                         for x in xs))
-    return threads, ops, xs, list(xfs), list(repairs)
+    repairs = [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads) for x in xs]
+    if not _filters_once([x.shape[1] for x in xs], cfg, node_runs):
+        return _Setup(threads, ops, xs, None, filter_cfg, repairs)
+    xfs = [node_filter(ops.a_hat, x, filter_cfg, threads) for x in xs]
+    return _Setup(threads, ops, xs, xfs, replace(filter_cfg, alpha=0.0), repairs)
 
 
 def forward(
@@ -258,17 +282,15 @@ def forward(
 ) -> tuple[NormalizedOperators, ForwardCache]:
     """Repair, project, mix, and filter; returns the normalized operators and
     the cache holding z_list, s_list and h."""
-    threads, ops, xs, xfs, _ = _prepare(graph, cfg, threads)
-    cache = _forward(xs, xfs, ops, params, cfg)
+    setup = _prepare(graph, cfg, threads, node_runs=1)
+    cache = _forward(setup, params)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
-    return ops, cache
+    return setup.ops, cache
 
 
 def _step_gradients(
-    xs: list[np.ndarray],
-    xfs: list[np.ndarray],
-    ops: NormalizedOperators,
+    setup: _Setup,
     params: ModelParams,
     cache: ForwardCache,
     frozen: FrozenState,
@@ -309,17 +331,26 @@ def _step_gradients(
 
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
     del h_norm, grad_h_norm
-    grad_u = dual_filter_vjp(ops.a_hat, grad_h, cache.s_list, _feature_half(cfg))
+    grad_u = dual_filter_vjp(setup.ops.a_hat, grad_h, cache.s_list, setup.step_filter,
+                             threads=setup.threads)
 
     w = cache.combine_weights
     grad_weights = []
-    mix_sensitivity = np.empty(len(xs))
-    for i, (x, xf, weight) in enumerate(zip(xs, xfs, params.weights)):
-        pulled = xf.T @ grad_u  # <grad_u, xf_i W_i> = <pulled, W_i>
-        mix_sensitivity[i] = float(np.sum(pulled * weight))
-        grad = w[i] * pulled
-        if grads_z_mod is not None:
-            grad += x.T @ grads_z_mod[i]
+    mix_sensitivity = np.empty(len(setup.xs))
+    for i, (x, weight) in enumerate(zip(setup.xs, params.weights)):
+        if setup.xfs is None:
+            # the mix was x_i W_i: one product pulls back both terms
+            mix_sensitivity[i] = float(np.sum(grad_u * cache.z_list[i]))
+            grad_z_i = w[i] * grad_u
+            if grads_z_mod is not None:
+                grad_z_i = grad_z_i + grads_z_mod[i]
+            grad = x.T @ grad_z_i
+        else:
+            pulled = setup.xfs[i].T @ grad_u  # <grad_u, xf_i W_i> = <pulled, W_i>
+            mix_sensitivity[i] = float(np.sum(pulled * weight))
+            grad = w[i] * pulled
+            if grads_z_mod is not None:
+                grad += x.T @ grads_z_mod[i]
         grad_weights.append(grad + 2.0 * cfg.weight_decay * weight)
     grad_logits = w * (mix_sensitivity - float(w @ mix_sensitivity))
     return components, grad_weights, grad_logits
@@ -447,29 +478,30 @@ def fit(
     if k > graph.n_nodes:
         raise ValueError("cluster count exceeds the number of nodes")
 
-    threads, ops, xs, xfs, repairs = _prepare(graph, cfg, threads)
-    params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
+    any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
+    # a forward per epoch, one before the loop and one after it, a VJP per step
+    setup = _prepare(graph, cfg, threads, cfg.epochs * (1 + any_loss) + 2)
+    params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
     adam = Adam(
         [w.shape for w in params.weights] + [params.combine_logits.shape],
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(xs, xfs, ops, params, cfg), cfg)
+    pruned = _prune(graph, _forward(setup, params), cfg)
 
     logs: list[EpochLog] = []
     frozen = None
     stopped_at = None
     latest_nmi: float | None = None
-    any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
     with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         for epoch in range(cfg.epochs):
-            cache = _forward(xs, xfs, ops, params, cfg)
-            frozen = _step_state(epoch, cache, pruned, k, cfg, threads, frozen)
+            cache = _forward(setup, params)
+            frozen = _step_state(epoch, cache, pruned, k, cfg, setup.threads, frozen)
             if _refreshes_clustering(epoch, cfg):
                 latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
             if any_loss:
                 components, grad_weights, grad_logits = _step_gradients(
-                    xs, xfs, ops, params, cache, frozen, cfg
+                    setup, params, cache, frozen, cfg
                 )
                 # divergence guard: keep the last finite parameter state
                 if not all(math.isfinite(v) for v in components.values()):
@@ -498,9 +530,10 @@ def fit(
             if log_fh:
                 log_fh.write(json.dumps(asdict(entry)) + "\n")
 
-    cache = _forward(xs, xfs, ops, params, cfg)
+    cache = _forward(setup, params)
     final_clustering = kmeans_fit(
-        cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs), threads=threads
+        cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs),
+        threads=setup.threads,
     )
     return FitResult(
         params=params,
@@ -508,7 +541,7 @@ def fit(
         epoch_logs=logs,
         h=cache.h,
         pruned=pruned,
-        repairs=repairs,
+        repairs=setup.repairs,
         stopped_at=stopped_at,
     )
 
@@ -579,20 +612,21 @@ def end_to_end_gradient_check(
     """
     step = 1e-3
     cfg = cfg or TrainConfig()
-    threads, ops, xs, xfs, _ = _prepare(graph, cfg, threads)
-    params = init_params([x.shape[1] for x in xs], cfg.hidden_dim, cfg.seed)
+    dims = [m.x.shape[1] for m in graph.modalities]
+    probes = sum(min(d * cfg.hidden_dim, max_coords) for d in dims) + len(dims)
+    # each probe runs the objective twice, a forward and a VJP each
+    setup = _prepare(graph, cfg, threads, node_runs=2 + 4 * probes)
+    params = init_params(dims, cfg.hidden_dim, cfg.seed)
 
-    cache = _forward(xs, xfs, ops, params, cfg)
-    frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, threads)
+    cache = _forward(setup, params)
+    frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, setup.threads)
 
-    _, grad_weights, grad_logits = _step_gradients(
-        xs, xfs, ops, params, cache, frozen, cfg
-    )
+    _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)
 
     def objective() -> float:
         """The step objective under the frozen state, weight decay included."""
-        replay = _forward(xs, xfs, ops, params, cfg, shifts=cache.s_list)
-        components, _, _ = _step_gradients(xs, xfs, ops, params, replay, frozen, cfg)
+        replay = _forward(setup, params, shifts=cache.s_list)
+        components, _, _ = _step_gradients(setup, params, replay, frozen, cfg)
         penalty = cfg.weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
         return sum(components.values()) + penalty
 

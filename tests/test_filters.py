@@ -354,7 +354,7 @@ def test_spectral_response_rejects_negative_order():
 
 def _repaired(a_hat, x, cfg=None):
     out = x.copy()
-    report, _ = repair_feature_outliers(a_hat, out, cfg or DualFilterConfig())
+    report = repair_feature_outliers(a_hat, out, cfg or DualFilterConfig())
     return out, report
 
 
@@ -445,31 +445,17 @@ def test_repair_is_off_without_filter_strength():
     # trace of the spike, which the first filter pass would still carry
     assert abs(on[7, 2]) < 1.0
     assert report.entries_replaced == 1
-    for cfg, want in ((DualFilterConfig(beta=0.0), _plain_series(ops.a_hat, x, 0.5, 10) / 2.0),
-                      (DualFilterConfig(alpha=0.0), x)):
-        off = x.copy()
-        report, filtered = repair_feature_outliers(ops.a_hat, off, cfg)
+    for cfg in (DualFilterConfig(beta=0.0), DualFilterConfig(alpha=0.0)):
+        off, report = _repaired(ops.a_hat, x, cfg)
         assert off.tobytes() == x.tobytes() and report.entries_replaced == 0
-        assert filtered.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block", [2, 256])
-def test_repair_returns_node_filter_of_repaired_attributes(block, monkeypatch):
-    # columns without a hit reuse the screen's pass over x; the hit columns
-    # are filtered again after their repair
+def test_node_filter_gives_the_series_bits_in_any_column_block(block, monkeypatch):
     monkeypatch.setattr(filters_module, "_REPAIR_COLUMNS", block)
     ops, x, _ = _instance(80, 9, seed=5)
-    x[5, ::2] += 40.0
-    x[33, 1::3] -= 40.0
-    repaired = x.copy()
-    report, filtered = repair_feature_outliers(ops.a_hat, repaired, DualFilterConfig())
-    hit = np.any(repaired != x, axis=0)
-    assert report.entries_replaced > 0 and hit.any() and not hit.all()
-    want = _plain_series(ops.a_hat, repaired, 0.5, 10) / 2.0
-    assert filtered.tobytes() == want.tobytes()
-    assert node_filter(ops.a_hat, repaired, DualFilterConfig()).tobytes() == want.tobytes()
-    assert (filtered[:, ~hit].tobytes()
-            == node_filter(ops.a_hat, x, DualFilterConfig())[:, ~hit].tobytes())
+    want = _plain_series(ops.a_hat, x, 0.5, 10) / 2.0
+    assert node_filter(ops.a_hat, x, DualFilterConfig()).tobytes() == want.tobytes()
 
 
 class _NoProducts:
@@ -497,8 +483,6 @@ def test_alpha_zero_makes_no_node_pass(beta):
         got = apply(_NoProducts(40), z, shifts, cfg)
         assert got.tobytes() == want.tobytes()
         assert z.tobytes() == before.tobytes() and not np.shares_memory(got, z)
-    copied = node_filter(_NoProducts(40), z, cfg)
-    assert copied.tobytes() == z.tobytes() and not np.shares_memory(copied, z)
 
 
 # -------------------------------------------------------------- column split
@@ -602,11 +586,9 @@ def test_dual_filter_and_repair_identical_for_any_budget(split_always):
         assert (dual_filter_vjp(ops.a_hat, z, shifts, cfg, threads).tobytes()
                 == dual_filter_vjp(ops.a_hat, z, shifts, cfg).tobytes())
         serial, split = x.copy(), x.copy()
-        report, serial_filtered = repair_feature_outliers(ops.a_hat, serial, cfg)
-        assert report.entries_replaced > 0
-        _, split_filtered = repair_feature_outliers(ops.a_hat, split, cfg, threads)
+        assert repair_feature_outliers(ops.a_hat, serial, cfg).entries_replaced > 0
+        repair_feature_outliers(ops.a_hat, split, cfg, threads)
         assert split.tobytes() == serial.tobytes()
-        assert split_filtered.tobytes() == serial_filtered.tobytes()
 
 
 # -------------------------------------------------------------- full report
