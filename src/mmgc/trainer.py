@@ -14,6 +14,7 @@ the modality loss.  That pays when the attributes have fewer columns
 than the mix has over all of a run's filter passes (``_filters_once``):
 a fit of 100 epochs, or any fit of narrow attributes.  Otherwise each
 forward and VJP filters the mix, with both halves.
+
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
 constants of the current step.  One ``_step_gradients`` gives a step's
