@@ -9,15 +9,12 @@ sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
 benchmark's own digest) and of the generated ``edges.txt``.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
 that switch on and prints the switch with the ``h`` and assignment digests,
-so the branches the workloads skip are covered too.  Last come four more
+so the branches the workloads skip are covered too.  Last come three more
 fits with planted-1k's training config, for paths no workload reaches: a
 200-node planted graph (the margin loss scores all pairs, as n - 1 <= 256,
 and the node series never splits), the same graph with k = 1, and planted-1k's
 graph with a third 300-column modality (three modality pairs, and the outlier
-repair's second 256-column block), fitted as configured and for one epoch.
-In the one-epoch fit the 356 attribute columns outnumber the mix's 64
-columns over its four filter runs, so each forward and VJP filters the mix
-instead of the attributes being filtered once.  A change that claims to keep every output
+repair's second 256-column block).  A change that claims to keep every output
 the same prints the same lines as its parent.  BLAS runs with the
 benchmark's thread count unless the environment sets one.
 
@@ -93,12 +90,9 @@ def main() -> None:
     wide = base.synth_config(run.DATA_SEED)
     wide.modalities.append(ModalitySpec("audio", 300, signal_strength=1.0, noise_sigma=0.5))
     three, _ = load(wide)
-    for name, graph, k, epochs in (("n200", small, base_k, base.epochs),
-                                   ("n200-k1", small, 1, base.epochs),
-                                   ("three-modalities", three, base_k, base.epochs),
-                                   ("three-modalities-1-epoch", three, base_k, 1)):
-        cfg = TrainConfig(**{**base.train_config(), "epochs": epochs})
-        result = fit(graph, k, cfg, threads=threads)
+    for name, graph, k in (("n200", small, base_k), ("n200-k1", small, 1),
+                           ("three-modalities", three, base_k)):
+        result = fit(graph, k, TrainConfig(**base.train_config()), threads=threads)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments),
               flush=True)
 

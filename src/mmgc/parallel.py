@@ -9,10 +9,8 @@ columns into blocks, one thread per block, when each block gets at least
 ``filters._SPLIT_WORK`` (2.5 million) nonzeros times columns per sparse
 pass: a 16000-node graph of mean degree 16 splits in two from 20
 columns, and graphs of a few thousand nodes keep one thread.  A fit runs
-that series in its setup, in the outlier repair and the build of the
-node-filtered attributes; only a fit whose attributes outnumber the
-mix's columns over the whole run (``trainer._filters_once``) runs it in
-every forward and VJP instead.  A multi-threaded BLAS competes with
+that series in its setup only, in the outlier repair and the build of the
+node-filtered attributes.  A multi-threaded BLAS competes with
 these threads for the cores, so the gain needs one BLAS thread per
 process.
 

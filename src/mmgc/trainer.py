@@ -4,16 +4,14 @@ Per modality a linear projection maps raw features into a shared space;
 a softmax-weighted combination feeds the dual filter.  With feature-domain
 denoising on, the raw features first pass ``repair_feature_outliers``, an
 extension of this repository.  The filter's node half acts on rows and the
-projections on columns, so it can run on the attributes instead of the
+projections on columns, so it runs on the attributes instead of the
 mix: ``_prepare``, the setup that fit, forward and the gradient check
-share, then keeps each modality's repaired attributes ``x_i`` and their
-node-filtered copy ``xf_i``, a forward mixes ``sum_i w_i xf_i W_i`` and
-applies the filter's feature half alone (``dual_filter`` with alpha = 0),
-and the raw projections ``x_i W_i`` feed the feature shifts, pruning and
-the modality loss.  That pays when the attributes have fewer columns
-than the mix has over all of a run's filter passes (``_filters_once``):
-a fit of 100 epochs, or any fit of narrow attributes.  Otherwise each
-forward and VJP filters the mix, with both halves.
+share, keeps each modality's repaired attributes ``x_i`` and their
+node-filtered copy ``xf_i`` (``x_i`` itself when alpha = 0), a forward
+mixes ``sum_i w_i xf_i W_i`` and applies the filter's feature half alone
+(``dual_filter`` with alpha = 0), and the raw projections ``x_i W_i``
+feed the feature shifts, pruning and the modality loss.  The node series
+thus runs in setup only, over the attributes' columns.
 
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
@@ -224,18 +222,9 @@ class _Setup:
     threads: int
     ops: NormalizedOperators
     xs: list[np.ndarray]                # repaired 64-bit attributes
-    xfs: list[np.ndarray] | None        # node-filtered xs, or None: each step filters the mix
-    step_filter: DualFilterConfig       # the filter each forward applies to the mix
+    xfs: list[np.ndarray]               # node-filtered xs; xs itself when alpha = 0
+    step_filter: DualFilterConfig       # the feature half each forward applies to the mix
     repairs: list[RepairReport]
-
-
-def _filters_once(widths: list[int], cfg: TrainConfig, node_runs: int) -> bool:
-    """Whether setup node-filters the attributes, ``sum(widths)`` columns once,
-    rather than each of ``node_runs`` forwards and VJPs filtering the
-    ``hidden_dim`` columns of the mix.  Both run the same t-pass sparse
-    series per column, so the path with fewer columns wins; the dense
-    ``xf_i @ W_i`` it adds per step is left out of the count."""
-    return cfg.alpha > 0.0 and sum(widths) <= cfg.hidden_dim * node_runs
 
 
 def _forward(
@@ -246,32 +235,26 @@ def _forward(
     z_list = [x @ w for x, w in zip(setup.xs, params.weights)]
     s_list = shifts if shifts is not None else [feature_shift(z) for z in z_list]
     weights = _softmax(params.combine_logits)
-    if setup.xfs is None:
-        mixed = z_list
-    else:
-        mixed = (xf @ w for xf, w in zip(setup.xfs, params.weights))
     u = np.zeros_like(z_list[0])
-    for w_i, m_i in zip(weights, mixed):
-        u += w_i * m_i
+    for w_i, xf, w in zip(weights, setup.xfs, params.weights):
+        u += w_i * (xf @ w)
     h = dual_filter(setup.ops.a_hat, u, s_list, setup.step_filter, threads=setup.threads)
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
 
-def _prepare(
-    graph: MultimodalGraph, cfg: TrainConfig, threads: int | None, node_runs: int
-) -> _Setup:
+def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> _Setup:
     """Validate ``cfg``, resolve the thread budget, normalize the adjacency,
-    repair each modality's 64-bit attributes and, when ``_filters_once``
-    says so for ``node_runs`` filter runs, node-filter them."""
+    repair each modality's 64-bit attributes and node-filter them."""
     cfg.validate()
     threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
     repairs = [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads) for x in xs]
-    if not _filters_once([x.shape[1] for x in xs], cfg, node_runs):
-        return _Setup(threads, ops, xs, None, filter_cfg, repairs)
-    xfs = [node_filter(ops.a_hat, x, filter_cfg, threads) for x in xs]
+    if filter_cfg.alpha == 0.0:
+        xfs = xs  # the series with coefficient 0 is the identity: no pass, no copy
+    else:
+        xfs = [node_filter(ops.a_hat, x, filter_cfg, threads) for x in xs]
     return _Setup(threads, ops, xs, xfs, replace(filter_cfg, alpha=0.0), repairs)
 
 
@@ -283,7 +266,7 @@ def forward(
 ) -> tuple[NormalizedOperators, ForwardCache]:
     """Repair, project, mix, and filter; returns the normalized operators and
     the cache holding z_list, s_list and h."""
-    setup = _prepare(graph, cfg, threads, node_runs=1)
+    setup = _prepare(graph, cfg, threads)
     cache = _forward(setup, params)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
@@ -338,20 +321,12 @@ def _step_gradients(
     w = cache.combine_weights
     grad_weights = []
     mix_sensitivity = np.empty(len(setup.xs))
-    for i, (x, weight) in enumerate(zip(setup.xs, params.weights)):
-        if setup.xfs is None:
-            # the mix was x_i W_i: one product pulls back both terms
-            mix_sensitivity[i] = float(np.sum(grad_u * cache.z_list[i]))
-            grad_z_i = w[i] * grad_u
-            if grads_z_mod is not None:
-                grad_z_i = grad_z_i + grads_z_mod[i]
-            grad = x.T @ grad_z_i
-        else:
-            pulled = setup.xfs[i].T @ grad_u  # <grad_u, xf_i W_i> = <pulled, W_i>
-            mix_sensitivity[i] = float(np.sum(pulled * weight))
-            grad = w[i] * pulled
-            if grads_z_mod is not None:
-                grad += x.T @ grads_z_mod[i]
+    for i, (x, xf, weight) in enumerate(zip(setup.xs, setup.xfs, params.weights)):
+        pulled = xf.T @ grad_u  # <grad_u, xf_i W_i> = <pulled, W_i>
+        mix_sensitivity[i] = float(np.sum(pulled * weight))
+        grad = w[i] * pulled
+        if grads_z_mod is not None:
+            grad += x.T @ grads_z_mod[i]
         grad_weights.append(grad + 2.0 * cfg.weight_decay * weight)
     grad_logits = w * (mix_sensitivity - float(w @ mix_sensitivity))
     return components, grad_weights, grad_logits
@@ -480,8 +455,7 @@ def fit(
         raise ValueError("cluster count exceeds the number of nodes")
 
     any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
-    # a forward per epoch, one before the loop and one after it, a VJP per step
-    setup = _prepare(graph, cfg, threads, cfg.epochs * (1 + any_loss) + 2)
+    setup = _prepare(graph, cfg, threads)
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
     adam = Adam(
         [w.shape for w in params.weights] + [params.combine_logits.shape],
@@ -613,11 +587,8 @@ def end_to_end_gradient_check(
     """
     step = 1e-3
     cfg = cfg or TrainConfig()
-    dims = [m.x.shape[1] for m in graph.modalities]
-    probes = sum(min(d * cfg.hidden_dim, max_coords) for d in dims) + len(dims)
-    # each probe runs the objective twice, a forward and a VJP each
-    setup = _prepare(graph, cfg, threads, node_runs=2 + 4 * probes)
-    params = init_params(dims, cfg.hidden_dim, cfg.seed)
+    setup = _prepare(graph, cfg, threads)
+    params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(setup, params)
     frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, setup.threads)

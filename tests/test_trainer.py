@@ -166,12 +166,12 @@ def test_forward_repairs_attributes_only_with_fdd(switch, repaired):
         assert changed.tolist() == [11]
 
 
-@pytest.mark.parametrize("hidden_dim,once", [(6, False), (16, True)])
+@pytest.mark.parametrize("hidden_dim", [6, 16])
 @pytest.mark.parametrize("no_fdd", [False, True])
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
-def test_forward_matches_dual_filter_of_the_mix(alpha, no_fdd, hidden_dim, once):
-    # 16 attribute columns: one forward filters them once when the mix has as
-    # many columns, and otherwise filters the mix itself, as dual_filter does
+def test_forward_matches_dual_filter_of_the_mix(alpha, no_fdd, hidden_dim):
+    # 16 attribute columns, more than the mix has or as many: forward filters
+    # the attributes, not the mix, and matches dual_filter of the mix
     graph = random_graph(60, (7, 4, 5), seed=5, p=0.1)
     graph.modalities[1].x[9, 2] = 60.0  # a spike for the repair
     cfg = TrainConfig(hidden_dim=hidden_dim, alpha=alpha, no_fdd=no_fdd)
@@ -183,26 +183,10 @@ def test_forward_matches_dual_filter_of_the_mix(alpha, no_fdd, hidden_dim, once)
     for w_i, z_i in zip(w, cache.z_list):
         mix += w_i * z_i
     want = filters.dual_filter(ops.a_hat, mix, cache.s_list, cfg.filter_config())
-    filtered_once = trainer._prepare(graph, cfg, None, node_runs=1).xfs is not None
-    assert filtered_once == (once and alpha > 0.0)
-    if filtered_once:
-        assert rel_frobenius(cache.h, want) <= 1e-12
-    else:
-        assert cache.h.tobytes() == want.tobytes()
-
-
-def test_filters_once_when_the_attributes_have_fewer_columns():
-    cfg = TrainConfig()  # hidden_dim 64
-    assert trainer._filters_once([32, 24], cfg, node_runs=1)
-    # 512 + 384 columns: a 2-epoch fit filters 6 x 64 mix columns, 100 epochs 202 x 64
-    assert not trainer._filters_once([512, 384], cfg, node_runs=6)
-    assert trainer._filters_once([512, 384], cfg, node_runs=202)
-    assert not trainer._filters_once([1], TrainConfig(alpha=0.0), node_runs=202)
+    assert rel_frobenius(cache.h, want) <= 1e-12
 
 
 def test_node_series_runs_in_setup_only(monkeypatch):
-    graph = random_graph(80, (6, 4), seed=3, p=0.08)
-    graph.modalities[0].x[11, 4] = 60.0
     runs = []
     real = filters._left_series_apply
 
@@ -211,34 +195,31 @@ def test_node_series_runs_in_setup_only(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(filters, "_left_series_apply", counting)
-    counts = []
-    for epochs in (1, 4):
-        runs.clear()
-        fit(graph, 2, TrainConfig(hidden_dim=8, epochs=epochs, kmeans_interval=2))
-        counts.append(len(runs))
-    # the repair screens each modality and refilters modality 0's repaired
-    # column; then each modality is filtered once
-    assert counts == [5, 5]
+    # narrow attributes with FDD: the repair screens each modality and
+    # refilters modality 0's repaired column, then each modality is filtered
+    # once; 70 columns against a mix of 8, without FDD: the latter only
+    for widths, no_fdd, series_runs in (((6, 4), False, 5), ((40, 30), True, 2)):
+        graph = random_graph(80, widths, seed=3, p=0.08)
+        graph.modalities[0].x[11, 4] = 60.0
+        counts = []
+        for epochs in (1, 2, 4):
+            runs.clear()
+            fit(graph, 2, TrainConfig(hidden_dim=8, epochs=epochs, kmeans_interval=2,
+                                      no_fdd=no_fdd))
+            counts.append(len(runs))
+        assert counts == [series_runs] * 3, widths
 
 
-def test_node_series_runs_per_step_for_wide_attributes(monkeypatch):
-    # 70 attribute columns against a mix of 8: a fit of 1 or 2 epochs filters
-    # the mix in each forward (epochs + 2) and each VJP (epochs) instead
-    graph = random_graph(80, (40, 30), seed=3, p=0.08)
-    runs = []
-    real = filters._left_series_apply
+def test_alpha_zero_makes_no_node_pass_and_no_copy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the node series ran at alpha = 0")
 
-    def counting(*args, **kwargs):
-        runs.append(args[1].shape[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(filters, "_left_series_apply", counting)
-    counts = []
-    for epochs in (1, 2):
-        runs.clear()
-        fit(graph, 2, TrainConfig(hidden_dim=8, epochs=epochs, no_fdd=True))
-        counts.append(runs.copy())
-    assert counts == [[8] * 4, [8] * 6]
+    monkeypatch.setattr(filters, "_left_series_apply", refuse)
+    graph = random_graph(80, (6, 4), seed=3, p=0.08)
+    cfg = TrainConfig(alpha=0.0, hidden_dim=8, epochs=2)
+    fit(graph, 2, cfg)
+    setup = trainer._prepare(graph, cfg, None)
+    assert all(xf is x for xf, x in zip(setup.xfs, setup.xs))
 
 
 def test_filtered_attributes_identical_for_any_budget(monkeypatch):
@@ -262,7 +243,7 @@ def test_filtered_attributes_identical_for_any_budget(monkeypatch):
     results = {}
     for threads in (1, 2, 8):
         blocks.clear()
-        setup = trainer._prepare(graph, TrainConfig(), threads, node_runs=202)
+        setup = trainer._prepare(graph, TrainConfig(), threads)
         results[threads] = [xf.tobytes() for xf in setup.xfs]
         assert all(r.entries_replaced > 0 for r in setup.repairs)
         assert max(blocks, default=1) == min(threads, 4)
@@ -527,22 +508,13 @@ def test_end_to_end_gradient_check_passes(monkeypatch):
     {"no_fdd": True},
     {"no_aas": True},
     {"no_hps": True},
-], ids=["mod-loss-only", "nbr-loss-only", "comm-loss-only", "no-fdd", "no-aas", "no-hps"])
+    {"alpha": 0.0},
+], ids=["mod-loss-only", "nbr-loss-only", "comm-loss-only", "no-fdd", "no-aas", "no-hps",
+        "alpha-0"])
 def test_end_to_end_gradient_check_per_switch(switches, monkeypatch):
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)
     graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
     cfg = TrainConfig(hidden_dim=6, walk_length=3, **switches)
-    report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
-    assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
-
-
-@pytest.mark.parametrize("no_mod_loss", [False, True])
-def test_end_to_end_gradient_check_filters_the_mix_per_step(no_mod_loss, monkeypatch):
-    # wide attributes in a short run filter the mix in every forward and VJP
-    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)
-    monkeypatch.setattr(trainer, "_filters_once", lambda widths, cfg, node_runs: False)
-    graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
-    cfg = TrainConfig(hidden_dim=6, walk_length=3, no_mod_loss=no_mod_loss)
     report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
 
