@@ -22,13 +22,15 @@ of removing it.
 
 The node-domain series, the bulk of the filter's cost, is linear and
 acts on rows, so it commutes with the projections that act on columns.
-``node_filter`` runs it alone, so that training can filter the
-attributes once per fit and have each step call ``dual_filter`` and its
-VJP with alpha = 0, which runs the feature half alone.  The series splits
-its columns over a thread budget (``threads``) when the graph is large
-enough (``_SPLIT_WORK``): each thread runs the whole series on its own
-column block.  Every output entry is summed in the same order as on one
-thread, so the result never depends on the budget.
+``node_filter`` is the one routine that runs it: ``dual_filter`` is
+``node_filter`` followed by the feature half, the outlier repair calls it
+on the raw attributes, and training calls it once per fit on the repaired
+attributes, so that each step's ``dual_filter`` and VJP run with
+alpha = 0, where ``node_filter`` hands its input back untouched.  The
+series splits its columns over a thread budget (``threads``) when the
+graph is large enough (``_SPLIT_WORK``): each thread runs the whole
+series on its own column block.  Every output entry is summed in the
+same order as on one thread, so the result never depends on the budget.
 """
 
 from __future__ import annotations
@@ -120,31 +122,6 @@ def _series(a_hat, y0: np.ndarray, coeff: float, t: int) -> np.ndarray:
     return y
 
 
-def _left_series_apply(
-    a_hat, y0: np.ndarray, coeff: float, t: int, threads: int = 1
-) -> np.ndarray:
-    """Evaluate sum_{s=0..t} (coeff * A)^s y0 with t >= 1 sparse passes.
-
-    A sparse ``a_hat`` with enough work per pass splits the columns into up
-    to ``threads`` blocks of at least ``_SPLIT_WORK`` each; the bits do not
-    depend on the split.
-    """
-    d = y0.shape[1]
-    work = a_hat.nnz * d if sp.issparse(a_hat) else 0
-    parts = max(1, min(threads, d, work // _SPLIT_WORK))
-    if parts == 1:
-        return _series(a_hat, y0, coeff, t)
-    bounds = [d * i // parts for i in range(parts + 1)]
-    out = np.empty(y0.shape, dtype=np.float64)
-
-    def block(i: int) -> None:
-        lo, hi = bounds[i], bounds[i + 1]
-        out[:, lo:hi] = _series(a_hat, y0[:, lo:hi], coeff, t)
-
-    map_indexed(block, parts, parts)
-    return out
-
-
 def dual_filter(
     a_hat,
     z: np.ndarray,
@@ -164,39 +141,47 @@ def dual_filter(
     s_bar = _mean_shift(shifts)
     if s_bar.shape[0] != z.shape[1]:
         raise ValueError("shift operators must match the embedding width")
-    ca = cfg.alpha / (cfg.alpha + 1.0)
     cb = cfg.beta / (cfg.beta + 1.0)
-    prefactor = 1.0 / ((cfg.alpha + 1.0) * (cfg.beta + 1.0))
-    # with alpha = 0 every node pass adds 0 * (A @ y): skip the passes, and
-    # read z, which nothing below updates in place
-    left = z if ca == 0.0 else _left_series_apply(a_hat, z, ca, cfg.t_layers, threads)
     right = _series(s_bar, np.eye(s_bar.shape[0]), cb, cfg.t_layers)
-    return prefactor * (left @ right)
-
-
-def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -> np.ndarray:
-    """The node-domain half of the dual filter on its own, as a new array:
-    ``sum_{s=0..t} (ca * A)^s x / (alpha + 1)`` with ``ca = alpha / (alpha + 1)``.
-
-    It acts on rows, so it commutes with any right factor: ``dual_filter`` of
-    ``x @ W`` equals, up to rounding, ``dual_filter`` of ``node_filter(x) @ W``
-    with alpha set to 0.  It runs ``_REPAIR_COLUMNS`` columns at a time, and
-    each column is summed in the same order whatever the other columns and
-    the budget ``threads``.
-    """
-    ca = cfg.alpha / (cfg.alpha + 1.0)
-    out = np.empty(x.shape, dtype=np.float64)
-    for start in range(0, x.shape[1], _REPAIR_COLUMNS):
-        cols = slice(start, start + _REPAIR_COLUMNS)
-        out[:, cols] = _left_series_apply(a_hat, x[:, cols], ca, cfg.t_layers, threads)
-    out /= cfg.alpha + 1.0
-    return out
+    return (1.0 / (cfg.beta + 1.0)) * (node_filter(a_hat, z, cfg, threads) @ right)
 
 
 # columns node-filtered or screened at once by node_filter and
 # repair_feature_outliers: bounds their scratch memory at a few n x 256
 # arrays whatever the attribute width
 _REPAIR_COLUMNS = 256
+
+
+def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -> np.ndarray:
+    """The node-domain half of the dual filter on its own:
+    ``sum_{s=0..t} (ca * A)^s x / (alpha + 1)`` with ``ca = alpha / (alpha + 1)``.
+
+    It acts on rows, so it commutes with any right factor: ``dual_filter`` of
+    ``x @ W`` equals, up to rounding, ``dual_filter`` of ``node_filter(x) @ W``
+    with alpha set to 0.  With alpha = 0 the series is the identity and
+    ``x`` itself comes back: no pass runs and nothing is copied.  Otherwise
+    the result is a new array, made ``_REPAIR_COLUMNS`` columns at a time;
+    a sparse ``a_hat`` with enough work per pass splits each block into up
+    to ``threads`` parts of at least ``_SPLIT_WORK`` each.  Each column is
+    summed in the same order whatever the other columns and the budget.
+    """
+    if cfg.alpha == 0.0:
+        return x
+    ca = cfg.alpha / (cfg.alpha + 1.0)
+    nnz = a_hat.nnz if sp.issparse(a_hat) else 0
+    out = np.empty(x.shape, dtype=np.float64)
+    for start in range(0, x.shape[1], _REPAIR_COLUMNS):
+        d = min(_REPAIR_COLUMNS, x.shape[1] - start)
+        parts = max(1, min(threads, d, nnz * d // _SPLIT_WORK))
+        bounds = [start + d * i // parts for i in range(parts + 1)]
+
+        def part(i: int) -> None:
+            cols = slice(bounds[i], bounds[i + 1])
+            out[:, cols] = _series(a_hat, x[:, cols], ca, cfg.t_layers)
+
+        map_indexed(part, parts, parts)
+    out /= cfg.alpha + 1.0
+    return out
 
 
 @dataclass

@@ -8,11 +8,12 @@ to ceil(n_init / 5) threads.  The node-domain filter series splits its
 columns into blocks, one thread per block, when each block gets at least
 ``filters._SPLIT_WORK`` (2.5 million) nonzeros times columns per sparse
 pass: a 16000-node graph of mean degree 16 splits in two from 20
-columns, and graphs of a few thousand nodes keep one thread.  A fit runs
-that series in its setup only, in the outlier repair and the build of the
-node-filtered attributes.  A multi-threaded BLAS competes with
-these threads for the cores, so the gain needs one BLAS thread per
-process.
+columns, and graphs of a few thousand nodes keep one thread.  That series
+runs in one routine, ``filters.node_filter``, which ``dual_filter`` calls
+before its feature half; a fit calls it in its setup only, in the outlier
+repair and the build of the node-filtered attributes.  A multi-threaded
+BLAS competes with these threads for the cores, so the gain needs one
+BLAS thread per process.
 
 ``map_indexed`` runs indexed work items on up to the budget's threads,
 the calling thread included, and keeps each result at its index, so the

@@ -238,7 +238,7 @@ def _forward(
     u = np.zeros_like(z_list[0])
     for w_i, xf, w in zip(weights, setup.xfs, params.weights):
         u += w_i * (xf @ w)
-    h = dual_filter(setup.ops.a_hat, u, s_list, setup.step_filter, threads=setup.threads)
+    h = dual_filter(setup.ops.a_hat, u, s_list, setup.step_filter)
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
 
@@ -251,10 +251,7 @@ def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> _
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
     repairs = [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads) for x in xs]
-    if filter_cfg.alpha == 0.0:
-        xfs = xs  # the series with coefficient 0 is the identity: no pass, no copy
-    else:
-        xfs = [node_filter(ops.a_hat, x, filter_cfg, threads) for x in xs]
+    xfs = [node_filter(ops.a_hat, x, filter_cfg, threads) for x in xs]
     return _Setup(threads, ops, xs, xfs, replace(filter_cfg, alpha=0.0), repairs)
 
 
@@ -315,8 +312,7 @@ def _step_gradients(
 
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
     del h_norm, grad_h_norm
-    grad_u = dual_filter_vjp(setup.ops.a_hat, grad_h, cache.s_list, setup.step_filter,
-                             threads=setup.threads)
+    grad_u = dual_filter_vjp(setup.ops.a_hat, grad_h, cache.s_list, setup.step_filter)
 
     w = cache.combine_weights
     grad_weights = []

@@ -483,24 +483,33 @@ def test_alpha_zero_makes_no_node_pass(beta):
         got = apply(_NoProducts(40), z, shifts, cfg)
         assert got.tobytes() == want.tobytes()
         assert z.tobytes() == before.tobytes() and not np.shares_memory(got, z)
+    assert node_filter(_NoProducts(40), z, cfg) is z  # the identity: no pass, no copy
 
 
 # -------------------------------------------------------------- column split
 
 @pytest.fixture
-def split_always(monkeypatch):
-    """The smallest work threshold: every sparse series splits its columns
-    into as many blocks as the budget and the columns allow."""
-    monkeypatch.setattr(filters_module, "_SPLIT_WORK", 1)
+def split_blocks(monkeypatch):
+    """The block counts of the column splits the node series makes: maps of
+    more than one block, since a one-block map starts no helper."""
     blocks = []
     real = filters_module.map_indexed
 
     def counting(work, count, threads):
-        blocks.append(count)
+        if count > 1:
+            blocks.append(count)
         return real(work, count, threads)
 
     monkeypatch.setattr(filters_module, "map_indexed", counting)
     return blocks
+
+
+@pytest.fixture
+def split_always(monkeypatch, split_blocks):
+    """The smallest work threshold: every sparse series splits its columns
+    into as many blocks as the budget and the columns allow."""
+    monkeypatch.setattr(filters_module, "_SPLIT_WORK", 1)
+    return split_blocks
 
 
 def _plain_series(a_hat, y0, coeff, t):
@@ -512,15 +521,20 @@ def _plain_series(a_hat, y0, coeff, t):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("cols", [1, 2, 5, 64])
-def test_column_split_is_byte_identical(cols, threads, split_always):
+@pytest.mark.parametrize(
+    "cols, block", [(1, 256), (2, 256), (5, 256), (64, 256), (64, 5)],
+    ids=["1", "2", "5", "64", "64x5"],  # 64x5: 13 column blocks, each split
+)
+def test_column_split_is_byte_identical(cols, block, threads, split_always, monkeypatch):
+    monkeypatch.setattr(filters_module, "_REPAIR_COLUMNS", block)
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     wide = np.random.default_rng(8).standard_normal((300, cols + 3))
     for y0 in (wide[:, :cols].copy(), wide[:, 3:]):  # contiguous, and a column slice
-        got = filters_module._left_series_apply(ops.a_hat, y0, 0.5, 10, threads)
-        assert got.tobytes() == _plain_series(ops.a_hat, y0, 0.5, 10).tobytes()
-    expected_blocks = min(threads, cols)
-    assert split_always == ([expected_blocks] * 2 if expected_blocks > 1 else [])
+        got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
+        assert got.tobytes() == (_plain_series(ops.a_hat, y0, 0.5, 10) / 2.0).tobytes()
+    widths = [min(block, cols - start) for start in range(0, cols, block)]
+    expected_blocks = [p for p in (min(threads, w) for w in widths) if p > 1]
+    assert split_always == expected_blocks * 2
 
 
 def _plain_feature_series(s_bar, coeff, t):
@@ -542,15 +556,13 @@ def test_feature_series_byte_identical_to_plain_recurrence(d, coeff, t):
     assert got.tobytes() == _plain_feature_series(s_bar, coeff, t).tobytes()
 
 
-def test_column_split_stays_off_below_threshold(monkeypatch):
+def test_column_split_stays_off_below_threshold(split_blocks):
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     y0 = np.random.default_rng(8).standard_normal((300, 64))
     assert ops.a_hat.nnz * 64 < 2 * filters_module._SPLIT_WORK
-    calls = []
-    monkeypatch.setattr(filters_module, "map_indexed", lambda *a: calls.append(a))
-    got = filters_module._left_series_apply(ops.a_hat, y0, 0.5, 10, threads=8)
-    assert calls == []
-    assert got.tobytes() == _plain_series(ops.a_hat, y0, 0.5, 10).tobytes()
+    got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads=8)
+    assert split_blocks == []
+    assert got.tobytes() == (_plain_series(ops.a_hat, y0, 0.5, 10) / 2.0).tobytes()
 
 
 def test_column_split_exception_in_a_helper_reaches_caller(split_always, monkeypatch):
@@ -570,7 +582,7 @@ def test_column_split_exception_in_a_helper_reaches_caller(split_always, monkeyp
     monkeypatch.setattr(filters_module, "_series", series)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="helper failed"):
-        filters_module._left_series_apply(ops.a_hat, y0, 0.5, 4, threads=3)
+        node_filter(ops.a_hat, y0, DualFilterConfig(), threads=3)
     assert len(helpers_failed) == 2
     assert threading.active_count() == before  # helpers joined
 

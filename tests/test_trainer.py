@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmgc import filters, trainer
 from mmgc.data import (
@@ -188,13 +189,14 @@ def test_forward_matches_dual_filter_of_the_mix(alpha, no_fdd, hidden_dim):
 
 def test_node_series_runs_in_setup_only(monkeypatch):
     runs = []
-    real = filters._left_series_apply
+    real = filters._series
 
-    def counting(*args, **kwargs):
-        runs.append(1)
-        return real(*args, **kwargs)
+    def counting(a_hat, *args):
+        if sp.issparse(a_hat):  # the node series; the feature series runs on a dense d x d
+            runs.append(1)
+        return real(a_hat, *args)
 
-    monkeypatch.setattr(filters, "_left_series_apply", counting)
+    monkeypatch.setattr(filters, "_series", counting)
     # narrow attributes with FDD: the repair screens each modality and
     # refilters modality 0's repaired column, then each modality is filtered
     # once; 70 columns against a mix of 8, without FDD: the latter only
@@ -211,10 +213,14 @@ def test_node_series_runs_in_setup_only(monkeypatch):
 
 
 def test_alpha_zero_makes_no_node_pass_and_no_copy(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the node series ran at alpha = 0")
+    real = filters._series
 
-    monkeypatch.setattr(filters, "_left_series_apply", refuse)
+    def refuse(a_hat, *args):
+        if sp.issparse(a_hat):
+            raise AssertionError("the node series ran at alpha = 0")
+        return real(a_hat, *args)
+
+    monkeypatch.setattr(filters, "_series", refuse)
     graph = random_graph(80, (6, 4), seed=3, p=0.08)
     cfg = TrainConfig(alpha=0.0, hidden_dim=8, epochs=2)
     fit(graph, 2, cfg)
@@ -236,7 +242,8 @@ def test_filtered_attributes_identical_for_any_budget(monkeypatch):
     real = filters.map_indexed
 
     def counting(work, count, threads):
-        blocks.append(count)
+        if count > 1:  # a one-block map starts no helper
+            blocks.append(count)
         return real(work, count, threads)
 
     monkeypatch.setattr(filters, "map_indexed", counting)
@@ -420,7 +427,8 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     real = filters.map_indexed
 
     def counting(work, count, threads):
-        blocks.append(count)
+        if count > 1:  # a one-block map starts no helper
+            blocks.append(count)
         return real(work, count, threads)
 
     monkeypatch.setattr(filters, "map_indexed", counting)
