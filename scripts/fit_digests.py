@@ -11,16 +11,18 @@ benchmark's own digest) and of the generated ``edges.txt``.  Then, for each
 that switch on and prints the switch with the ``h`` and assignment digests,
 so the branches the workloads skip are covered too.  Last come three more
 fits with planted-1k's training config, for paths no workload reaches: a
-200-node planted graph (the margin loss scores all pairs, as n - 1 <= 256,
-and the node series never splits), the same graph with k = 1, and planted-1k's
-graph with a third 300-column modality (three modality pairs, and the outlier
-repair's second 256-column block).  A change that claims to keep every output
-the same prints the same lines as its parent.  BLAS runs with the
-benchmark's thread count unless the environment sets one.
+200-node planted graph (the margin loss scores all pairs, as n - 1 <= 256),
+the same graph with k = 1, and planted-1k's graph with a third 300-column
+modality (three modality pairs, and the outlier repair's second 256-column
+block).  A change that claims to keep every output the same prints the same
+lines as its parent.  BLAS runs with the benchmark's thread count unless the
+environment sets one.
 
 ``--threads N`` passes the thread budget N to every ``fit`` (default: the
 CPU count), so byte identity across budgets is one diff of the output with
-``--threads 1`` against the output without it.
+``--threads 1`` against the output without it.  Every fit's node series
+splits its columns over a budget above 1, so on more than one CPU that diff
+covers the split on every line.
 """
 
 from __future__ import annotations

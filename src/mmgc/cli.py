@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="thread budget for the k-means restarts, run in groups of five on up "
-             "to ceil(n_init/5) threads, and the node-filter column split of large "
+             "to ceil(n_init/5) threads, and the node-filter column split of sparse "
              "graphs (default: the CPU count); results do not depend on it",
     )
 
@@ -197,6 +197,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if not (np.isfinite(args.tau) and args.tau > 0):  # before the correlations
+        raise ValueError(f"tau must be finite and positive, got {args.tau}")
     graph, _ = load_dataset(args.data)
     xs = {m.name: m.x.astype(np.float64) for m in graph.modalities}
     names = list(xs)
@@ -294,6 +296,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    if args.t_max < 1:  # before any filtering
+        raise ValueError(f"t_max must be >= 1, got {args.t_max}")
     graph, _ = load_dataset(args.data)
     if graph.n_nodes > _DENSE_LIMIT:  # before any filtering
         raise ValueError(f"spectra is limited to n <= {_DENSE_LIMIT} nodes, "

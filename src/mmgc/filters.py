@@ -26,11 +26,12 @@ acts on rows, so it commutes with the projections that act on columns.
 ``node_filter`` followed by the feature half, the outlier repair calls it
 on the raw attributes, and training calls it once per fit on the repaired
 attributes, so that each step's ``dual_filter`` and VJP run with
-alpha = 0, where ``node_filter`` hands its input back untouched.  The
-series splits its columns over a thread budget (``threads``) when the
-graph is large enough (``_SPLIT_WORK``): each thread runs the whole
-series on its own column block.  Every output entry is summed in the
-same order as on one thread, so the result never depends on the budget.
+alpha = 0, where ``node_filter`` hands its input back untouched.  On a
+sparse graph the series splits its columns over a thread budget
+(``threads``): each thread runs the whole series on its own column block.
+Every output entry is summed in the same order as on one thread, so the
+result never depends on the budget.  A dense graph keeps one thread, as
+BLAS sums a one-column product in another order than a wider one.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ from .diagnostics import OUTLIER_TAU, zscore_outliers
 from .parallel import map_indexed
 
 _DENSE_LIMIT = 2000
-
-# nnz(A) x columns of one sparse pass that a column block needs to be worth
-# a thread of its own.  Measured with two blocks and one BLAS thread on a
-# 2-core machine, 10 passes: n = 4000 (nnz 65k) gained nothing at 64 and 128
-# columns and lost 17-46% below; n = 16000 (nnz 260k) ran 1.4-2.0x faster
-# at 24 to 128 columns.
-_SPLIT_WORK = 2_500_000
 
 
 @dataclass
@@ -161,18 +155,17 @@ def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -
     with alpha set to 0.  With alpha = 0 the series is the identity and
     ``x`` itself comes back: no pass runs and nothing is copied.  Otherwise
     the result is a new array, made ``_REPAIR_COLUMNS`` columns at a time;
-    a sparse ``a_hat`` with enough work per pass splits each block into up
-    to ``threads`` parts of at least ``_SPLIT_WORK`` each.  Each column is
-    summed in the same order whatever the other columns and the budget.
+    a sparse ``a_hat`` splits each block into ``min(threads, columns)``
+    parts, a dense one keeps it whole.  Each column is summed in the same
+    order whatever the other columns and the budget.
     """
     if cfg.alpha == 0.0:
         return x
     ca = cfg.alpha / (cfg.alpha + 1.0)
-    nnz = a_hat.nnz if sp.issparse(a_hat) else 0
     out = np.empty(x.shape, dtype=np.float64)
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
         d = min(_REPAIR_COLUMNS, x.shape[1] - start)
-        parts = max(1, min(threads, d, nnz * d // _SPLIT_WORK))
+        parts = min(threads, d) if sp.issparse(a_hat) else 1
         bounds = [start + d * i // parts for i in range(parts + 1)]
 
         def part(i: int) -> None:

@@ -4,14 +4,12 @@ Callers pass a budget (``--threads`` on the command line, ``threads=`` on
 ``fit``, ``forward`` and ``end_to_end_gradient_check``); ``None`` means
 ``os.cpu_count()``.  It bounds two things.  k-means runs its restarts in
 lockstep groups of five (``kmeans._GROUP``), one thread per group, so up
-to ceil(n_init / 5) threads.  The node-domain filter series splits its
-columns into blocks, one thread per block, when each block gets at least
-``filters._SPLIT_WORK`` (2.5 million) nonzeros times columns per sparse
-pass: a 16000-node graph of mean degree 16 splits in two from 20
-columns, and graphs of a few thousand nodes keep one thread.  That series
-runs in one routine, ``filters.node_filter``, which ``dual_filter`` calls
-before its feature half; a fit calls it in its setup only, in the outlier
-repair and the build of the node-filtered attributes.  A multi-threaded
+to ceil(n_init / 5) threads.  The node-domain filter series splits the
+columns of a sparse graph into one block per thread, down to one column
+per block; a dense graph keeps one thread.  That series runs in one
+routine, ``filters.node_filter``, which ``dual_filter`` calls before its
+feature half; a fit calls it in its setup only, in the outlier repair
+and the build of the node-filtered attributes.  A multi-threaded
 BLAS competes with these threads for the cores, so the gain needs one
 BLAS thread per process.
 

@@ -141,10 +141,12 @@ def test_diagnose_reports_json(dataset_dir, capsys):
     assert report["outliers"]["text"]["tau"] == 2.5
 
 
-@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
-def test_diagnose_rejects_non_finite_tau(tau, dataset_dir, capsys):
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0"])
+def test_diagnose_rejects_non_finite_tau(tau, dataset_dir, capsys, monkeypatch):
+    # rejected before any work: a distance correlation would fail this test
+    monkeypatch.setattr(cli, "distance_correlation", None)
     _expect_failure(["diagnose", "--data", str(dataset_dir), f"--tau={tau}"],
-                    capsys, match="tau")
+                    capsys, match="tau must be finite and positive")
 
 
 def test_diagnose_missing_manifest(tmp_path, capsys):
@@ -502,9 +504,13 @@ def test_spectra_rejects_graph_above_dense_limit_before_work(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_spectra_rejects_t_max_below_one(dataset_dir, tmp_path, capsys):
+def test_spectra_rejects_t_max_below_one(dataset_dir, tmp_path, capsys, monkeypatch):
+    calls = _count_setup_calls(
+        monkeypatch, ["normalize_adjacency", "repair_feature_outliers", "dual_filter"]
+    )
     _expect_failure(["spectra", "--data", str(dataset_dir), "--t-max", "0",
                      "--out", str(tmp_path / "spectra_out")], capsys, match="t_max")
+    assert set(calls.values()) == {0}
     assert not (tmp_path / "spectra_out").exists()
 
 

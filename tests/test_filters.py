@@ -504,14 +504,6 @@ def split_blocks(monkeypatch):
     return blocks
 
 
-@pytest.fixture
-def split_always(monkeypatch, split_blocks):
-    """The smallest work threshold: every sparse series splits its columns
-    into as many blocks as the budget and the columns allow."""
-    monkeypatch.setattr(filters_module, "_SPLIT_WORK", 1)
-    return split_blocks
-
-
 def _plain_series(a_hat, y0, coeff, t):
     """The series as first written: one new array per pass, no split."""
     y = y0.copy()
@@ -525,7 +517,7 @@ def _plain_series(a_hat, y0, coeff, t):
     "cols, block", [(1, 256), (2, 256), (5, 256), (64, 256), (64, 5)],
     ids=["1", "2", "5", "64", "64x5"],  # 64x5: 13 column blocks, each split
 )
-def test_column_split_is_byte_identical(cols, block, threads, split_always, monkeypatch):
+def test_column_split_is_byte_identical(cols, block, threads, split_blocks, monkeypatch):
     monkeypatch.setattr(filters_module, "_REPAIR_COLUMNS", block)
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     wide = np.random.default_rng(8).standard_normal((300, cols + 3))
@@ -534,7 +526,7 @@ def test_column_split_is_byte_identical(cols, block, threads, split_always, monk
         assert got.tobytes() == (_plain_series(ops.a_hat, y0, 0.5, 10) / 2.0).tobytes()
     widths = [min(block, cols - start) for start in range(0, cols, block)]
     expected_blocks = [p for p in (min(threads, w) for w in widths) if p > 1]
-    assert split_always == expected_blocks * 2
+    assert split_blocks == expected_blocks * 2
 
 
 def _plain_feature_series(s_bar, coeff, t):
@@ -556,16 +548,25 @@ def test_feature_series_byte_identical_to_plain_recurrence(d, coeff, t):
     assert got.tobytes() == _plain_feature_series(s_bar, coeff, t).tobytes()
 
 
-def test_column_split_stays_off_below_threshold(split_blocks):
+def test_column_split_takes_the_whole_budget_on_sparse_graphs_only(split_blocks):
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     y0 = np.random.default_rng(8).standard_normal((300, 64))
-    assert ops.a_hat.nnz * 64 < 2 * filters_module._SPLIT_WORK
-    got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads=8)
+    want = _plain_series(ops.a_hat, y0, 0.5, 10) / 2.0
+    for threads in (2, 8):
+        split_blocks.clear()
+        got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
+        assert split_blocks == [threads]
+        assert got.tobytes() == want.tobytes()
+    # BLAS sums a one-column dense product in another order than a wider
+    # one, so three columns split over 3 threads would change every bit
+    dense, y0 = ops.a_hat.toarray(), y0[:, :3]
+    split_blocks.clear()
+    got = node_filter(dense, y0, DualFilterConfig(), threads=3)
     assert split_blocks == []
-    assert got.tobytes() == (_plain_series(ops.a_hat, y0, 0.5, 10) / 2.0).tobytes()
+    assert got.tobytes() == node_filter(dense, y0, DualFilterConfig(), threads=1).tobytes()
 
 
-def test_column_split_exception_in_a_helper_reaches_caller(split_always, monkeypatch):
+def test_column_split_exception_in_a_helper_reaches_caller(monkeypatch):
     ops = normalize_adjacency(er_graph(100, 0.1, seed=9))
     y0 = np.random.default_rng(9).standard_normal((100, 6))
     together = threading.Barrier(3, timeout=10)  # one block per thread
@@ -587,7 +588,7 @@ def test_column_split_exception_in_a_helper_reaches_caller(split_always, monkeyp
     assert threading.active_count() == before  # helpers joined
 
 
-def test_dual_filter_and_repair_identical_for_any_budget(split_always):
+def test_dual_filter_and_repair_identical_for_any_budget(split_blocks):
     ops, z, shifts = _instance(120, 7, seed=10, m=2)
     cfg = DualFilterConfig()
     h = dual_filter(ops.a_hat, z, shifts, cfg)
@@ -601,6 +602,7 @@ def test_dual_filter_and_repair_identical_for_any_budget(split_always):
         assert repair_feature_outliers(ops.a_hat, serial, cfg).entries_replaced > 0
         repair_feature_outliers(ops.a_hat, split, cfg, threads)
         assert split.tobytes() == serial.tobytes()
+    assert set(split_blocks) == {2, 3}
 
 
 # -------------------------------------------------------------- full report

@@ -199,7 +199,8 @@ def test_node_series_runs_in_setup_only(monkeypatch):
     monkeypatch.setattr(filters, "_series", counting)
     # narrow attributes with FDD: the repair screens each modality and
     # refilters modality 0's repaired column, then each modality is filtered
-    # once; 70 columns against a mix of 8, without FDD: the latter only
+    # once; 70 columns against a mix of 8, without FDD: the latter only.
+    # One thread, so each series is one call whatever the CPU count.
     for widths, no_fdd, series_runs in (((6, 4), False, 5), ((40, 30), True, 2)):
         graph = random_graph(80, widths, seed=3, p=0.08)
         graph.modalities[0].x[11, 4] = 60.0
@@ -207,7 +208,7 @@ def test_node_series_runs_in_setup_only(monkeypatch):
         for epochs in (1, 2, 4):
             runs.clear()
             fit(graph, 2, TrainConfig(hidden_dim=8, epochs=epochs, kmeans_interval=2,
-                                      no_fdd=no_fdd))
+                                      no_fdd=no_fdd), threads=1)
             counts.append(len(runs))
         assert counts == [series_runs] * 3, widths
 
@@ -253,8 +254,7 @@ def test_filtered_attributes_identical_for_any_budget(monkeypatch):
         setup = trainer._prepare(graph, TrainConfig(), threads)
         results[threads] = [xf.tobytes() for xf in setup.xfs]
         assert all(r.entries_replaced > 0 for r in setup.repairs)
-        assert max(blocks, default=1) == min(threads, 4)
-    assert setup.ops.a_hat.nnz * 120 >= 4 * filters._SPLIT_WORK
+        assert max(blocks, default=1) == threads
     assert results[2] == results[1] and results[8] == results[1]
 
 
@@ -411,8 +411,8 @@ def test_fit_stops_when_a_loss_turns_non_finite(monkeypatch):
 
 
 def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
-    """With the node-series column split forced on, budgets 1 and 3, and the
-    budget a patched CPU count gives, train to the same bits."""
+    """Budgets 1 and 3, and the budget a patched CPU count gives, train to
+    the same bits, the node series split in three on the latter two."""
     synth = SynthConfig(
         n=300, k=3, p_in=0.1, p_out=0.01, cross_modal_correlation=0.6, seed=2,
         outlier_rate=0.01,
@@ -422,7 +422,6 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     graph, _ = load_dataset(generate(synth, tmp_path).manifest)
     cfg = TrainConfig(epochs=3, kmeans_interval=2, hidden_dim=16)
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 32)
-    monkeypatch.setattr(filters, "_SPLIT_WORK", 1)
     blocks = []
     real = filters.map_indexed
 
