@@ -13,8 +13,8 @@ so the branches the workloads skip are covered too.  Last come three more
 fits with planted-1k's training config, for paths no workload reaches: a
 200-node planted graph (the margin loss scores all pairs, as n - 1 <= 256),
 the same graph with k = 1, and planted-1k's graph with a third 300-column
-modality (three modality pairs, and the outlier repair's second 256-column
-block).  A change that claims to keep every output the same prints the same
+modality (three modality pairs, and a modality that spans five of the
+outlier repair's 64-column blocks).  A change that claims to keep every output the same prints the same
 lines as its parent.  BLAS runs with the benchmark's thread count unless the
 environment sets one.
 

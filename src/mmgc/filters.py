@@ -11,7 +11,7 @@ the feature side.
 
 This module also holds an extension of this repository that the paper's
 abstract does not describe: with feature-domain denoising (FDD) on
-(``beta > 0``), ``repair_feature_outliers`` screens each modality's raw
+(``beta > 0``), ``filter_attributes`` screens each modality's raw
 attributes before projection and replaces every entry whose residual
 against the node-filtered attributes is a z-score outlier of its column
 (the screen, and the threshold, of ``diagnostics.zscore_outliers``) with
@@ -23,14 +23,14 @@ of removing it.
 The node-domain series, the bulk of the filter's cost, is linear and
 acts on rows, so it commutes with the projections that act on columns.
 ``node_filter`` is the one routine that runs it: ``dual_filter`` is
-``node_filter`` followed by the feature half, the outlier repair calls it
-on the raw attributes, and training calls it once per fit on the repaired
-attributes, so that each step's ``dual_filter`` and VJP run with
-alpha = 0, where ``node_filter`` hands its input back untouched.  On a
-sparse graph the series splits its columns over a thread budget
-(``threads``): each thread runs the whole series on its own column block.
-Every output entry is summed in the same order as on one thread, so the
-result never depends on the budget.  A dense graph keeps one thread, as
+``node_filter`` followed by the feature half, and a fit's setup runs it
+once per modality in ``filter_attributes``, which also makes the repair,
+so that each step's ``dual_filter`` and VJP run with alpha = 0, where
+``node_filter`` hands its input back untouched.  On a sparse graph the
+series splits each 64-column block over a thread budget (``threads``):
+each thread runs the whole series on its own columns.  Every output entry
+is summed in the same order as on one thread, so the result never depends
+on the budget or the block width.  A dense graph keeps one thread, as
 BLAS sums a one-column product in another order than a wider one.
 """
 
@@ -121,12 +121,11 @@ def dual_filter(
     z: np.ndarray,
     shifts: list[np.ndarray],
     cfg: DualFilterConfig,
-    threads: int = 1,
 ) -> np.ndarray:
     """Apply the truncated dual filter to the embedding matrix ``z``.
 
     Exactly linear in ``z`` for fixed shifts.  With alpha = beta = 0 the
-    output equals ``z``.  ``threads`` bounds the node-domain column split.
+    output equals ``z``.
     """
     cfg.validate()
     z = np.asarray(z, dtype=np.float64)
@@ -137,13 +136,13 @@ def dual_filter(
         raise ValueError("shift operators must match the embedding width")
     cb = cfg.beta / (cfg.beta + 1.0)
     right = _series(s_bar, np.eye(s_bar.shape[0]), cb, cfg.t_layers)
-    return (1.0 / (cfg.beta + 1.0)) * (node_filter(a_hat, z, cfg, threads) @ right)
+    return (1.0 / (cfg.beta + 1.0)) * (node_filter(a_hat, z, cfg) @ right)
 
 
 # columns node-filtered or screened at once by node_filter and
-# repair_feature_outliers: bounds their scratch memory at a few n x 256
-# arrays whatever the attribute width
-_REPAIR_COLUMNS = 256
+# filter_attributes: bounds their scratch memory at a few n x 64 arrays
+# whatever the attribute width
+_REPAIR_COLUMNS = 64
 
 
 def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -> np.ndarray:
@@ -154,8 +153,8 @@ def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -
     ``x @ W`` equals, up to rounding, ``dual_filter`` of ``node_filter(x) @ W``
     with alpha set to 0.  With alpha = 0 the series is the identity and
     ``x`` itself comes back: no pass runs and nothing is copied.  Otherwise
-    the result is a new array, made ``_REPAIR_COLUMNS`` columns at a time;
-    a sparse ``a_hat`` splits each block into ``min(threads, columns)``
+    the result is a new array, made 64 (``_REPAIR_COLUMNS``) columns at a
+    time; a sparse ``a_hat`` splits each block into ``min(threads, columns)``
     parts, a dense one keeps it whole.  Each column is summed in the same
     order whatever the other columns and the budget.
     """
@@ -179,59 +178,60 @@ def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -
 
 @dataclass
 class RepairReport:
-    """What ``repair_feature_outliers`` did to one modality."""
+    """What ``filter_attributes`` repaired in one modality."""
 
     entries_replaced: int
     sparse_columns: int  # left alone: half or more of the entries share one value
 
 
-def repair_feature_outliers(
+def filter_attributes(
     a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1
-) -> RepairReport:
-    """Replace entry-level outliers of one modality's raw attributes in place.
+) -> tuple[np.ndarray, RepairReport]:
+    """Repair one modality's raw attributes in place; return their node
+    filter ``xf`` and what the repair did.
 
-    ``x`` is a float64 array.  The estimate ``x_hat`` is ``node_filter(x)``,
-    the node-domain half of the dual filter, which works column by column
-    at O(t * nnz(A)) per column; the feature domain is left out because
-    its kernel alone costs O(n * d^2).  An entry whose residual
-    ``x - x_hat`` lies more than ``OUTLIER_TAU`` population standard
-    deviations from its column's mean residual is replaced.  Its
-    replacement is the same filter applied once more with the flagged
-    entries set to their column median, so that it does not carry the
-    outlier itself.  Columns whose residual is constant are skipped, and
-    so are sparse or discrete columns, those whose median absolute
-    deviation is zero: there at least half of the entries share one value,
-    the rare values are the signal and a z-screen would flag them all.
-    Nothing changes when ``cfg.beta == 0`` (FDD off) or ``cfg.alpha == 0``
-    (then ``x_hat`` is ``x``).  ``threads`` bounds the column split of the
-    node-domain series.
+    ``x`` is a float64 array.  ``xf = node_filter(x)`` is built first and is
+    the repair's estimate: the node-domain half of the dual filter works
+    column by column at O(t * nnz(A)) per column; the feature domain is left
+    out because its kernel alone costs O(n * d^2).  An entry whose residual
+    ``x - xf`` lies more than ``OUTLIER_TAU`` population standard deviations
+    from its column's mean residual is replaced.  Its replacement is the
+    same filter applied once more with the flagged entries set to their
+    column median, so that it does not carry the outlier itself; the
+    repaired columns are then filtered again into ``xf``.  Columns whose
+    residual is constant are skipped, and so are sparse or discrete
+    columns, those whose median absolute deviation is zero: there at least
+    half of the entries share one value, the rare values are the signal and
+    a z-screen would flag them all.  Nothing is repaired when
+    ``cfg.beta == 0`` (FDD off) or ``cfg.alpha == 0`` (then ``xf`` is ``x``).
+    ``threads`` bounds the column split of the node-domain series.
     """
     cfg.validate()
     if x.shape[0] != a_hat.shape[0]:
         raise ValueError("row count of x must match the adjacency")
     report = RepairReport(entries_replaced=0, sparse_columns=0)
+    xf = node_filter(a_hat, x, cfg, threads)
     if cfg.beta == 0.0 or cfg.alpha == 0.0:
-        return report
+        return xf, report
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
-        block = x[:, start:start + _REPAIR_COLUMNS]
+        span = slice(start, start + _REPAIR_COLUMNS)
+        block = x[:, span]
         median = np.median(block, axis=0)
         dense = np.median(np.abs(block - median), axis=0) > 0.0
         report.sparse_columns += int((~dense).sum())
-        x_hat = node_filter(a_hat, block, cfg, threads)
-        mask = zscore_outliers(block - x_hat, tau=OUTLIER_TAU).entry_mask
-        mask &= dense
+        mask = zscore_outliers(block - xf[:, span], tau=OUTLIER_TAU).entry_mask & dense
         hit = mask.any(axis=0)
         if not hit.any():
             continue
         report.entries_replaced += int(mask.sum())
-        # x_hat still carries each outlier through the series' s = 0 term:
+        # xf still carries each outlier through the series' s = 0 term:
         # filter the hit columns again with their outliers at the column median
         cols, flagged = block[:, hit], mask[:, hit]
         cols[flagged] = np.broadcast_to(median[hit], cols.shape)[flagged]
-        refit = node_filter(a_hat, cols, cfg, threads)
-        cols[flagged] = refit[flagged]
+        cols[flagged] = node_filter(a_hat, cols, cfg, threads)[flagged]
         block[:, hit] = cols
-    return report
+        xf[:, start + np.flatnonzero(hit)] = node_filter(a_hat, cols, cfg, threads)
+    return xf, report
 
 
 def dual_filter_vjp(
@@ -239,7 +239,6 @@ def dual_filter_vjp(
     grad_h: np.ndarray,
     shifts: list[np.ndarray],
     cfg: DualFilterConfig,
-    threads: int = 1,
 ) -> np.ndarray:
     """Pull a gradient on the filter output back to the input embedding.
 
@@ -247,7 +246,7 @@ def dual_filter_vjp(
     same operator pair applied to the incoming gradient (shifts treated
     as constants).
     """
-    return dual_filter(a_hat, grad_h, shifts, cfg, threads)
+    return dual_filter(a_hat, grad_h, shifts, cfg)
 
 
 def exact_solution(

@@ -8,10 +8,10 @@ to ceil(n_init / 5) threads.  The node-domain filter series splits the
 columns of a sparse graph into one block per thread, down to one column
 per block; a dense graph keeps one thread.  That series runs in one
 routine, ``filters.node_filter``, which ``dual_filter`` calls before its
-feature half; a fit calls it in its setup only, in the outlier repair
-and the build of the node-filtered attributes.  A multi-threaded
-BLAS competes with these threads for the cores, so the gain needs one
-BLAS thread per process.
+feature half; a fit calls it in its setup only, through one
+``filters.filter_attributes`` per modality, in 64-column blocks.  A
+multi-threaded BLAS competes with these threads for the cores, so the
+gain needs one BLAS thread per process.
 
 ``map_indexed`` runs indexed work items on up to the budget's threads,
 the calling thread included, and keeps each result at its index, so the

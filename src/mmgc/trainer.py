@@ -1,17 +1,17 @@
 """Training loop tying projections, filtering, and the contrastive losses.
 
 Per modality a linear projection maps raw features into a shared space;
-a softmax-weighted combination feeds the dual filter.  With feature-domain
-denoising on, the raw features first pass ``repair_feature_outliers``, an
-extension of this repository.  The filter's node half acts on rows and the
-projections on columns, so it runs on the attributes instead of the
-mix: ``_prepare``, the setup that fit, forward and the gradient check
-share, keeps each modality's repaired attributes ``x_i`` and their
-node-filtered copy ``xf_i`` (``x_i`` itself when alpha = 0), a forward
-mixes ``sum_i w_i xf_i W_i`` and applies the filter's feature half alone
-(``dual_filter`` with alpha = 0), and the raw projections ``x_i W_i``
-feed the feature shifts, pruning and the modality loss.  The node series
-thus runs in setup only, over the attributes' columns.
+a softmax-weighted combination feeds the dual filter.  The filter's node
+half acts on rows and the projections on columns, so it runs on the
+attributes instead of the mix: ``_prepare``, the setup that fit, forward
+and the gradient check share, passes each modality through
+``filter_attributes``, which with feature-domain denoising on also
+repairs outliers (an extension of this repository).  It keeps the
+repaired attributes ``x_i`` and their node-filtered copy ``xf_i`` (``x_i``
+itself when alpha = 0); a forward mixes ``sum_i w_i xf_i W_i`` and applies
+the filter's feature half alone (``dual_filter`` with alpha = 0), and the
+raw projections ``x_i W_i`` feed the feature shifts, pruning and the
+modality loss.  The node series thus runs in setup only.
 
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
@@ -45,8 +45,7 @@ from .filters import (
     dual_filter,
     dual_filter_vjp,
     feature_shift,
-    node_filter,
-    repair_feature_outliers,
+    filter_attributes,
 )
 from .kmeans import Clustering, kmeans_fit
 from .losses import (
@@ -244,15 +243,14 @@ def _forward(
 
 def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> _Setup:
     """Validate ``cfg``, resolve the thread budget, normalize the adjacency,
-    repair each modality's 64-bit attributes and node-filter them."""
+    and repair and node-filter each modality's 64-bit attributes."""
     cfg.validate()
     threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
-    repairs = [repair_feature_outliers(ops.a_hat, x, filter_cfg, threads=threads) for x in xs]
-    xfs = [node_filter(ops.a_hat, x, filter_cfg, threads) for x in xs]
-    return _Setup(threads, ops, xs, xfs, replace(filter_cfg, alpha=0.0), repairs)
+    xfs, repairs = zip(*(filter_attributes(ops.a_hat, x, filter_cfg, threads) for x in xs))
+    return _Setup(threads, ops, xs, list(xfs), replace(filter_cfg, alpha=0.0), list(repairs))
 
 
 def forward(

@@ -496,7 +496,7 @@ def test_spectra_rejects_graph_above_dense_limit_before_work(tmp_path, capsys,
     n = filters._DENSE_LIMIT + 1
     manifest = save_dataset(random_graph(n, (3, 2), seed=1, p=0.002), tmp_path / "ds")
     calls = _count_setup_calls(
-        monkeypatch, ["normalize_adjacency", "repair_feature_outliers", "dual_filter"]
+        monkeypatch, ["normalize_adjacency", "filter_attributes", "dual_filter"]
     )
     _expect_failure(["spectra", "--data", str(manifest), "--out", str(tmp_path / "out")],
                     capsys, match=f"limited to n <= {filters._DENSE_LIMIT}")
@@ -506,7 +506,7 @@ def test_spectra_rejects_graph_above_dense_limit_before_work(tmp_path, capsys,
 
 def test_spectra_rejects_t_max_below_one(dataset_dir, tmp_path, capsys, monkeypatch):
     calls = _count_setup_calls(
-        monkeypatch, ["normalize_adjacency", "repair_feature_outliers", "dual_filter"]
+        monkeypatch, ["normalize_adjacency", "filter_attributes", "dual_filter"]
     )
     _expect_failure(["spectra", "--data", str(dataset_dir), "--t-max", "0",
                      "--out", str(tmp_path / "spectra_out")], capsys, match="t_max")

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmgc.data import load_dataset, normalize_adjacency
+from mmgc.data import load_dataset, normalize_adjacency, symmetric_adjacency
 from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc import filters as filters_module
 from mmgc.filters import (
@@ -19,9 +20,9 @@ from mmgc.filters import (
     exact_response,
     exact_solution,
     feature_shift,
+    filter_attributes,
     node_filter,
     objective_gradient,
-    repair_feature_outliers,
     spectra_report,
     spectral_response,
 )
@@ -354,7 +355,7 @@ def test_spectral_response_rejects_negative_order():
 
 def _repaired(a_hat, x, cfg=None):
     out = x.copy()
-    report = repair_feature_outliers(a_hat, out, cfg or DualFilterConfig())
+    _, report = filter_attributes(a_hat, out, cfg or DualFilterConfig())
     return out, report
 
 
@@ -428,11 +429,14 @@ def test_repair_works_in_column_blocks(monkeypatch):
     ops, x, _ = _instance(80, 9, seed=5)
     x[5, ::2] += 40.0
     x[33, 1::3] -= 40.0
-    whole, report = _repaired(ops.a_hat, x)
+    whole = x.copy()
+    whole_xf, report = filter_attributes(ops.a_hat, whole, DualFilterConfig())
     monkeypatch.setattr(filters_module, "_REPAIR_COLUMNS", 2)
-    blocked, blocked_report = _repaired(ops.a_hat, x)
+    blocked = x.copy()
+    blocked_xf, blocked_report = filter_attributes(ops.a_hat, blocked, DualFilterConfig())
     assert report.entries_replaced > 0
     assert blocked.tobytes() == whole.tobytes()
+    assert blocked_xf.tobytes() == whole_xf.tobytes()
     assert blocked_report == report
 
 
@@ -588,21 +592,41 @@ def test_column_split_exception_in_a_helper_reaches_caller(monkeypatch):
     assert threading.active_count() == before  # helpers joined
 
 
-def test_dual_filter_and_repair_identical_for_any_budget(split_blocks):
-    ops, z, shifts = _instance(120, 7, seed=10, m=2)
-    cfg = DualFilterConfig()
-    h = dual_filter(ops.a_hat, z, shifts, cfg)
-    x = z.copy()
+def test_filter_attributes_identical_for_any_budget(split_blocks):
+    ops, x, _ = _instance(120, 7, seed=10)
     x[3, ::2] += 40.0
+    cfg = DualFilterConfig()
+    serial = x.copy()
+    serial_xf, report = filter_attributes(ops.a_hat, serial, cfg)
+    assert report.entries_replaced > 0
     for threads in (2, 3):
-        assert dual_filter(ops.a_hat, z, shifts, cfg, threads).tobytes() == h.tobytes()
-        assert (dual_filter_vjp(ops.a_hat, z, shifts, cfg, threads).tobytes()
-                == dual_filter_vjp(ops.a_hat, z, shifts, cfg).tobytes())
-        serial, split = x.copy(), x.copy()
-        assert repair_feature_outliers(ops.a_hat, serial, cfg).entries_replaced > 0
-        repair_feature_outliers(ops.a_hat, split, cfg, threads)
+        split = x.copy()
+        split_xf, _ = filter_attributes(ops.a_hat, split, cfg, threads)
         assert split.tobytes() == serial.tobytes()
+        assert split_xf.tobytes() == serial_xf.tobytes()
     assert set(split_blocks) == {2, 3}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_filter_attributes_scratch_stays_within_64_column_blocks(threads):
+    # the screen and the refits work on 64-column blocks while the filtered
+    # attributes are alive: the scratch above them stays a few n x 64 arrays
+    # whatever the width, here with a spike in every column
+    n, d = 4000, 300
+    rng = np.random.default_rng(13)
+    ops = normalize_adjacency(
+        symmetric_adjacency(n, rng.integers(0, n, 16000), rng.integers(0, n, 16000))
+    )
+    x = rng.standard_normal((n, d))
+    x[rng.integers(0, n, d), np.arange(d)] = 60.0
+    tracemalloc.start()
+    try:
+        xf, report = filter_attributes(ops.a_hat, x, DualFilterConfig(), threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.entries_replaced >= d
+    assert peak < xf.nbytes + 8 * n * 64 * 8
 
 
 # -------------------------------------------------------------- full report

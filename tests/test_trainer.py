@@ -197,11 +197,11 @@ def test_node_series_runs_in_setup_only(monkeypatch):
         return real(a_hat, *args)
 
     monkeypatch.setattr(filters, "_series", counting)
-    # narrow attributes with FDD: the repair screens each modality and
-    # refilters modality 0's repaired column, then each modality is filtered
-    # once; 70 columns against a mix of 8, without FDD: the latter only.
-    # One thread, so each series is one call whatever the CPU count.
-    for widths, no_fdd, series_runs in (((6, 4), False, 5), ((40, 30), True, 2)):
+    # narrow attributes with FDD: each modality is filtered once, and
+    # modality 0's repaired column is refitted and filtered again; 70 columns
+    # against a mix of 8, without FDD: each modality once.  One thread, so
+    # each series is one call whatever the CPU count.
+    for widths, no_fdd, series_runs in (((6, 4), False, 4), ((40, 30), True, 2)):
         graph = random_graph(80, widths, seed=3, p=0.08)
         graph.modalities[0].x[11, 4] = 60.0
         counts = []
@@ -239,22 +239,37 @@ def test_filtered_attributes_identical_for_any_budget(monkeypatch):
         edges=edges, modalities=[ModalityFeatures(f"m{i}", x) for i, x in enumerate(xs)],
         labels=None,
     )
-    blocks = []
-    real = filters.map_indexed
+    blocks, series_columns = [], []
+    real_map, real_series = filters.map_indexed, filters._series
 
     def counting(work, count, threads):
         if count > 1:  # a one-block map starts no helper
             blocks.append(count)
-        return real(work, count, threads)
+        return real_map(work, count, threads)
+
+    def series(a_hat, y0, *args):
+        if sp.issparse(a_hat):  # the node series, not the dense feature series
+            series_columns.append(y0.shape[1])
+        return real_series(a_hat, y0, *args)
 
     monkeypatch.setattr(filters, "map_indexed", counting)
+    monkeypatch.setattr(filters, "_series", series)
+    cfg = TrainConfig()
     results = {}
     for threads in (1, 2, 8):
         blocks.clear()
-        setup = trainer._prepare(graph, TrainConfig(), threads)
+        series_columns.clear()
+        setup = trainer._prepare(graph, cfg, threads)
         results[threads] = [xf.tobytes() for xf in setup.xfs]
         assert all(r.entries_replaced > 0 for r in setup.repairs)
         assert max(blocks, default=1) == threads
+        # every column filtered once, each repaired column twice more
+        hit = sum(int(np.any(x != raw, axis=0).sum()) for x, raw in zip(setup.xs, xs))
+        assert sum(series_columns) == 150 + 2 * hit
+        # each xf is the filter of its repaired attributes, bit for bit
+        for x, xf in zip(setup.xs, setup.xfs):
+            want = filters.node_filter(setup.ops.a_hat, x, cfg.filter_config())
+            assert xf.tobytes() == want.tobytes()
     assert results[2] == results[1] and results[8] == results[1]
 
 
