@@ -9,13 +9,15 @@ sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
 benchmark's own digest) and of the generated ``edges.txt``.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
 that switch on and prints the switch with the ``h`` and assignment digests,
-so the branches the workloads skip are covered too.  Last come three more
+so the branches the workloads skip are covered too.  Last come four more
 fits with planted-1k's training config, for paths no workload reaches: a
 200-node planted graph (the margin loss scores all pairs, as n - 1 <= 256),
-the same graph with k = 1, and planted-1k's graph with a third 300-column
+the same graph with k = 1, planted-1k's graph with a third 300-column
 modality (three modality pairs, and a modality that spans five of the
-outlier repair's 64-column blocks).  A change that claims to keep every output the same prints the same
-lines as its parent.  BLAS runs with the benchmark's thread count unless the
+outlier repair's 64-column blocks), and planted-1k's graph with its
+``text`` modality alone (no modality pair, so pruning scores every pair 0
+and keeps every edge).  A change that claims to keep every output the same
+prints the same lines as its parent.  BLAS runs with the benchmark's thread count unless the
 environment sets one.
 
 ``--threads N`` passes the thread budget N to every ``fit`` (default: the
@@ -92,8 +94,9 @@ def main() -> None:
     wide = base.synth_config(run.DATA_SEED)
     wide.modalities.append(ModalitySpec("audio", 300, signal_strength=1.0, noise_sigma=0.5))
     three, _ = load(wide)
+    one = dataclasses.replace(base_graph, modalities=[base_graph.modality("text")])
     for name, graph, k in (("n200", small, base_k), ("n200-k1", small, 1),
-                           ("three-modalities", three, base_k)):
+                           ("three-modalities", three, base_k), ("one-modality", one, base_k)):
         result = fit(graph, k, TrainConfig(**base.train_config()), threads=threads)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments),
               flush=True)

@@ -8,11 +8,12 @@ Subcommands:
 * ``spectra``   frequency-response report for the configured filter
 * ``gradcheck`` finite-difference verification of the analytic gradients
 
-``cluster``, ``spectra`` and ``gradcheck`` accept ``--threads``, their
-thread budget (default: the CPU count; it must be >= 1); ``parallel.py``
-describes what it bounds.  With a budget above 1 and no BLAS thread count
-set in the environment, ``cluster`` notes on stderr that one BLAS thread
-per process avoids contention with these threads.
+Only ``cluster`` accepts ``--threads``, its thread budget (default: the
+CPU count; it must be >= 1); ``parallel.py`` describes what it bounds.
+``spectra`` and ``gradcheck`` run on the default budget.  With a budget
+above 1 and no BLAS thread count set in the environment, ``cluster`` notes
+on stderr that one BLAS thread per process avoids contention with these
+threads.
 """
 
 from __future__ import annotations
@@ -127,15 +128,6 @@ def _train_options_given(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="thread budget for the k-means restarts, run in groups of five on up "
-             "to ceil(n_init/5) threads, and the node-filter column split of sparse "
-             "graphs (default: the CPU count); results do not depend on it",
-    )
-
     parser = argparse.ArgumentParser(
         prog="mmgc", description="multimodal attributed-graph clustering"
     )
@@ -151,17 +143,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=OUTLIER_TAU)
     p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("cluster", parents=[common],
-                       help="train and cluster a dataset")
+    p = sub.add_parser("cluster", help="train and cluster a dataset")
     p.add_argument("--data", required=True, type=Path, help="manifest path")
     p.add_argument("--config", type=Path, help="key=value training options")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--k", type=int, help="cluster count override")
+    p.add_argument(
+        "--threads",
+        type=int,
+        help="thread budget for the k-means restarts, run in groups of five on up "
+             "to ceil(n_init/5) threads, and the node-filter column split of sparse "
+             "graphs (default: the CPU count); results do not depend on it",
+    )
     _add_train_options(p)
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("spectra", parents=[common],
-                       help="filter frequency-response verification")
+    p = sub.add_parser("spectra", help="filter frequency-response verification")
     p.add_argument("--data", required=True, type=Path, help="manifest path")
     _add_train_options(p, (*_option_types(DualFilterConfig), "seed"))
     p.add_argument("--t-max", dest="t_max", type=int, default=30)
@@ -169,8 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory for spectra.csv/.json (default: cwd)")
     p.set_defaults(func=_cmd_spectra)
 
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="finite-difference gradient verification")
+    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--data", required=True, type=Path, help="manifest path")
     p.add_argument("--n-cap", dest="n_cap", type=int, default=30)
     p.add_argument("--k", type=int)
@@ -307,7 +303,7 @@ def _cmd_spectra(args) -> int:
     params = init_params(
         [m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed
     )
-    ops, cache = forward(graph, params, cfg, threads=args.threads)
+    ops, cache = forward(graph, params, cfg)
     report = spectra_report(ops, cache.h, cache.s_list, cfg.filter_config(),
                             t_max=args.t_max)
     out = Path(args.out)
@@ -336,7 +332,7 @@ def _cmd_gradcheck(args) -> int:
     for title, report in (
         ("loss gradients", loss_gradient_checks(seed=args.seed)),
         ("end-to-end step gradient",
-         end_to_end_gradient_check(sub, k, cfg, seed=args.seed, threads=args.threads)),
+         end_to_end_gradient_check(sub, k, cfg, seed=args.seed)),
     ):
         print(title)
         for entry in report.entries:
@@ -352,7 +348,7 @@ def _cmd_gradcheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)  # generate and diagnose have none
+    threads = getattr(args, "threads", None)  # only cluster takes --threads
     if threads is not None and threads < 1:
         raise _fail(f"--threads must be >= 1, got {threads}")
     try:

@@ -215,8 +215,8 @@ class PrunedGraph:
 
     ``edges`` keeps the surviving adjacency plus a unit self-loop on
     every node left without neighbors, so random walks always have a
-    step to take.  ``disabled`` marks the single-modality case where
-    pruning is skipped and the input graph is passed through.
+    step to take.  ``threshold`` is None when no bar was applied (the
+    ``no_aas`` ablation, or a graph without edges).
     """
 
     edges: sp.csr_matrix
@@ -224,16 +224,14 @@ class PrunedGraph:
     kept_count: int
     removed_count: int
     self_loops: int
-    disabled: bool
 
 
-def passthrough_pruned(adj: sp.csr_matrix, disabled: bool = True) -> PrunedGraph:
-    """Wrap a graph unpruned (ablation path and single-modality fallback)."""
+def passthrough_pruned(adj: sp.csr_matrix) -> PrunedGraph:
+    """Wrap a graph unpruned, with no bar (``no_aas``, or no edges to score)."""
     ready, loops = add_isolated_self_loops(adj)
     kept = int(sp.triu(adj, k=1).nnz)
     return PrunedGraph(
-        edges=ready, threshold=None, kept_count=kept, removed_count=0,
-        self_loops=loops, disabled=disabled,
+        edges=ready, threshold=None, kept_count=kept, removed_count=0, self_loops=loops,
     )
 
 
@@ -242,16 +240,14 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
 
     The bar is mean + population standard deviation of the similarity
     over ``|E|`` uniformly sampled node pairs (u != v, with replacement,
-    seeded).  With fewer than two modalities the graph passes through
-    unchanged with ``disabled`` set.
+    seeded).  With one modality no pair is scored, so every score and the
+    bar are 0 and every edge is kept.
     """
-    if len(z_list) < 2:
-        return passthrough_pruned(adj)
     n = adj.shape[0]
     triu = sp.triu(adj, k=1).tocoo()
     n_edges = triu.nnz
     if n_edges == 0:
-        return passthrough_pruned(adj, disabled=False)
+        return passthrough_pruned(adj)
 
     rng = _sub_rng(seed)
     us = rng.integers(0, n, size=n_edges)
@@ -271,7 +267,6 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
         kept_count=int(keep.sum()),
         removed_count=int(n_edges - keep.sum()),
         self_loops=loops,
-        disabled=False,
     )
 
 
@@ -390,9 +385,11 @@ def hard_positive_sets(
 ) -> list[np.ndarray]:
     """Per cluster, the member ids most cosine-aligned with the centroid.
 
-    Keeps ``max(1, floor(size * theta))`` members per non-empty cluster,
-    ranked by cosine similarity to the cluster centroid with ties broken
-    by ascending node id.  Empty clusters yield empty id arrays.
+    Keeps ``max(1, floor(size * theta))`` members per cluster, ranked by
+    cosine similarity to the cluster centroid with ties broken by
+    ascending node id.  A set that keeps every member (any cluster at
+    theta = 1, a one-member cluster, an empty one) is the members unranked,
+    in ascending id order.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
@@ -404,13 +401,13 @@ def hard_positive_sets(
     sets: list[np.ndarray] = []
     for c in range(k):
         members = np.flatnonzero(assignments == c)
-        if members.shape[0] == 0:
+        count = max(1, int(math.floor(members.shape[0] * theta + 1e-9)))
+        if count >= members.shape[0]:
             sets.append(members)
             continue
         denom = row_norms[members] * cent_norms[c]
         raw = h[members] @ centroids[c]
         cosine = np.where(denom > 0, raw / np.where(denom > 0, denom, 1.0), 0.0)
-        count = max(1, int(math.floor(members.shape[0] * theta + 1e-9)))
         order = np.lexsort((members, -cosine))
         sets.append(members[order[:count]])
     return sets

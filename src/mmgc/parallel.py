@@ -1,8 +1,8 @@
 """The thread budget and the one way work is spread over it.
 
-Callers pass a budget (``--threads`` on the command line, ``threads=`` on
-``fit``, ``forward`` and ``end_to_end_gradient_check``); ``None`` means
-``os.cpu_count()``.  It bounds two things.  k-means runs its restarts in
+Callers pass a budget (``--threads`` on ``mmgc cluster``, the only
+subcommand that takes it; ``threads=`` on ``fit`` and ``forward``); ``None``
+means ``os.cpu_count()``.  It bounds two things.  k-means runs its restarts in
 lockstep groups of five (``kmeans._GROUP``), one thread per group, so up
 to ceil(n_init / 5) threads.  The node-domain filter series splits the
 columns of a sparse graph into one block per thread, down to one column

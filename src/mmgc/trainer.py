@@ -20,8 +20,9 @@ losses and parameter gradients to training and to the finite-difference
 replay of ``end_to_end_gradient_check``, so both paths share the same
 freeze.
 
-``fit``, ``forward`` and ``end_to_end_gradient_check`` take one thread
-budget, ``threads``; ``parallel.py`` describes what it bounds.
+``fit`` and ``forward`` take one thread budget, ``threads``; ``parallel.py``
+describes what it bounds.  Of the command line, only ``cluster`` sets it
+(``--threads``); ``end_to_end_gradient_check`` runs on the default budget.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class TrainConfig:
     no_nbr_loss: bool = False
     no_aas: bool = False        # disable similarity-based edge pruning
     no_comm_loss: bool = False
-    no_hps: bool = False        # use whole clusters instead of hard positives
+    no_hps: bool = False        # whole clusters as hard positives: theta = 1
 
     def filter_config(self) -> DualFilterConfig:
         beta = 0.0 if self.no_fdd else self.beta
@@ -387,12 +388,9 @@ def _step_state(
         )
         assignments = clustering.assignments
         centroids_norm, _ = _row_normalize(clustering.centroids)
-        if cfg.no_hps:
-            hard_sets = [np.flatnonzero(assignments == c) for c in range(clustering.k)]
-        else:
-            hard_sets = hard_positive_sets(
-                cache.h, assignments, clustering.centroids, cfg.theta
-            )
+        hard_sets = hard_positive_sets(
+            cache.h, assignments, clustering.centroids, 1.0 if cfg.no_hps else cfg.theta
+        )
     samples = None
     if not cfg.no_nbr_loss:
         samples = sample_neighborhoods(
@@ -569,19 +567,17 @@ def end_to_end_gradient_check(
     tolerance: float = 1e-3,
     max_coords: int = 40,
     seed: int = 0,
-    threads: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic parameter gradients with central differences.
 
     The stochastic pieces of one training step (shift operators, walk
     samples, centroids, hard positive sets, impostor draws) are frozen,
     so the step objective is a smooth function of the parameters; the
-    central differences step 1e-3.  ``threads`` is the thread budget, as
-    for ``fit``.
+    central differences step 1e-3.  It runs on the default thread budget.
     """
     step = 1e-3
     cfg = cfg or TrainConfig()
-    setup = _prepare(graph, cfg, threads)
+    setup = _prepare(graph, cfg, None)
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(setup, params)

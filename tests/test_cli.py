@@ -408,8 +408,10 @@ def _expect_unrecognized(argv, capsys, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_diagnose_refuses_threads(dataset_dir, capsys):
-    _expect_unrecognized(["diagnose", "--data", str(dataset_dir), "--threads", "2"],
+@pytest.mark.parametrize("command", ["diagnose", "spectra", "gradcheck"])
+def test_subcommand_refuses_threads(command, dataset_dir, capsys):
+    # only cluster takes a thread budget
+    _expect_unrecognized([command, "--data", str(dataset_dir), "--threads", "2"],
                          capsys, "--threads")
 
 

@@ -217,10 +217,9 @@ def test_cross_modal_similarity_two_nodes():
 
 # ------------------------------------------------------------------- pruning
 
-def test_passthrough_marks_disabled_and_counts():
+def test_passthrough_counts():
     adj = edges_from_pairs(4, [(0, 1), (1, 2)])  # node 3 isolated
     pruned = passthrough_pruned(adj)
-    assert pruned.disabled is True
     assert pruned.threshold is None
     assert pruned.kept_count == 2
     assert pruned.removed_count == 0
@@ -228,17 +227,23 @@ def test_passthrough_marks_disabled_and_counts():
     assert pruned.edges[3, 3] == 1.0
 
 
-def test_prune_single_modality_passes_through():
+def test_prune_single_modality_keeps_every_edge():
+    # no modality pair to score: every score and the bar are 0
     adj = edges_from_pairs(3, [(0, 1)])
     pruned = prune_graph(adj, [np.eye(3)])
-    assert pruned.disabled is True
+    assert pruned.threshold == 0.0
+    assert pruned.kept_count == 1
+    assert pruned.removed_count == 0
+    # the input edges, plus the self-loop of isolated node 2
+    assert pruned.self_loops == 1
+    assert (pruned.edges != adj + sp.diags([0.0, 0.0, 1.0])).nnz == 0
 
 
 def test_prune_empty_graph_passes_through_enabled():
     adj = sp.csr_matrix((5, 5))
     z = _unit_rows(np.random.default_rng(0).standard_normal((5, 3)))
     pruned = prune_graph(adj, [z, z])
-    assert pruned.disabled is False
+    assert pruned.threshold is None
     assert pruned.kept_count == 0
     assert pruned.self_loops == 5
 
@@ -254,7 +259,6 @@ def test_prune_keeps_aligned_edges_drops_mismatched():
         n, [(0, 1), (1, 2), (5, 6), (6, 7), (0, 5), (2, 7), (3, 8)]
     )
     pruned = prune_graph(adj, [z, z], seed=0)
-    assert pruned.disabled is False
     dense = pruned.edges.toarray()
     assert dense[0, 1] == 1.0 and dense[5, 6] == 1.0
     assert dense[0, 5] == 0.0 and dense[2, 7] == 0.0 and dense[3, 8] == 0.0
@@ -713,6 +717,18 @@ def test_hard_positive_ranking_and_ties():
         h, np.zeros(4, dtype=np.int64), base[None, :], 0.5
     )
     assert sets[0].tolist() == [1, 3]  # ties broken by ascending id
+
+
+def test_hard_positive_sets_keeping_every_member_are_unranked():
+    rng = np.random.default_rng(14)
+    h = rng.standard_normal((12, 3))
+    assignments = np.array([0, 1, 0, 3, 1, 0, 1, 0, 1, 0, 1, 0], dtype=np.int64)
+    centroids = rng.standard_normal((4, 3))  # cluster 2 is empty, cluster 3 has one member
+    sets = hard_positive_sets(h, assignments, centroids, 1.0)
+    for c in range(4):
+        want = np.flatnonzero(assignments == c)
+        assert sets[c].dtype == want.dtype and sets[c].tobytes() == want.tobytes()
+    assert hard_positive_sets(h, assignments, centroids, 0.3)[3].tolist() == [3]
 
 
 def test_hard_positive_empty_cluster_and_theta_validation():

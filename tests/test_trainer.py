@@ -346,7 +346,7 @@ def test_fit_no_aas_passthrough(small_graph, monkeypatch):
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 8)
     cfg = TrainConfig(hidden_dim=8, epochs=1, walk_length=3, no_aas=True)
     result = fit(small_graph, k=3, cfg=cfg)
-    assert result.pruned.disabled is True
+    assert result.pruned.threshold is None
     assert result.pruned.removed_count == 0
 
 
