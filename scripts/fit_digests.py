@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the byte-identity digests of every benchmark workload's reference fit.
+"""Print the byte-identity digests of every benchmark workload's reference fit
+and the values of the diagnose and gradcheck paths.
 
     python3 scripts/fit_digests.py [--threads N]
 
@@ -16,15 +17,20 @@ the same graph with k = 1, planted-1k's graph with a third 300-column
 modality (three modality pairs, and a modality that spans five of the
 outlier repair's 64-column blocks), and planted-1k's graph with its
 ``text`` modality alone (no modality pair, so pruning scores every pair 0
-and keeps every edge).  A change that claims to keep every output the same
-prints the same lines as its parent.  BLAS runs with the benchmark's thread count unless the
-environment sets one.
+and keeps every edge).  Then come the ``repr`` of ``distance_correlation``
+on nomod-16k's two modalities, as ``mmgc diagnose`` computes it (16000
+rows, so the 4000-row subsample runs), and the entries of
+``loss_gradient_checks()`` and ``end_to_end_gradient_check`` on planted-1k's
+graph cut to 30 nodes, as ``mmgc gradcheck`` runs them.  A change that
+claims to keep every output the same prints the same lines as its parent.
+BLAS runs with the benchmark's thread count unless the environment sets one.
 
 ``--threads N`` passes the thread budget N to every ``fit`` (default: the
 CPU count), so byte identity across budgets is one diff of the output with
 ``--threads 1`` against the output without it.  Every fit's node series
 splits its columns over a budget above 1, so on more than one CPU that diff
-covers the split on every line.
+covers the split on every fit's line; the diagnose and gradcheck lines take
+no budget.
 """
 
 from __future__ import annotations
@@ -59,9 +65,10 @@ def main() -> None:
         os.environ.setdefault(name, value)
     from worker import digest  # mmbench/worker.py
 
-    from mmgc.data import load_dataset
+    from mmgc.data import induce_subgraph, load_dataset
     from mmgc.datagen import ModalitySpec, generate
-    from mmgc.trainer import TrainConfig, fit
+    from mmgc.diagnostics import distance_correlation
+    from mmgc.trainer import TrainConfig, end_to_end_gradient_check, fit, loss_gradient_checks
 
     def load(synth):
         with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +86,8 @@ def main() -> None:
               flush=True)
         if name == "planted-1k":
             base_graph, base_k = graph, synth.k
+        if name == "nomod-16k":
+            dcor = distance_correlation(*(m.x.astype("float64") for m in graph.modalities))
 
     base = run.WORKLOADS["planted-1k"]
     print("planted-1k switch h assignments")
@@ -100,6 +109,14 @@ def main() -> None:
         result = fit(graph, k, TrainConfig(**base.train_config()), threads=threads)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments),
               flush=True)
+
+    print("nomod-16k distance_correlation", repr(dcor))
+    print("planted-1k gradcheck --n-cap 30 max_rel_error tolerance")
+    sub = induce_subgraph(base_graph, 30)
+    entries = (loss_gradient_checks().entries
+               + end_to_end_gradient_check(sub, base_k, TrainConfig()).entries)
+    for entry in entries:
+        print(entry.name, repr(entry.max_rel_error), entry.tolerance, flush=True)
 
 
 if __name__ == "__main__":

@@ -151,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        help="thread budget for the k-means restarts, run in groups of five on up "
-             "to ceil(n_init/5) threads, and the node-filter column split of sparse "
+        help="thread budget for the k-means restarts, run in two groups of five on "
+             "at most two threads, and the node-filter column split of sparse "
              "graphs (default: the CPU count); results do not depend on it",
     )
     _add_train_options(p)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-_DCOR_ROW_CAP = 4000
+_DCOR_ROW_CAP = 4000  # rows distance_correlation keeps; above it, a seed-0 subsample
 
 # z-score beyond which an entry counts as feature-wise noise; shared by
 # the outlier scan and by the feature-domain repair in filters.py
@@ -21,15 +21,13 @@ def _double_centered_distances(x: np.ndarray) -> np.ndarray:
     return d - row_means - col_means + d.mean()
 
 
-def distance_correlation(
-    x, y, max_rows: int = _DCOR_ROW_CAP, seed: int = 0
-) -> float:
+def distance_correlation(x, y) -> float:
     """Distance correlation between two row-aligned samples.
 
     Rows are observations; both inputs must have the same row count.
-    Above ``max_rows`` rows, one shared seeded subsample keeps the
-    quadratic cost bounded.  Returns 0.0 when either sample has zero
-    distance variance (constant rows).
+    Above ``_DCOR_ROW_CAP`` (4000) rows, one shared subsample of that many
+    rows, drawn with seed 0, keeps the quadratic cost bounded.  Returns
+    0.0 when either sample has zero distance variance (constant rows).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -44,8 +42,8 @@ def distance_correlation(
         return 0.0
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("distance_correlation inputs must be finite")
-    if n > max_rows:
-        keep = np.random.default_rng(seed).choice(n, size=max_rows, replace=False)
+    if n > _DCOR_ROW_CAP:
+        keep = np.random.default_rng(0).choice(n, size=_DCOR_ROW_CAP, replace=False)
         keep.sort()
         x = x[keep]
         y = y[keep]

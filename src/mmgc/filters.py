@@ -277,27 +277,6 @@ def exact_solution(
     return prefactor * right
 
 
-def objective_gradient(
-    a_hat, h: np.ndarray, z: np.ndarray, shifts: list[np.ndarray], cfg: DualFilterConfig
-) -> np.ndarray:
-    """Gradient of the jointly penalized filtering objective at ``h``.
-
-    The objective is ||h - z||_F^2 plus alpha times the node smoothness
-    quadratic form plus beta times the mean feature smoothness form.
-    Zero exactly at the solution of the coupled (Sylvester) first-order
-    condition; at the sequential closed form the residual is the
-    alpha*beta cross term, which vanishes when either strength is zero.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    s_bar = _mean_shift(shifts)
-    n = a_hat.shape[0]
-    lap = sp.eye(n, format="csr") - sp.csr_matrix(a_hat)
-    d = s_bar.shape[0]
-    feat_lap = np.eye(d) - s_bar
-    return 2.0 * (h - z) + 2.0 * cfg.alpha * (lap @ h) + 2.0 * cfg.beta * (h @ feat_lap)
-
-
 def exact_response(alpha: float, lam):
     """Steady-state per-eigenvalue gain 1 / (1 + alpha * lam)."""
     lam = np.asarray(lam, dtype=np.float64)

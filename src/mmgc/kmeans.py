@@ -17,13 +17,13 @@ assignments repeat.  Each restart gets the bits it would get alone: every
 distance is the same dot product, the assignment takes the first minimum
 as ``argmin`` does, and each cluster still sums its rows in point order.
 
-The groups run at the same time on the thread budget (``threads``, see
-``parallel.py``), at most one thread per group.  The groups are fixed by
-``n_init`` alone and results are kept by restart index, so the outcome
-never depends on the budget.  Seeding scores each new center with the
-Lloyd distance kernel and the squared row norms that every restart
-shares; a group's scratch, about 400 bytes per point for 5 restarts of
-k = 4, stays below one n x d array.
+Every fit runs ``_RESTARTS`` (10) restarts: two groups of five, which run
+at the same time on the thread budget (``threads``, see ``parallel.py``),
+one thread per group, so at most two threads.  The groups are fixed and
+results are kept by restart index, so the outcome never depends on the
+budget.  Seeding scores each new center with the Lloyd distance kernel and
+the squared row norms that every restart shares; a group's scratch, about
+400 bytes per point for 5 restarts of k = 4, stays below one n x d array.
 """
 
 from __future__ import annotations
@@ -172,6 +172,7 @@ def _lloyd(
 
 
 _GROUP = 5  # restarts per lockstep group; fixed, so the bits never follow the budget
+_RESTARTS = 10  # restarts per fit: two lockstep groups
 
 
 def _restarts(
@@ -204,14 +205,13 @@ def kmeans_fit(
     x: np.ndarray,
     k: int,
     seed: int = 0,
-    n_init: int = 10,
     threads: int | None = None,
 ) -> Clustering:
-    """Cluster rows of ``x`` into ``k`` groups with the best of ``n_init``
-    restarts, each of at most 300 Lloyd iterations.
+    """Cluster rows of ``x`` into ``k`` groups with the best of ``_RESTARTS``
+    (10) restarts, each of at most 300 Lloyd iterations.
 
-    ``threads`` is the thread budget of the restarts; the result does not
-    depend on it.
+    ``threads`` is the thread budget of the restarts, which use at most two
+    threads; the result does not depend on it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -223,9 +223,7 @@ def kmeans_fit(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k = {k} exceeds the number of rows ({n})")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
 
-    seeds = np.random.SeedSequence(seed).spawn(n_init)
+    seeds = np.random.SeedSequence(seed).spawn(_RESTARTS)
     # min keeps the first of equal keys: the earliest restart wins ties
     return min(_restarts(x, k, seeds, threads), key=lambda c: c.inertia)

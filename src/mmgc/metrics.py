@@ -79,8 +79,6 @@ def nmi(truth, pred) -> float:
     mi = float(np.sum(_xlogy(p, np.where(p > 0, p / np.where(outer > 0, outer, 1.0), 1.0))))
     h_t = -float(np.sum(_xlogy(a / n, a / n)))
     h_p = -float(np.sum(_xlogy(b / n, b / n)))
-    if h_t <= 0.0 or h_p <= 0.0:
-        return 0.0
     return max(0.0, mi) / np.sqrt(h_t * h_p)
 
 
@@ -103,14 +101,12 @@ def ari(truth, pred) -> float:
     if _same_partition(table):
         return 1.0
     sum_cells, sum_truth, sum_pred, total = _pair_counts(table)
-    if total == 0:
-        return 1.0
     # one final division over integer numerator and denominator keeps the
-    # value exact whenever the true ratio is representable
+    # value exact whenever the true ratio is representable; the denominator is
+    # sum_truth * (total - sum_pred) + sum_pred * (total - sum_truth), zero
+    # only for identical partitions
     numerator = 2 * (sum_cells * total - sum_truth * sum_pred)
     denominator = total * (sum_truth + sum_pred) - 2 * sum_truth * sum_pred
-    if denominator == 0:
-        return 1.0
     return numerator / denominator
 
 
@@ -120,10 +116,7 @@ def pairwise_f1(truth, pred) -> float:
     if _same_partition(table):
         return 1.0
     sum_cells, sum_truth, sum_pred, _ = _pair_counts(table)
-    denom = sum_truth + sum_pred
-    if denom == 0:
-        return 1.0
-    return 2.0 * sum_cells / denom
+    return 2.0 * sum_cells / (sum_truth + sum_pred)
 
 
 def completeness(truth, pred) -> float:
@@ -145,8 +138,6 @@ def completeness(truth, pred) -> float:
     ratio = table / b[None, :]
     num = float(np.sum(_xlogy(table / n, np.where(table > 0, ratio, 1.0))))
     den = float(np.sum(_xlogy(a / n, a / n)))
-    if den == 0.0:
-        return 1.0
     # for independent partitions num == den up to rounding
     return max(0.0, 1.0 - num / den)
 

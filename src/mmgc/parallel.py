@@ -2,9 +2,9 @@
 
 Callers pass a budget (``--threads`` on ``mmgc cluster``, the only
 subcommand that takes it; ``threads=`` on ``fit`` and ``forward``); ``None``
-means ``os.cpu_count()``.  It bounds two things.  k-means runs its restarts in
-lockstep groups of five (``kmeans._GROUP``), one thread per group, so up
-to ceil(n_init / 5) threads.  The node-domain filter series splits the
+means ``os.cpu_count()``.  It bounds two things.  k-means runs its ten
+restarts in two lockstep groups of five (``kmeans._GROUP``), one thread per
+group, so on at most two threads.  The node-domain filter series splits the
 columns of a sparse graph into one block per thread, down to one column
 per block; a dense graph keeps one thread.  That series runs in one
 routine, ``filters.node_filter``, which ``dual_filter`` calls before its

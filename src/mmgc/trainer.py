@@ -560,12 +560,15 @@ def _fd_check_array(fn, x: np.ndarray, grad: np.ndarray, step: float,
     return worst
 
 
+# projection coordinates end_to_end_gradient_check differences per matrix
+_GRADCHECK_COORDS = 40
+
+
 def end_to_end_gradient_check(
     graph: MultimodalGraph,
     k: int,
     cfg: TrainConfig | None = None,
     tolerance: float = 1e-3,
-    max_coords: int = 40,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic parameter gradients with central differences.
@@ -573,7 +576,10 @@ def end_to_end_gradient_check(
     The stochastic pieces of one training step (shift operators, walk
     samples, centroids, hard positive sets, impostor draws) are frozen,
     so the step objective is a smooth function of the parameters; the
-    central differences step 1e-3.  It runs on the default thread budget.
+    central differences step 1e-3.  Each projection matrix is checked on
+    ``_GRADCHECK_COORDS`` (40) coordinates drawn with ``seed``, or on all
+    of them when it has no more; the mixing logits on all.  It runs on the
+    default thread budget.
     """
     step = 1e-3
     cfg = cfg or TrainConfig()
@@ -596,8 +602,8 @@ def end_to_end_gradient_check(
     report = GradCheckReport()
     for i, (w, g) in enumerate(zip(params.weights, grad_weights)):
         all_coords = list(np.ndindex(*w.shape))
-        if len(all_coords) > max_coords:
-            picks = rng.choice(len(all_coords), size=max_coords, replace=False)
+        if len(all_coords) > _GRADCHECK_COORDS:
+            picks = rng.choice(len(all_coords), size=_GRADCHECK_COORDS, replace=False)
             coords = [all_coords[int(p)] for p in picks]
         else:
             coords = all_coords

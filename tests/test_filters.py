@@ -22,7 +22,6 @@ from mmgc.filters import (
     feature_shift,
     filter_attributes,
     node_filter,
-    objective_gradient,
     spectra_report,
     spectral_response,
 )
@@ -30,6 +29,7 @@ from mmgc.filters import (
 from helpers import (
     edges_from_pairs,
     er_graph,
+    objective_gradient,
     path_graph,
     ring_graph,
     reference_dual_filter,

@@ -74,10 +74,11 @@ def test_separated_blobs_recovered_exactly():
     assert a[0] != a[20]
 
 
-def test_inertia_history_non_increasing():
+def test_inertia_history_non_increasing(monkeypatch):
+    monkeypatch.setattr(kmeans, "_RESTARTS", 1)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((60, 5))
-    res = kmeans_fit(x, 4, seed=1, n_init=1)
+    res = kmeans_fit(x, 4, seed=1)
     hist = np.asarray(res.inertia_history)
     assert np.all(np.diff(hist) <= 1e-9)
     assert res.inertia == pytest.approx(hist[-1])
@@ -140,16 +141,14 @@ def test_validation_errors():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         kmeans_fit(bad, 2)
-    for n_init in (0, -5):
-        with pytest.raises(ValueError, match="n_init"):
-            kmeans_fit(x, 2, n_init=n_init)
 
 
-def test_more_restarts_never_worse():
+def test_more_restarts_never_worse(monkeypatch):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((80, 4))
-    one = kmeans_fit(x, 5, seed=2, n_init=1)
-    many = kmeans_fit(x, 5, seed=2, n_init=10)
+    many = kmeans_fit(x, 5, seed=2)  # ten restarts
+    monkeypatch.setattr(kmeans, "_RESTARTS", 1)
+    one = kmeans_fit(x, 5, seed=2)
     assert many.inertia <= one.inertia + 1e-9
 
 
@@ -306,20 +305,21 @@ def test_duplicates_only_input_refills_empty_clusters():
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
-def test_tied_restarts_pick_the_first(cpus):
+def test_tied_restarts_pick_the_first(cpus, monkeypatch):
     # k = n: every restart reaches inertia 0, each with its own labelling
     x = np.random.default_rng(14).standard_normal((6, 2))
     seeds = np.random.SeedSequence(3).spawn(10)
     runs = kmeans._restarts(x, 6, seeds, threads=cpus)
     assert {r.inertia for r in runs} == {0.0}
     assert len({r.assignments.tobytes() for r in runs}) > 1
-    assert (_fit_fields(kmeans_fit(x, 6, seed=3, threads=cpus))
-            == _fit_fields(kmeans_fit(x, 6, seed=3, n_init=1)))
+    best = _fit_fields(kmeans_fit(x, 6, seed=3, threads=cpus))
+    monkeypatch.setattr(kmeans, "_RESTARTS", 1)
+    assert best == _fit_fields(kmeans_fit(x, 6, seed=3))
 
 
-@pytest.mark.parametrize("cpus, n_init, helpers",
+@pytest.mark.parametrize("cpus, restarts, helpers",
                          [(1, 10, 0), (2, 10, 1), (8, 10, 1), (8, 3, 0), (8, 23, 4)])
-def test_helper_threads_bounded_by_cpus_and_restarts(cpus, n_init, helpers, monkeypatch):
+def test_helper_threads_bounded_by_cpus_and_restarts(cpus, restarts, helpers, monkeypatch):
     """One thread per lockstep group of five restarts: min(threads, groups) - 1
     helpers besides the calling thread."""
     started = []
@@ -331,12 +331,13 @@ def test_helper_threads_bounded_by_cpus_and_restarts(cpus, n_init, helpers, monk
             super().start()
 
     monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    monkeypatch.setattr(kmeans, "_RESTARTS", restarts)
     x, _ = _blobs(seed=15)
-    kmeans_fit(x, 2, seed=0, n_init=n_init, threads=cpus)
+    kmeans_fit(x, 2, seed=0, threads=cpus)
     assert len(started) == helpers
     started.clear()
     _with_cpus(monkeypatch, cpus)  # no budget given: the CPU count
-    kmeans_fit(x, 2, seed=0, n_init=n_init)
+    kmeans_fit(x, 2, seed=0)
     assert len(started) == helpers
 
 
@@ -355,12 +356,13 @@ def test_exception_in_a_restart_reaches_caller(monkeypatch):
         return real_lloyd(x, x2, inits, max_iters)
 
     monkeypatch.setattr(kmeans, "_lloyd", failing_lloyd)
+    monkeypatch.setattr(kmeans, "_RESTARTS", 20)  # four groups of five
     x, _ = _blobs(seed=16)
     before = threading.active_count()
     for cpus in (1, 2):
         calls.clear()
         with pytest.raises(RuntimeError, match="restart failed"):
-            kmeans_fit(x, 2, seed=0, n_init=20, threads=cpus)  # four groups of five
+            kmeans_fit(x, 2, seed=0, threads=cpus)
         assert set(calls) == {5}
         assert len(calls) < 4  # no new group starts after a failure
         assert threading.active_count() == before  # helpers joined

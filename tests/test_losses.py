@@ -167,6 +167,34 @@ def test_mms_gradients_match_finite_differences(cap):
     )
 
 
+def _mms_value_oracle(a, b, delta, cap, seed):
+    """The margin loss value summed row by row over each row's impostors:
+    all other rows when the cap does not bind, else the row's block draw."""
+    n = a.shape[0]
+    if cap is None or cap >= n - 1:
+        impostors = {l: np.delete(np.arange(n), l) for l in range(n)}
+    else:
+        impostors = {int(l): imp for block, imp in _impostor_blocks(n, cap, _sub_rng(seed))
+                     for l in block}
+    total = 0.0
+    for l in range(n):
+        imp = impostors[l]
+        pos = float(a[l] @ b[l])
+        d1 = math.exp(pos - delta) + float(np.exp(a[imp] @ b[l]).sum())  # anchor b[l]
+        d2 = math.exp(pos - delta) + float(np.exp(b[imp] @ a[l]).sum())  # anchor a[l]
+        total += math.log(d1) + math.log(d2) - 2.0 * (pos - delta)
+    return total / n
+
+
+@pytest.mark.parametrize("n,cap", [(9, None), (40, 7), (200, 256), (300, 256)])
+def test_mms_value_matches_row_by_row_oracle(n, cap):
+    rng = np.random.default_rng(n)
+    a = _unit_rows(rng.standard_normal((n, 6)))
+    b = _unit_rows(rng.standard_normal((n, 6)))
+    value = mms_loss(a, b, delta=0.1, negative_cap=cap, seed=9)[0]
+    assert value == pytest.approx(_mms_value_oracle(a, b, 0.1, cap, 9), rel=1e-12, abs=0)
+
+
 # -------------------------------------------------------- cross-modality loss
 
 def test_cross_modality_needs_two():

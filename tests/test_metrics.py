@@ -59,6 +59,21 @@ def test_completeness_hand_values():
     assert completeness([0, 1, 0, 1], [0, 0, 1, 1]) < 1.0
 
 
+def test_degenerate_pairs_follow_the_documented_conventions():
+    """n = 1, all singletons or one cluster on both sides score as identical
+    partitions; one cluster against all singletons, in either order, has no
+    shared pair and no mutual information."""
+    for truth, pred in (([0], [3]), ([0, 1, 2, 3], [3, 2, 1, 0]), ([0, 0, 0], [5, 5, 5])):
+        for fn in (nmi, ari, pairwise_f1, completeness):
+            assert fn(truth, pred) == 1.0, fn.__name__
+    one, singletons = [0, 0, 0, 0], [0, 1, 2, 3]
+    for truth, pred in ((one, singletons), (singletons, one)):
+        assert nmi(truth, pred) == 0.0
+        assert ari(truth, pred) == 0.0
+        assert pairwise_f1(truth, pred) == 0.0
+        assert completeness(truth, pred) == 1.0
+
+
 def test_relabeled_partitions_score_perfect():
     truth = [0, 0, 1, 2, 2, 1]
     pred = [2, 2, 0, 1, 1, 0]

@@ -518,7 +518,7 @@ def test_end_to_end_gradient_check_passes(monkeypatch):
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)  # the capped margin loss
     graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
     cfg = TrainConfig(hidden_dim=6, walk_length=3)
-    report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
+    report = end_to_end_gradient_check(graph, k=3, cfg=cfg)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
     assert any(e.name == "combine_logits" for e in report.entries)
 
@@ -537,7 +537,7 @@ def test_end_to_end_gradient_check_per_switch(switches, monkeypatch):
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)
     graph = random_graph(12, (5, 3), seed=0, p=0.3, labels_k=3)
     cfg = TrainConfig(hidden_dim=6, walk_length=3, **switches)
-    report = end_to_end_gradient_check(graph, k=3, cfg=cfg, max_coords=20)
+    report = end_to_end_gradient_check(graph, k=3, cfg=cfg)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
 
 
@@ -545,5 +545,5 @@ def test_end_to_end_gradient_check_with_flags(monkeypatch):
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)
     graph = random_graph(10, (4,), seed=1, p=0.35, labels_k=2)
     cfg = TrainConfig(hidden_dim=5, walk_length=2, no_mod_loss=True, no_hps=True)
-    report = end_to_end_gradient_check(graph, k=2, cfg=cfg, max_coords=15)
+    report = end_to_end_gradient_check(graph, k=2, cfg=cfg)
     assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
