@@ -27,10 +27,13 @@ BLAS runs with the benchmark's thread count unless the environment sets one.
 
 ``--threads N`` passes the thread budget N to every ``fit`` (default: the
 CPU count), so byte identity across budgets is one diff of the output with
-``--threads 1`` against the output without it.  Every fit's node series
-splits its columns over a budget above 1, so on more than one CPU that diff
-covers the split on every fit's line; the diagnose and gradcheck lines take
-no budget.
+``--threads 1`` against the output without it.  Over a budget above 1 every
+fit splits its node series' columns, runs its margin-loss pairs
+concurrently (all lines but ``no_mod_loss`` and ``one-modality``, whose one
+pair runs alone), splits the neighborhood loss's blocks and products (all
+but ``no_nbr_loss``) and prunes on split blocks (all but ``no_aas``), so on
+more than one CPU that diff covers these splits; the diagnose and gradcheck
+lines take no budget.
 """
 
 from __future__ import annotations

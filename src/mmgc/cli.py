@@ -152,8 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="thread budget for the k-means restarts, run in two groups of five on "
-             "at most two threads, and the node-filter column split of sparse "
-             "graphs (default: the CPU count); results do not depend on it",
+             "at most two threads, the node-filter column split of sparse graphs, "
+             "the margin loss's modality pairs, the neighborhood loss's scoring "
+             "blocks and gradient products, and the pruning scores (default: the "
+             "CPU count; a budget above it only adds switching); results do not "
+             "depend on it",
     )
     _add_train_options(p)
     p.set_defaults(func=_cmd_cluster)

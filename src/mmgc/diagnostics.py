@@ -15,10 +15,16 @@ OUTLIER_TAU = 4.0
 
 
 def _double_centered_distances(x: np.ndarray) -> np.ndarray:
+    """The distance matrix minus its row and column means plus its mean,
+    centred in place so that no full-size temporary is made."""
     d = squareform(pdist(x, metric="euclidean"))
     row_means = d.mean(axis=1, keepdims=True)
     col_means = d.mean(axis=0, keepdims=True)
-    return d - row_means - col_means + d.mean()
+    mean = d.mean()
+    d -= row_means
+    d -= col_means
+    d += mean
+    return d
 
 
 def distance_correlation(x, y) -> float:

@@ -14,6 +14,12 @@ so their scratch is O(block * walk_length * d) rather than O(|E| * d)
 and O(n * walk_length * d), with the same bits for any block size.  The
 gather serves the scores only: the neighborhood loss takes its gradient
 through sparse anchor-by-sample matrices of O(n * walk_length) entries.
+
+The margin loss's modality pairs, the row blocks of pruning and of the
+neighborhood loss, and the row ranges of the latter's sparse products run
+on a thread budget (``threads``, see ``parallel.py``).  Every output entry
+comes from the same operations in the same order as on one thread, so the
+results never depend on the budget.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import add_isolated_self_loops, symmetric_adjacency
+from .parallel import map_indexed
 
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -167,29 +174,40 @@ def cross_modality_loss(
     delta: float = 0.1,
     negative_cap: int | None = None,
     seed: int = 0,
+    threads: int = 1,
 ):
     """Margin loss summed over all ordered pairs of embedding sets.
 
     ``z_list`` typically holds the filtered embedding first, then one
     entry per modality.  The two orderings of a pair mirror each other
     exactly when they share one impostor draw, so each unordered pair is
-    evaluated once and doubled.  Returns ``(value, grads)`` with one
-    gradient array per input.
+    evaluated once and doubled.  The pairs run on up to ``threads``
+    threads and are then added up in pair order, the first gradient of
+    each input serving as its sum, so the result does not depend on the
+    budget.  Returns ``(value, grads)`` with one gradient array per input.
     """
     m = len(z_list)
     if m < 2:
         raise ValueError("cross_modality_loss needs at least two embedding sets")
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    def pair(p: int):
+        i, j = pairs[p]
+        return mms_loss(
+            z_list[i], z_list[j], delta=delta, negative_cap=negative_cap,
+            seed=_sub_seed(seed, i, j),
+        )
+
     total = 0.0
-    grads = [np.zeros_like(np.asarray(z, dtype=np.float64)) for z in z_list]
-    for i in range(m):
-        for j in range(i + 1, m):
-            value, g_i, g_j = mms_loss(
-                z_list[i], z_list[j], delta=delta, negative_cap=negative_cap,
-                seed=_sub_seed(seed, i, j),
-            )
-            total += 2.0 * value
-            grads[i] += 2.0 * g_i
-            grads[j] += 2.0 * g_j
+    grads: list = [None] * m
+    for (i, j), (value, g_i, g_j) in zip(pairs, map_indexed(pair, len(pairs), threads)):
+        total += 2.0 * value
+        for k, g in ((i, g_i), (j, g_j)):
+            g *= 2.0  # mms_loss returns new arrays
+            if grads[k] is None:
+                grads[k] = g
+            else:
+                grads[k] += g
     return total, grads
 
 
@@ -197,12 +215,18 @@ def cross_modality_loss(
 # cross-modal similarity and adaptive edge pruning
 
 
-def _pair_scores(z_list: list[np.ndarray], us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Symmetrized cross-modal similarity for aligned node-index arrays."""
+def _pair_scores(
+    z_list: list[np.ndarray], us: np.ndarray, vs: np.ndarray, threads: int = 1
+) -> np.ndarray:
+    """Symmetrized cross-modal similarity for aligned node-index arrays,
+    its row blocks spread over up to ``threads`` threads."""
     scores = np.zeros(us.shape[0], dtype=np.float64)
     m = len(z_list)
     width = max(z.shape[1] for z in z_list)
-    for blk in _row_blocks(us.shape[0], width * 8):
+    blocks = _row_blocks(us.shape[0], width * 8)
+
+    def score(b: int) -> None:
+        blk = blocks[b]
         zu = [z[us[blk]] for z in z_list]
         zv = [z[vs[blk]] for z in z_list]
         for i in range(m):
@@ -210,6 +234,8 @@ def _pair_scores(z_list: list[np.ndarray], us: np.ndarray, vs: np.ndarray) -> np
                 forward = np.einsum("rd,rd->r", zu[i], zv[j])
                 backward = np.einsum("rd,rd->r", zv[i], zu[j])
                 scores[blk] += 0.5 * (forward + backward)
+
+    map_indexed(score, len(blocks), threads)
     return scores
 
 
@@ -239,13 +265,16 @@ def passthrough_pruned(adj: sp.csr_matrix) -> PrunedGraph:
     )
 
 
-def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> PrunedGraph:
+def prune_graph(
+    adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0, threads: int = 1
+) -> PrunedGraph:
     """Drop edges whose cross-modal similarity falls below an adaptive bar.
 
     The bar is mean + population standard deviation of the similarity
     over ``|E|`` uniformly sampled node pairs (u != v, with replacement,
     seeded).  With one modality no pair is scored, so every score and the
-    bar are 0 and every edge is kept.
+    bar are 0 and every edge is kept.  The scores run on up to ``threads``
+    threads; the result does not depend on the budget.
     """
     n = adj.shape[0]
     triu = sp.triu(adj, k=1).tocoo()
@@ -257,10 +286,10 @@ def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> 
     us = rng.integers(0, n, size=n_edges)
     vs = rng.integers(0, n - 1, size=n_edges)  # a rank among the nodes other than u
     vs += vs >= us
-    sample_scores = _pair_scores(z_list, us, vs)
+    sample_scores = _pair_scores(z_list, us, vs, threads)
     threshold = float(sample_scores.mean() + sample_scores.std())
 
-    edge_scores = _pair_scores(z_list, triu.row, triu.col)
+    edge_scores = _pair_scores(z_list, triu.row, triu.col, threads)
     keep = edge_scores >= threshold
     ready, loops = add_isolated_self_loops(
         symmetric_adjacency(n, triu.row[keep], triu.col[keep])
@@ -335,12 +364,14 @@ def sample_neighborhoods(adj: sp.csr_matrix, walk_length: int, *, seed: int = 0)
     return SampleSet(positives=positives, negatives=negatives)
 
 
-def neighborhood_loss(h: np.ndarray, samples: SampleSet):
+def neighborhood_loss(h: np.ndarray, samples: SampleSet, threads: int = 1):
     """Walk-positive contrastive loss over anchors, summed (not averaged).
 
     Per anchor, the walk visits score against the anchor embedding in
     the numerator while the negatives only enlarge the denominator; -1
-    padding in ``samples.negatives`` is masked out.  Returns
+    padding in ``samples.negatives`` is masked out.  The scoring blocks
+    and the row ranges of the gradient products run on up to ``threads``
+    threads; the result does not depend on the budget.  Returns
     ``(value, grad)``.
     """
     h = np.asarray(h, dtype=np.float64)
@@ -354,9 +385,13 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet):
     blocks = _row_blocks(n, max(pos.shape[1], neg.shape[1]) * h.shape[1] * 8)
     ep = np.empty(pos.shape)
     en = np.empty(neg.shape)
-    for blk in blocks:
+
+    def score(b: int) -> None:
+        blk = blocks[b]
         ep[blk] = np.exp(np.einsum("rcd,rd->rc", h[pos[blk]], h[blk]))
         en[blk] = np.exp(np.einsum("rcd,rd->rc", h[neg[blk]], h[blk]))
+
+    map_indexed(score, len(blocks), threads)
     sum_p = ep.sum(axis=1)
     # padding gathers row -1, whose score the mask then drops
     en = np.where(neg >= 0, en, 0.0)
@@ -364,19 +399,25 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet):
     value = float(np.sum(np.log(sum_p + sum_n) - np.log(sum_p)))
 
     grad = np.zeros_like(h)
+    bounds = [n * t // threads for t in range(threads + 1)]
     for idx, coef in (
         (pos, ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]),
         (neg, en / (sum_p + sum_n)[:, None]),
     ):
         # row r lists anchor r's kept samples in sample order; a csr product
-        # adds each row's entries in stored order
+        # adds each row's entries in stored order, whatever rows it covers
         keep = idx >= 0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
         pairs = sp.csr_matrix((coef[keep], idx[keep], indptr), shape=(n, n))
         back = pairs.T.tocsr()  # row j: the anchors that drew j, ascending
         back.sum_duplicates()  # an anchor's repeats add in sample order
-        grad += pairs @ h
-        grad += back @ h
+
+        def products(t: int) -> None:
+            rows = slice(bounds[t], bounds[t + 1])
+            grad[rows] += pairs[rows] @ h
+            grad[rows] += back[rows] @ h
+
+        map_indexed(products, threads, threads)
     return value, grad
 
 

@@ -291,6 +291,7 @@ def _step_gradients(
             delta=cfg.delta,
             negative_cap=_IMPOSTOR_CAP,
             seed=frozen.mms_seed,
+            threads=setup.threads,
         )
         grad_h_norm += grads[0]
         grads_z_mod = [
@@ -300,7 +301,9 @@ def _step_gradients(
         del z_units, grads
 
     if not cfg.no_nbr_loss:
-        components["nbr"], grad = neighborhood_loss(h_norm, frozen.samples)
+        components["nbr"], grad = neighborhood_loss(
+            h_norm, frozen.samples, threads=setup.threads
+        )
         grad_h_norm += grad
 
     if not cfg.no_comm_loss:
@@ -350,12 +353,16 @@ class Adam:
             p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
 
 
-def _prune(graph: MultimodalGraph, cache: ForwardCache, cfg: TrainConfig) -> PrunedGraph:
+def _prune(
+    graph: MultimodalGraph, cache: ForwardCache, cfg: TrainConfig, threads: int
+) -> PrunedGraph:
     """The walk graph, pruned once from the initial projections."""
     if cfg.no_aas:
         return passthrough_pruned(graph.edges)
     z_norms = [_row_normalize(z)[0] for z in cache.z_list]
-    return prune_graph(graph.edges, z_norms, seed=_sub_seed(cfg.seed, _STREAM_PRUNE))
+    return prune_graph(
+        graph.edges, z_norms, seed=_sub_seed(cfg.seed, _STREAM_PRUNE), threads=threads
+    )
 
 
 def _refreshes_clustering(epoch: int, cfg: TrainConfig) -> bool:
@@ -454,7 +461,7 @@ def fit(
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(setup, params), cfg)
+    pruned = _prune(graph, _forward(setup, params), cfg, setup.threads)
 
     logs: list[EpochLog] = []
     frozen = None
@@ -587,7 +594,9 @@ def end_to_end_gradient_check(
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(setup, params)
-    frozen = _step_state(0, cache, _prune(graph, cache, cfg), k, cfg, setup.threads)
+    frozen = _step_state(
+        0, cache, _prune(graph, cache, cfg, setup.threads), k, cfg, setup.threads
+    )
 
     _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)
 

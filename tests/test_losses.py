@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -226,6 +227,52 @@ def test_cross_modality_three_sets_gradients():
         _check_gradient(f, zs[which], grads[which], seed=which)
 
 
+def _plain_cross_modality_loss(zs, cap, seed):
+    """The margin loss summed as first written: one pair after another into
+    zero accumulators."""
+    total = 0.0
+    grads = [np.zeros_like(z) for z in zs]
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            value, g_i, g_j = mms_loss(
+                zs[i], zs[j], negative_cap=cap, seed=losses_module._sub_seed(seed, i, j)
+            )
+            total += 2.0 * value
+            grads[i] += 2.0 * g_i
+            grads[j] += 2.0 * g_j
+    return total, grads
+
+
+@pytest.mark.parametrize("sets", [2, 3, 4])
+def test_cross_modality_is_byte_identical_for_any_thread_budget(sets):
+    """Four sets fold three pair gradients into each input's sum."""
+    rng = np.random.default_rng(15)
+    zs = [_unit_rows(rng.standard_normal((40, 5))) for _ in range(sets)]
+    inputs = [z.tobytes() for z in zs]
+    want_value, want_grads = _plain_cross_modality_loss(zs, 8, seed=9)
+    for threads in (1, 2, 3):
+        value, grads = cross_modality_loss(zs, negative_cap=8, seed=9, threads=threads)
+        assert value == want_value
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+    assert [z.tobytes() for z in zs] == inputs
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_cross_modality_raises_what_a_pair_raises(threads, monkeypatch):
+    rng = np.random.default_rng(16)
+    zs = [_unit_rows(rng.standard_normal((10, 3))) for _ in range(3)]
+    real = losses_module.mms_loss
+
+    def failing(z_a, z_b, **kwargs):
+        if z_a is zs[1] and z_b is zs[2]:
+            raise FloatingPointError("pair (1, 2)")
+        return real(z_a, z_b, **kwargs)
+
+    monkeypatch.setattr(losses_module, "mms_loss", failing)
+    with pytest.raises(FloatingPointError, match=r"pair \(1, 2\)"):
+        cross_modality_loss(zs, negative_cap=3, threads=threads)
+
+
 def _cross_modal_score(zs, u, v):
     """Sum over unordered modality pairs (a, b) of 0.5 * (a[u].b[v] + a[v].b[u])."""
     total = 0.0
@@ -364,6 +411,25 @@ def test_prune_is_byte_identical_for_any_block_size(rows, monkeypatch):
     assert _pruned_bytes(prune_graph(adj, zs, seed=2)) == want
 
 
+def test_prune_is_byte_identical_for_any_thread_budget(monkeypatch):
+    rng = np.random.default_rng(17)
+    n, d = 60, 5
+    zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(3)]
+    adj = edges_from_pairs(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
+    )
+    inputs = [z.tobytes() for z in zs]
+    triu = sp.triu(adj, k=1).tocoo()
+    _gather_rows(monkeypatch, 7, d * 8)  # several blocks for the threads to share
+    want_scores = _plain_pair_scores(zs, triu.row, triu.col).tobytes()
+    want = _pruned_bytes(prune_graph(adj, zs, seed=2, threads=1))
+    for threads in (1, 2, 3):
+        got = losses_module._pair_scores(zs, triu.row, triu.col, threads)
+        assert got.tobytes() == want_scores
+        assert _pruned_bytes(prune_graph(adj, zs, seed=2, threads=threads)) == want
+    assert [z.tobytes() for z in zs] == inputs
+
+
 def _random_graph(n, edges, seed):
     rng = np.random.default_rng(seed)
     u, v = rng.integers(0, n, edges), rng.integers(0, n, edges)
@@ -401,9 +467,9 @@ def test_prune_two_nodes_never_pairs_a_node_with_itself(monkeypatch):
     pairs = []
     real = losses_module._pair_scores
 
-    def recording(zs, us, vs):
+    def recording(zs, us, vs, threads):
         pairs.append((us.copy(), vs.copy()))
-        return real(zs, us, vs)
+        return real(zs, us, vs, threads)
 
     monkeypatch.setattr(losses_module, "_pair_scores", recording)
     rng = np.random.default_rng(14)
@@ -702,6 +768,28 @@ def test_neighborhood_sums_repeated_walk_visits_as_first_written():
     value, grad = neighborhood_loss(h, samples)
     want_value, want_grad = _plain_neighborhood_loss(h, samples)
     assert value == want_value and grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_neighborhood_is_byte_identical_for_any_thread_budget(n, monkeypatch):
+    """The threads write disjoint rows of shared arrays; a short switch
+    interval interleaves them often.  At n = 2 a budget of 3 gives one thread
+    an empty row range."""
+    d, walk = 6, 4
+    h = _unit_rows(np.random.default_rng(18).standard_normal((n, d)))
+    samples = _padded_samples(n, walk, 3, seed=18)
+    inputs = [a.tobytes() for a in (h, samples.positives, samples.negatives)]
+    _gather_rows(monkeypatch, 7, walk * d * 8)  # several blocks for the threads to share
+    want_value, want_grad = _plain_neighborhood_loss(h, samples)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3):
+            value, grad = neighborhood_loss(h, samples, threads=threads)
+            assert value == want_value and grad.tobytes() == want_grad.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [a.tobytes() for a in (h, samples.positives, samples.negatives)] == inputs
 
 
 def test_neighborhood_scratch_below_four_n_by_d_arrays():

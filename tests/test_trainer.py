@@ -406,8 +406,8 @@ def test_fit_stops_when_a_loss_turns_non_finite(monkeypatch):
     calls = []
     real = trainer.neighborhood_loss
 
-    def nan_on_third(h_norm, samples):
-        value, grad = real(h_norm, samples)
+    def nan_on_third(h_norm, samples, threads):
+        value, grad = real(h_norm, samples, threads)
         calls.append(value)
         return (math.nan if len(calls) == 3 else value), grad
 
@@ -468,7 +468,7 @@ def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
     cfg = TrainConfig(hidden_dim=8, walk_length=walk_length)
     params = init_params([6, 4], 8, seed=0)
     cache = forward(small_graph, params, cfg)[1]
-    pruned = trainer._prune(small_graph, cache, cfg)
+    pruned = trainer._prune(small_graph, cache, cfg, threads=1)
     samples = trainer._step_state(0, cache, pruned, 3, cfg, threads=1).samples
     n = small_graph.n_nodes
     assert samples.positives.shape == (n, walk_length)
