@@ -30,10 +30,11 @@ CPU count), so byte identity across budgets is one diff of the output with
 ``--threads 1`` against the output without it.  Over a budget above 1 every
 fit splits its node series' columns, runs its margin-loss pairs
 concurrently (all lines but ``no_mod_loss`` and ``one-modality``, whose one
-pair runs alone), splits the neighborhood loss's blocks and products (all
-but ``no_nbr_loss``) and prunes on split blocks (all but ``no_aas``), so on
-more than one CPU that diff covers these splits; the diagnose and gradcheck
-lines take no budget.
+pair runs alone), splits the neighborhood loss's scoring blocks (all but
+``no_nbr_loss``) and prunes on split blocks (all but ``no_aas``), so on
+more than one CPU that diff covers these splits.  The loss layers take the
+budget only under one BLAS thread, which the script pins unless the
+environment sets a count.  The diagnose and gradcheck lines take no budget.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import typing
 from pathlib import Path
@@ -33,7 +32,7 @@ from .datagen import ModalitySpec, SynthConfig, generate
 from .diagnostics import OUTLIER_TAU, distance_correlation, zscore_outliers
 from .filters import _DENSE_LIMIT, DualFilterConfig, spectra_report
 from .metrics import all_metrics
-from .parallel import thread_budget
+from .parallel import blas_pinned, thread_budget
 from .trainer import (
     TrainConfig,
     end_to_end_gradient_check,
@@ -42,9 +41,6 @@ from .trainer import (
     init_params,
     loss_gradient_checks,
 )
-
-# setting any of these pins the BLAS thread count; without one, cluster warns
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the two historic flag spellings; every other option is --field-name
 _FLAG_SPELLINGS = {"t_layers": "--t", "walk_length": "--walk-len"}
@@ -153,10 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help="thread budget for the k-means restarts, run in two groups of five on "
              "at most two threads, the node-filter column split of sparse graphs, "
-             "the margin loss's modality pairs, the neighborhood loss's scoring "
-             "blocks and gradient products, and the pruning scores (default: the "
-             "CPU count; a budget above it only adds switching); results do not "
-             "depend on it",
+             "and, when BLAS is pinned to one thread, the margin loss's modality "
+             "pairs and the scoring blocks of the neighborhood loss and of pruning "
+             "(default: the CPU count; a budget above it only adds switching); "
+             "results do not depend on it",
     )
     _add_train_options(p)
     p.set_defaults(func=_cmd_cluster)
@@ -255,10 +251,11 @@ def _cmd_cluster(args) -> int:
         raise ValueError(f"cluster count must lie in [1, {graph.n_nodes}], got {k}")
 
     budget = thread_budget(args.threads)
-    if budget > 1 and not any(os.environ.get(v) for v in _BLAS_THREAD_VARIABLES):
+    if budget > 1 and not blas_pinned():
         print(f"note: the thread budget (--threads) is {budget}; set "
               "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1 / MKL_NUM_THREADS=1): "
-              "a multi-threaded BLAS competes with these threads for the cores",
+              "a multi-threaded BLAS competes with these threads for the cores, "
+              "and the loss layers run on one thread until BLAS is pinned",
               file=sys.stderr)
 
     out = Path(args.out)

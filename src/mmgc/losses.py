@@ -15,11 +15,11 @@ and O(n * walk_length * d), with the same bits for any block size.  The
 gather serves the scores only: the neighborhood loss takes its gradient
 through sparse anchor-by-sample matrices of O(n * walk_length) entries.
 
-The margin loss's modality pairs, the row blocks of pruning and of the
-neighborhood loss, and the row ranges of the latter's sparse products run
-on a thread budget (``threads``, see ``parallel.py``).  Every output entry
-comes from the same operations in the same order as on one thread, so the
-results never depend on the budget.
+The margin loss's modality pairs and the row blocks of pruning and of the
+neighborhood loss run on a thread budget (``threads``, see
+``parallel.py``).  Every output entry comes from the same operations in
+the same order as on one thread, so the results never depend on the
+budget.
 """
 
 from __future__ import annotations
@@ -181,10 +181,11 @@ def cross_modality_loss(
     ``z_list`` typically holds the filtered embedding first, then one
     entry per modality.  The two orderings of a pair mirror each other
     exactly when they share one impostor draw, so each unordered pair is
-    evaluated once and doubled.  The pairs run on up to ``threads``
-    threads and are then added up in pair order, the first gradient of
-    each input serving as its sum, so the result does not depend on the
-    budget.  Returns ``(value, grads)`` with one gradient array per input.
+    evaluated once and doubled.  The pairs run in waves of up to
+    ``threads`` concurrent pairs; each wave is added up in pair order before
+    the next starts, the first gradient of each input serving as its sum,
+    so the result does not depend on the budget.  Returns ``(value, grads)``
+    with one gradient array per input.
     """
     m = len(z_list)
     if m < 2:
@@ -200,14 +201,20 @@ def cross_modality_loss(
 
     total = 0.0
     grads: list = [None] * m
-    for (i, j), (value, g_i, g_j) in zip(pairs, map_indexed(pair, len(pairs), threads)):
-        total += 2.0 * value
-        for k, g in ((i, g_i), (j, g_j)):
-            g *= 2.0  # mms_loss returns new arrays
-            if grads[k] is None:
-                grads[k] = g
-            else:
-                grads[k] += g
+    for start in range(0, len(pairs), threads):
+        wave = pairs[start:start + threads]
+        done = map_indexed(lambda p: pair(start + p), len(wave), threads)
+        for (i, j), (value, g_i, g_j) in zip(wave, done):
+            total += 2.0 * value
+            for k, g in ((i, g_i), (j, g_j)):
+                g *= 2.0  # mms_loss returns new arrays
+                if grads[k] is None:
+                    grads[k] = g
+                else:
+                    grads[k] += g
+        # a wave is folded before the next one starts, so no more than
+        # ``threads`` pairs' gradients are held besides the sums
+        del done, g_i, g_j, g
     return total, grads
 
 
@@ -370,9 +377,8 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet, threads: int = 1):
     Per anchor, the walk visits score against the anchor embedding in
     the numerator while the negatives only enlarge the denominator; -1
     padding in ``samples.negatives`` is masked out.  The scoring blocks
-    and the row ranges of the gradient products run on up to ``threads``
-    threads; the result does not depend on the budget.  Returns
-    ``(value, grad)``.
+    run on up to ``threads`` threads; the result does not depend on the
+    budget.  Returns ``(value, grad)``.
     """
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
@@ -399,25 +405,19 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet, threads: int = 1):
     value = float(np.sum(np.log(sum_p + sum_n) - np.log(sum_p)))
 
     grad = np.zeros_like(h)
-    bounds = [n * t // threads for t in range(threads + 1)]
     for idx, coef in (
         (pos, ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]),
         (neg, en / (sum_p + sum_n)[:, None]),
     ):
         # row r lists anchor r's kept samples in sample order; a csr product
-        # adds each row's entries in stored order, whatever rows it covers
+        # adds each row's entries in stored order
         keep = idx >= 0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
         pairs = sp.csr_matrix((coef[keep], idx[keep], indptr), shape=(n, n))
         back = pairs.T.tocsr()  # row j: the anchors that drew j, ascending
         back.sum_duplicates()  # an anchor's repeats add in sample order
-
-        def products(t: int) -> None:
-            rows = slice(bounds[t], bounds[t + 1])
-            grad[rows] += pairs[rows] @ h
-            grad[rows] += back[rows] @ h
-
-        map_indexed(products, threads, threads)
+        grad += pairs @ h
+        grad += back @ h
     return value, grad
 
 

@@ -64,7 +64,7 @@ from .losses import (
     sample_neighborhoods,
 )
 from .metrics import nmi
-from .parallel import thread_budget
+from .parallel import blas_pinned, thread_budget
 
 # seed-stream tags so every random consumer draws independently
 _STREAM_INIT = 0
@@ -220,6 +220,7 @@ class _Setup:
     """What ``_prepare`` hands to fit, forward and the gradient check."""
 
     threads: int
+    loss_threads: int                   # threads if BLAS is pinned to one thread, else 1
     ops: NormalizedOperators
     xs: list[np.ndarray]                # repaired 64-bit attributes
     xfs: list[np.ndarray]               # node-filtered xs; xs itself when alpha = 0
@@ -251,7 +252,11 @@ def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> _
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
     xfs, repairs = zip(*(filter_attributes(ops.a_hat, x, filter_cfg, threads) for x in xs))
-    return _Setup(threads, ops, xs, list(xfs), replace(filter_cfg, alpha=0.0), list(repairs))
+    # the loss layers and pruning make many short BLAS calls, between which
+    # a multi-threaded BLAS spins and takes the cores from their threads
+    loss_threads = threads if blas_pinned() else 1
+    return _Setup(threads, loss_threads, ops, xs, list(xfs), replace(filter_cfg, alpha=0.0),
+                  list(repairs))
 
 
 def forward(
@@ -291,7 +296,7 @@ def _step_gradients(
             delta=cfg.delta,
             negative_cap=_IMPOSTOR_CAP,
             seed=frozen.mms_seed,
-            threads=setup.threads,
+            threads=setup.loss_threads,
         )
         grad_h_norm += grads[0]
         grads_z_mod = [
@@ -302,7 +307,7 @@ def _step_gradients(
 
     if not cfg.no_nbr_loss:
         components["nbr"], grad = neighborhood_loss(
-            h_norm, frozen.samples, threads=setup.threads
+            h_norm, frozen.samples, threads=setup.loss_threads
         )
         grad_h_norm += grad
 
@@ -461,7 +466,7 @@ def fit(
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(setup, params), cfg, setup.threads)
+    pruned = _prune(graph, _forward(setup, params), cfg, setup.loss_threads)
 
     logs: list[EpochLog] = []
     frozen = None
@@ -595,7 +600,7 @@ def end_to_end_gradient_check(
 
     cache = _forward(setup, params)
     frozen = _step_state(
-        0, cache, _prune(graph, cache, cfg, setup.threads), k, cfg, setup.threads
+        0, cache, _prune(graph, cache, cfg, setup.loss_threads), k, cfg, setup.threads
     )
 
     _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)

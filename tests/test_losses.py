@@ -273,6 +273,19 @@ def test_cross_modality_raises_what_a_pair_raises(threads, monkeypatch):
         cross_modality_loss(zs, negative_cap=3, threads=threads)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cross_modality_holds_one_wave_of_pair_gradients(threads):
+    """Four sets make six pairs.  Each wave of ``threads`` pairs is folded
+    before the next starts, so the call holds the four sums and ``threads``
+    running pairs (half an n x d array of slack), not every pair's gradients."""
+    n, d, cap = 2000, 64, 64
+    rng = np.random.default_rng(19)
+    zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(4)]
+    one_pair = _traced_peak(lambda: mms_loss(zs[0], zs[1], negative_cap=cap, seed=3))
+    peak = _traced_peak(lambda: cross_modality_loss(zs, negative_cap=cap, threads=threads))
+    assert peak < (len(zs) + 0.5) * n * d * 8 + threads * one_pair
+
+
 def _cross_modal_score(zs, u, v):
     """Sum over unordered modality pairs (a, b) of 0.5 * (a[u].b[v] + a[v].b[u])."""
     total = 0.0
@@ -770,17 +783,31 @@ def test_neighborhood_sums_repeated_walk_visits_as_first_written():
     assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
 
+def _nan_empty(monkeypatch):
+    """Make ``np.empty`` return float arrays filled with NaN, so that an entry
+    nobody writes shows instead of a freed buffer's old contents."""
+    real = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+
+
 @pytest.mark.parametrize("n", [2, 50])
 def test_neighborhood_is_byte_identical_for_any_thread_budget(n, monkeypatch):
-    """The threads write disjoint rows of shared arrays; a short switch
-    interval interleaves them often.  At n = 2 a budget of 3 gives one thread
-    an empty row range."""
+    """The threads write disjoint row blocks of shared arrays; a short
+    switch interval interleaves them often.  At n = 2 there is one block."""
     d, walk = 6, 4
     h = _unit_rows(np.random.default_rng(18).standard_normal((n, d)))
     samples = _padded_samples(n, walk, 3, seed=18)
     inputs = [a.tobytes() for a in (h, samples.positives, samples.negatives)]
     _gather_rows(monkeypatch, 7, walk * d * 8)  # several blocks for the threads to share
     want_value, want_grad = _plain_neighborhood_loss(h, samples)
+    _nan_empty(monkeypatch)  # a block that no thread scores cannot read back old scores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmgc import filters, trainer
+from mmgc import filters, losses, parallel, trainer
 from mmgc.data import (
     ModalityFeatures,
     MultimodalGraph,
@@ -461,6 +461,54 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run() == serial
     assert blocks and set(blocks) == {3}
+
+
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1"}, True),
+    ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"MKL_NUM_THREADS": "2"}, False),
+])
+def test_blas_pinned_reads_the_thread_variables(env, pinned, monkeypatch):
+    for name in parallel.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert parallel.blas_pinned() == pinned
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_loss_layers_take_the_budget_only_when_blas_is_pinned(small_graph, pinned,
+                                                              monkeypatch):
+    """A multi-threaded BLAS spins between the loss layers' short calls, so
+    the margin loss, the neighborhood loss and pruning get the budget only
+    under one BLAS thread; either way a fit trains to the same bits."""
+    for name in parallel.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    if pinned:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    budgets = []
+    real = losses.map_indexed
+
+    def recording(work, count, threads):
+        budgets.append(threads)
+        return real(work, count, threads)
+
+    monkeypatch.setattr(losses, "map_indexed", recording)
+    cfg = TrainConfig(epochs=2, hidden_dim=8)
+
+    def run(threads):
+        result = fit(small_graph, 3, cfg, threads=threads)
+        return result.h.tobytes(), result.clustering.assignments.tobytes()
+
+    serial = run(1)
+    assert budgets and set(budgets) == {1}
+    budgets.clear()
+    assert run(3) == serial
+    assert set(budgets) == ({3} if pinned else {1})
+    assert trainer._prepare(small_graph, cfg, 3).loss_threads == (3 if pinned else 1)
 
 
 @pytest.mark.parametrize("walk_length", [3, 7])
