@@ -5,96 +5,3 @@ mixed representation with a low-pass filter acting on both the graph
 and the feature-affinity structure, and trains the projections with
 cross-modality, neighborhood, and community contrastive objectives.
 """
-
-from .data import (
-    ModalityFeatures,
-    MultimodalGraph,
-    NormalizedOperators,
-    induce_subgraph,
-    load_dataset,
-    normalize_adjacency,
-    save_dataset,
-)
-from .datagen import ModalitySpec, SynthConfig, SynthSummary, generate
-from .diagnostics import OutlierReport, distance_correlation, zscore_outliers
-from .filters import (
-    DualFilterConfig,
-    SpectraReport,
-    dual_filter,
-    exact_solution,
-    feature_shift,
-    spectra_report,
-)
-from .kmeans import Clustering, kmeans_fit
-from .losses import (
-    PrunedGraph,
-    SampleSet,
-    community_loss,
-    cross_modality_loss,
-    hard_positive_sets,
-    mms_loss,
-    neighborhood_loss,
-    prune_graph,
-    sample_neighborhoods,
-)
-from .metrics import accuracy, all_metrics, ari, completeness, nmi, pairwise_f1
-from .trainer import (
-    FitResult,
-    ModelParams,
-    TrainConfig,
-    end_to_end_gradient_check,
-    fit,
-    forward,
-    init_params,
-    loss_gradient_checks,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Clustering",
-    "DualFilterConfig",
-    "FitResult",
-    "ModalityFeatures",
-    "ModalitySpec",
-    "ModelParams",
-    "MultimodalGraph",
-    "NormalizedOperators",
-    "OutlierReport",
-    "PrunedGraph",
-    "SampleSet",
-    "SpectraReport",
-    "SynthConfig",
-    "SynthSummary",
-    "TrainConfig",
-    "accuracy",
-    "all_metrics",
-    "ari",
-    "community_loss",
-    "completeness",
-    "cross_modality_loss",
-    "distance_correlation",
-    "dual_filter",
-    "end_to_end_gradient_check",
-    "exact_solution",
-    "feature_shift",
-    "fit",
-    "forward",
-    "generate",
-    "hard_positive_sets",
-    "induce_subgraph",
-    "init_params",
-    "kmeans_fit",
-    "load_dataset",
-    "loss_gradient_checks",
-    "mms_loss",
-    "neighborhood_loss",
-    "nmi",
-    "normalize_adjacency",
-    "pairwise_f1",
-    "prune_graph",
-    "sample_neighborhoods",
-    "save_dataset",
-    "spectra_report",
-    "zscore_outliers",
-]

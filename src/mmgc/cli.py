@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="thread budget for the k-means restarts, run in two groups of five on "
-             "at most two threads, the node-filter column split of sparse graphs, "
+             "at most two threads, the node-filter column split, "
              "and, when BLAS is pinned to one thread, the margin loss's modality "
              "pairs and the scoring blocks of the neighborhood loss and of pruning "
              "(default: the CPU count; a budget above it only adds switching); "

@@ -26,12 +26,10 @@ acts on rows, so it commutes with the projections that act on columns.
 ``node_filter`` followed by the feature half, and a fit's setup runs it
 once per modality in ``filter_attributes``, which also makes the repair,
 so that each step's ``dual_filter`` and VJP run with alpha = 0, where
-``node_filter`` hands its input back untouched.  On a sparse graph the
-series splits each 64-column block over a thread budget (``threads``):
-each thread runs the whole series on its own columns.  Every output entry
-is summed in the same order as on one thread, so the result never depends
-on the budget or the block width.  A dense graph keeps one thread, as
-BLAS sums a one-column product in another order than a wider one.
+``node_filter`` hands its input back untouched.  The series splits each
+64-column block over a thread budget (``threads``), each thread running the
+whole series on its own columns.  Every output entry is summed in the same
+order as on one thread, so no budget or block width changes a bit.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import scipy.sparse as sp
 
 from .data import NormalizedOperators, laplacian
 from .diagnostics import OUTLIER_TAU, zscore_outliers
-from .parallel import map_indexed
+from .parallel import map_indexed, thread_budget
 
 _DENSE_LIMIT = 2000
 
@@ -154,17 +152,19 @@ def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -
     with alpha set to 0.  With alpha = 0 the series is the identity and
     ``x`` itself comes back: no pass runs and nothing is copied.  Otherwise
     the result is a new array, made 64 (``_REPAIR_COLUMNS``) columns at a
-    time; a sparse ``a_hat`` splits each block into ``min(threads, columns)``
-    parts, a dense one keeps it whole.  Each column is summed in the same
+    time on the csr form of ``a_hat``, each block split into
+    ``min(threads, columns)`` parts.  Each column is summed in the same
     order whatever the other columns and the budget.
     """
+    threads = thread_budget(threads)
     if cfg.alpha == 0.0:
         return x
+    a_hat = sp.csr_matrix(a_hat)  # a csr input's arrays are shared, not copied
     ca = cfg.alpha / (cfg.alpha + 1.0)
     out = np.empty(x.shape, dtype=np.float64)
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
         d = min(_REPAIR_COLUMNS, x.shape[1] - start)
-        parts = min(threads, d) if sp.issparse(a_hat) else 1
+        parts = min(threads, d)
         bounds = [start + d * i // parts for i in range(parts + 1)]
 
         def part(i: int) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import add_isolated_self_loops, symmetric_adjacency
-from .parallel import map_indexed
+from .parallel import map_indexed, thread_budget
 
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -187,6 +187,7 @@ def cross_modality_loss(
     so the result does not depend on the budget.  Returns ``(value, grads)``
     with one gradient array per input.
     """
+    threads = thread_budget(threads)
     m = len(z_list)
     if m < 2:
         raise ValueError("cross_modality_loss needs at least two embedding sets")
@@ -283,6 +284,7 @@ def prune_graph(
     bar are 0 and every edge is kept.  The scores run on up to ``threads``
     threads; the result does not depend on the budget.
     """
+    threads = thread_budget(threads)
     n = adj.shape[0]
     triu = sp.triu(adj, k=1).tocoo()
     n_edges = triu.nnz
@@ -380,6 +382,7 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet, threads: int = 1):
     run on up to ``threads`` threads; the result does not depend on the
     budget.  Returns ``(value, grad)``.
     """
+    threads = thread_budget(threads)
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
     pos, neg = samples.positives, samples.negatives

@@ -5,10 +5,9 @@ subcommand that takes it; ``threads=`` on ``fit`` and ``forward``); ``None``
 means ``os.cpu_count()``.  It bounds up to five things.  k-means runs its ten
 restarts in two lockstep groups of five (``kmeans._GROUP``), one thread per
 group, so on at most two threads.  The node-domain filter series splits the
-columns of a sparse graph into one block per thread, down to one column
-per block; a dense graph keeps one thread.  That series runs in one
-routine, ``filters.node_filter``, which ``dual_filter`` calls before its
-feature half; a fit calls it in its setup only, through one
+columns into one block per thread, down to one column per block.  That
+series runs in one routine, ``filters.node_filter``, which ``dual_filter``
+calls before its feature half; a fit calls it in its setup only, through one
 ``filters.filter_attributes`` per modality, in 64-column blocks.  When
 BLAS is pinned to one thread (``blas_pinned``), each training step also
 runs the margin loss's modality pairs (``losses.cross_modality_loss``,
@@ -47,7 +46,8 @@ T = TypeVar("T")
 
 
 def thread_budget(threads: int | None) -> int:
-    """The number of threads a budget allows: ``threads``, or the CPU count for None."""
+    """The threads a budget allows (the CPU count for None); every routine that
+    takes a budget refuses one below 1 through this check."""
     if threads is None:
         return os.cpu_count() or 1
     if threads < 1:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,11 +547,36 @@ def test_rejects_negative_seed(command, dataset_dir, capsys):
 
 # ------------------------------------------------------------------ process
 
+# the subprocesses import mmgc from this checkout, however pytest found it
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "mmgc.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=_SRC_ENV,
     )
     assert proc.returncode == 0
     for sub in ("generate", "diagnose", "cluster", "spectra", "gradcheck"):
         assert sub in proc.stdout
+
+
+def test_python_m_mmgc_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmgc", "--help"],
+        capture_output=True, text=True, timeout=60, env=_SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cluster" in proc.stdout
+
+
+def test_package_binds_no_names():
+    """Each routine is imported from its module: ``import mmgc`` alone
+    binds no function, class or submodule."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import mmgc; print(sorted(n for n in vars(mmgc) if not n.startswith('__')))"],
+        capture_output=True, text=True, timeout=60, env=_SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -552,7 +552,7 @@ def test_feature_series_byte_identical_to_plain_recurrence(d, coeff, t):
     assert got.tobytes() == _plain_feature_series(s_bar, coeff, t).tobytes()
 
 
-def test_column_split_takes_the_whole_budget_on_sparse_graphs_only(split_blocks):
+def test_column_split_takes_the_whole_budget_on_any_operator(split_blocks):
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     y0 = np.random.default_rng(8).standard_normal((300, 64))
     want = _plain_series(ops.a_hat, y0, 0.5, 10) / 2.0
@@ -561,13 +561,16 @@ def test_column_split_takes_the_whole_budget_on_sparse_graphs_only(split_blocks)
         got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
         assert split_blocks == [threads]
         assert got.tobytes() == want.tobytes()
-    # BLAS sums a one-column dense product in another order than a wider
-    # one, so three columns split over 3 threads would change every bit
+    # a dense operator runs on its csr form: the same split, the same bytes
     dense, y0 = ops.a_hat.toarray(), y0[:, :3]
-    split_blocks.clear()
-    got = node_filter(dense, y0, DualFilterConfig(), threads=3)
-    assert split_blocks == []
-    assert got.tobytes() == node_filter(dense, y0, DualFilterConfig(), threads=1).tobytes()
+    for threads in (1, 2, 3):
+        split_blocks.clear()
+        got = node_filter(dense, y0, DualFilterConfig(), threads)
+        dense_blocks = list(split_blocks)
+        split_blocks.clear()
+        want = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
+        assert dense_blocks == split_blocks == ([threads] if threads > 1 else [])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_column_split_exception_in_a_helper_reaches_caller(monkeypatch):

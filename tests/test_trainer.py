@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmgc import filters, losses, parallel, trainer
+from mmgc import filters, kmeans, losses, parallel, trainer
 from mmgc.data import (
     ModalityFeatures,
     MultimodalGraph,
     induce_subgraph,
     load_dataset,
+    normalize_adjacency,
     symmetric_adjacency,
 )
 from mmgc.datagen import ModalitySpec, SynthConfig, generate
@@ -527,6 +528,39 @@ def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
 def test_non_positive_thread_budget_rejected(small_graph, threads):
     with pytest.raises(ValueError, match="threads"):
         fit(small_graph, 3, TrainConfig(epochs=1), threads=threads)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("routine", [
+    "node_filter", "filter_attributes", "cross_modality_loss", "neighborhood_loss",
+    "prune_graph", "kmeans_fit",
+])
+def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, monkeypatch):
+    """Each routine that takes a budget fails with ``parallel.thread_budget``'s
+    error before it spreads any work over threads."""
+    adj = symmetric_adjacency(6, np.arange(5), np.arange(1, 6))
+    a_hat = normalize_adjacency(adj).a_hat
+    x = np.random.default_rng(0).standard_normal((6, 3))
+    zs = [x, x[::-1].copy()]
+    samples = losses.SampleSet(positives=np.ones((6, 1), dtype=np.int64),
+                               negatives=np.zeros((6, 1), dtype=np.int64))
+    calls = {
+        "node_filter": lambda: filters.node_filter(a_hat, x, filters.DualFilterConfig(), threads),
+        "filter_attributes": lambda: filters.filter_attributes(
+            a_hat, x.copy(), filters.DualFilterConfig(), threads),
+        "cross_modality_loss": lambda: losses.cross_modality_loss(zs, threads=threads),
+        "neighborhood_loss": lambda: losses.neighborhood_loss(x, samples, threads=threads),
+        "prune_graph": lambda: losses.prune_graph(adj, zs, threads=threads),
+        "kmeans_fit": lambda: kmeans.kmeans_fit(x, 2, threads=threads),
+    }
+
+    def no_work(*args):
+        raise AssertionError("work started on a budget below 1")
+
+    for module in (filters, losses, kmeans):
+        monkeypatch.setattr(module, "map_indexed", no_work)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        calls[routine]()
 
 
 # ---------------------------------------------------------------------- adam
