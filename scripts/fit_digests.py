@@ -7,7 +7,10 @@ and the values of the diagnose and gradcheck paths.
 For each workload of ``mmbench/run.py`` the script generates the graph of
 data seed 0, fits it with the workload's training config and prints three
 sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
-benchmark's own digest) and of the generated ``edges.txt``.  Then, for each
+benchmark's own digest) and of the generated ``edges.txt``.  A ``load`` line
+per workload follows, the sha256 prefix of what ``load_dataset`` returned:
+the csr ``indptr``, ``indices`` and ``data``, the labels and each modality's
+features, each array's dtype and shape included.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
 that switch on and prints the switch with the ``h`` and assignment digests,
 so the branches the workloads skip are covered too.  Last come four more
@@ -54,6 +57,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _loaded(graph) -> str:
+    h = hashlib.sha256()
+    for a in (graph.edges.indptr, graph.edges.indices, graph.edges.data, graph.labels,
+              *(m.x for m in graph.modalities)):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="Print the byte-identity digests of the "
                                                  "benchmark workloads' reference fits.")
@@ -82,9 +94,11 @@ def main() -> None:
         return graph, edges
 
     print("workload h assignments edges")
+    loads = {}
     for name, workload in run.WORKLOADS.items():
         synth = workload.synth_config(run.DATA_SEED)
         graph, edges = load(synth)
+        loads[name] = _loaded(graph)
         result = fit(graph, synth.k, TrainConfig(**workload.train_config()), threads=threads)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments), edges,
               flush=True)
@@ -92,6 +106,10 @@ def main() -> None:
             base_graph, base_k = graph, synth.k
         if name == "nomod-16k":
             dcor = distance_correlation(*(m.x.astype("float64") for m in graph.modalities))
+
+    print("workload load")
+    for name, loaded in loads.items():
+        print(name, loaded, flush=True)
 
     base = run.WORKLOADS["planted-1k"]
     print("planted-1k switch h assignments")

@@ -236,6 +236,10 @@ def _train_config(args) -> tuple[TrainConfig, int | None]:
 
 
 def _cmd_cluster(args) -> int:
+    try:
+        budget = thread_budget(args.threads)
+    except ValueError as exc:
+        raise ValueError(f"--threads: {exc}") from exc
     cfg, config_clusters = _train_config(args)
     cfg.validate()  # before --out is created
     graph, manifest_clusters = load_dataset(args.data)
@@ -250,7 +254,6 @@ def _cmd_cluster(args) -> int:
     if not 1 <= k <= graph.n_nodes:
         raise ValueError(f"cluster count must lie in [1, {graph.n_nodes}], got {k}")
 
-    budget = thread_budget(args.threads)
     if budget > 1 and not blas_pinned():
         print(f"note: the thread budget (--threads) is {budget}; set "
               "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1 / MKL_NUM_THREADS=1): "
@@ -348,9 +351,6 @@ def _cmd_gradcheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)  # only cluster takes --threads
-    if threads is not None and threads < 1:
-        raise _fail(f"--threads must be >= 1, got {threads}")
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -14,11 +14,20 @@ On-disk layout (all paths are resolved relative to the manifest file):
 * feature matrix: 8-byte magic ``MMAGF01\\n``, u64-LE row count, u64-LE
   column count, then float32-LE values in row-major order.
 * labels: one integer per line, ``-1`` meaning unknown.
+
+The edge list and the labels are parsed in one call to numpy's C text
+reader and checked as arrays.  A file that reader refuses, or whose array
+fails a check, is read again line by line with Python's ``int``: that loop
+accepts what the reader does not (``1_0``, non-ASCII digits) and its
+errors name the offending line as ``path:lineno``.  On every file the
+reader accepts, both give the same integers.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,14 +126,18 @@ def read_feature_matrix(path) -> np.ndarray:
         rows, cols = struct.unpack("<QQ", header)
         if rows * cols > _MAX_FEATURE_ENTRIES:
             raise ValueError(f"{path}: implausible header ({rows} x {cols})")
-        payload = fh.read()
-    expected = rows * cols * 4
-    if len(payload) < expected:
-        raise ValueError(f"{path}: truncated payload ({len(payload)} < {expected} bytes)")
-    if len(payload) > expected:
-        raise ValueError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    x = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
-    return np.ascontiguousarray(x, dtype=np.float32)
+        expected = rows * cols * 4
+        # sized against the file first, so a corrupt header allocates nothing
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size < expected:
+            raise ValueError(f"{path}: truncated payload ({size} < {expected} bytes)")
+        if size > expected:
+            raise ValueError(f"{path}: {size - expected} trailing bytes after payload")
+        x = np.empty((rows, cols), dtype="<f4")
+        got = fh.readinto(x)
+    if got < expected:  # the file shrank after fstat
+        raise ValueError(f"{path}: truncated payload ({got} < {expected} bytes)")
+    return x.astype(np.float32, copy=False)
 
 
 def write_edge_list(path, adj: sp.csr_matrix) -> None:
@@ -158,8 +171,23 @@ def symmetric_adjacency(n: int, us, vs) -> sp.csr_matrix:
     return adj
 
 
-def read_edge_list(path, n_nodes: int) -> sp.csr_matrix:
-    """Read, symmetrize and deduplicate an edge list; self-loops are dropped."""
+def _int_columns(path, ncols: int) -> np.ndarray | None:
+    """The file's integers as a (lines, ``ncols``) int64 array, parsed by
+    numpy's C reader with ``#`` comments cut and blank lines skipped; None
+    when that reader refuses the file or finds another column count (a file
+    with no data reads as one column)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except (ValueError, OSError):
+        return None
+    return values if values.shape[1] == ncols else None
+
+
+def _edge_pairs_by_line(path, n_nodes: int) -> tuple[list[int], list[int]]:
+    """``read_edge_list``'s pairs read line by line with ``int``, self-loops
+    dropped; raises the first bad line's error."""
     us: list[int] = []
     vs: list[int] = []
     for lineno, line in _lines(path):
@@ -175,7 +203,16 @@ def read_edge_list(path, n_nodes: int) -> sp.csr_matrix:
         if u != v:
             us.append(u)
             vs.append(v)
-    return symmetric_adjacency(n_nodes, us, vs)
+    return us, vs
+
+
+def read_edge_list(path, n_nodes: int) -> sp.csr_matrix:
+    """Read, symmetrize and deduplicate an edge list; self-loops are dropped."""
+    pairs = _int_columns(path, 2)
+    if pairs is None or not ((pairs >= 0) & (pairs < n_nodes)).all():
+        return symmetric_adjacency(n_nodes, *_edge_pairs_by_line(path, n_nodes))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return symmetric_adjacency(n_nodes, pairs[:, 0], pairs[:, 1])
 
 
 def write_labels(path, labels) -> None:
@@ -185,7 +222,9 @@ def write_labels(path, labels) -> None:
             fh.write(f"{v}\n")
 
 
-def read_labels(path, n_nodes: int) -> np.ndarray:
+def _labels_by_line(path, n_nodes: int) -> np.ndarray:
+    """``read_labels`` read line by line with ``int``; raises the first bad
+    line's error."""
     values: list[int] = []
     for lineno, line in _lines(path):
         try:
@@ -198,6 +237,13 @@ def read_labels(path, n_nodes: int) -> np.ndarray:
     if (labels < -1).any():
         raise ValueError(f"{path}: labels must be >= -1")
     return labels
+
+
+def read_labels(path, n_nodes: int) -> np.ndarray:
+    labels = _int_columns(path, 1)
+    if labels is None or labels.shape[0] != n_nodes or (labels < -1).any():
+        return _labels_by_line(path, n_nodes)
+    return labels[:, 0]
 
 
 # ---------------------------------------------------------------------------

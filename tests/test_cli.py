@@ -157,6 +157,14 @@ def test_diagnose_missing_manifest(tmp_path, capsys):
 
 # ----------------------------------------------------------------- cluster
 
+def test_cluster_malformed_edges_names_the_line(dataset_dir, tmp_path, capsys):
+    edges = dataset_dir.parent / "edges.txt"
+    edges.write_text("0 1\n0 1 2\n", encoding="utf-8")
+    argv = ["cluster", "--data", str(dataset_dir), *FAST_TRAIN, "--out", str(tmp_path / "run")]
+    err = _expect_failure(argv, capsys)
+    assert err == f"error: {edges}:2: expected 'u v', got '0 1 2'\n"
+
+
 def test_cluster_end_to_end(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["cluster", "--data", str(dataset_dir),

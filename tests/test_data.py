@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mmgc import data
 from mmgc.data import (
+    FEATURE_MAGIC,
     ModalityFeatures,
     MultimodalGraph,
     induce_subgraph,
@@ -84,11 +88,23 @@ def test_feature_roundtrip_property(tmp_path_factory, x):
     assert np.array_equal(back.view(np.uint32), x.view(np.uint32))
 
 
+def _raises_exactly(message, read, *args):
+    with pytest.raises(ValueError) as excinfo:
+        read(*args)
+    assert str(excinfo.value) == message
+
+
 def test_feature_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        read_feature_matrix(path)
+    _raises_exactly(f"{path}: bad magic b'NOTMAGIC', not a feature matrix file",
+                    read_feature_matrix, path)
+
+
+def test_feature_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(FEATURE_MAGIC + b"\x00" * 15)
+    _raises_exactly(f"{path}: truncated header", read_feature_matrix, path)
 
 
 def test_feature_truncated_payload(tmp_path):
@@ -96,26 +112,46 @@ def test_feature_truncated_payload(tmp_path):
     write_feature_matrix(path, np.ones((4, 4), dtype=np.float32))
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        read_feature_matrix(path)
+    _raises_exactly(f"{path}: truncated payload (56 < 64 bytes)", read_feature_matrix, path)
+
+
+def test_feature_header_larger_than_file_is_refused_before_allocating(tmp_path):
+    # 2^32 entries pass the plausibility bound; the file size refuses them
+    path = tmp_path / "liar.bin"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<QQ", 1 << 16, 1 << 16) + b"\x00" * 8)
+    _raises_exactly(f"{path}: truncated payload (8 < {1 << 34} bytes)",
+                    read_feature_matrix, path)
 
 
 def test_feature_trailing_bytes(tmp_path):
     path = tmp_path / "trail.bin"
     write_feature_matrix(path, np.ones((2, 2), dtype=np.float32))
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(ValueError):
-        read_feature_matrix(path)
+    _raises_exactly(f"{path}: 2 trailing bytes after payload", read_feature_matrix, path)
 
 
 def test_feature_implausible_header(tmp_path):
-    from mmgc.data import FEATURE_MAGIC
-
     path = tmp_path / "huge.bin"
     header = np.array([1 << 40, 1 << 40], dtype=np.uint64).tobytes()
     path.write_bytes(FEATURE_MAGIC + header)
-    with pytest.raises(ValueError):
-        read_feature_matrix(path)
+    _raises_exactly(f"{path}: implausible header ({1 << 40} x {1 << 40})",
+                    read_feature_matrix, path)
+
+
+@pytest.mark.parametrize("with_nan", [False, True], ids=["clean", "imputed"])
+def test_loaded_features_are_writable_float32(tmp_path, small_graph, with_nan):
+    x = small_graph.modality("text").x.copy()
+    if with_nan:
+        x[2, 3] = np.nan
+    mods = [ModalityFeatures("text", x)] + [
+        m for m in small_graph.modalities if m.name != "text"
+    ]
+    manifest = save_dataset(MultimodalGraph(small_graph.edges, mods), tmp_path / "ds")
+    loaded, _ = load_dataset(manifest)
+    for m in loaded.modalities:
+        assert m.x.dtype == np.float32
+        assert m.x.flags.c_contiguous and m.x.flags.writeable
+        m.x[0, 0] = 1.0
 
 
 # ----------------------------------------------------------------- edge files
@@ -177,6 +213,112 @@ def test_edge_file_rows_sorted(tmp_path):
     ]
     assert rows == sorted(rows)
     assert all(u < v for u, v in rows)
+
+
+def _write_text(path, text):
+    # newline="" keeps every \r as written
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _edges_by_line(path, n):
+    """The line loop's graph: the reference ``read_edge_list`` must equal."""
+    return symmetric_adjacency(n, *data._edge_pairs_by_line(path, n))
+
+
+EDGE_FILES = {
+    "comments-and-blanks": "# header\n0 1 # trailing\n\n2 3\n   \n# end\n",
+    "tabs": "0\t1\n1\t\t2\t\n",
+    "crlf": "0 1\r\n2 3\r\n",
+    "bare-cr": "0 1\r2 3\r",
+    "form-feed": "0\x0c1\n",
+    "plus-sign": "+3 4\n0 +1\n",
+    "underscore": "1_0 2\n0 1\n",
+    "non-ascii-digit": "\u0663 1\n",
+    "duplicates-and-reversed": "0 1\n1 0\n0 1\n5 4\n4 5\n",
+    "self-loops": "2 2\n0 1\n3 3\n",
+    "one-line": "7 8\n",
+    "no-final-newline": "7 8",
+    "empty": "",
+    "comment-only": "# nothing\n#\n\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+def test_edge_list_matches_line_loop(tmp_path, text):
+    path = _write_text(tmp_path / "edges.txt", text)
+    got, want = read_edge_list(path, 12), _edges_by_line(path, 12)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_clean_files_skip_the_line_loop(tmp_path, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("line loop ran on a clean file")
+
+    monkeypatch.setattr(data, "_edge_pairs_by_line", refuse)
+    monkeypatch.setattr(data, "_labels_by_line", refuse)
+    adj = er_graph(40, 0.2, seed=5)
+    write_edge_list(tmp_path / "edges.txt", adj)
+    write_labels(tmp_path / "labels.txt", np.arange(40) % 3 - 1)
+    assert np.array_equal(read_edge_list(tmp_path / "edges.txt", 40).toarray(), adj.toarray())
+    assert np.array_equal(read_labels(tmp_path / "labels.txt", 40), np.arange(40) % 3 - 1)
+
+
+LABEL_FILES = {
+    "comments-and-blanks": "# labels\n0\n\n1 # one\n-1\n2\n",
+    "tabs": "\t0\n1\t\n-1\n2\n",
+    "crlf": "0\r\n1\r\n-1\r\n2\r\n",
+    "bare-cr": "0\r1\r-1\r2\r",
+    "signs-underscore-non-ascii": "+0\n1_0\n\u0663\n-1\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", LABEL_FILES.values(), ids=LABEL_FILES.keys())
+def test_labels_match_line_loop(tmp_path, text):
+    path = _write_text(tmp_path / "labels.txt", text)
+    got, want = read_labels(path, 4), data._labels_by_line(path, 4)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+MALFORMED = [
+    # (reader, file text, message after "<path>")
+    (read_edge_list, "0 1 2\n", ":1: expected 'u v', got '0 1 2'"),
+    (read_edge_list, "0 1\n# c\n2\n", ":3: expected 'u v', got '2'"),
+    (read_edge_list, "0 1\n0 x\n", ":2: non-integer node id"),
+    (read_edge_list, "1.0 2\n", ":1: non-integer node id"),
+    (read_edge_list, "0 1\n-1 2\n", ":2: node id out of range for 3 nodes"),
+    (read_edge_list, "0 1\r\n0 3\r\n", ":2: node id out of range for 3 nodes"),
+    (read_edge_list, "0 99999999999999999999\n", ":1: node id out of range for 3 nodes"),
+    (read_labels, "0\n1\n", ": 2 labels for 3 nodes"),
+    (read_labels, "0\n1\n2\n0\n", ": 4 labels for 3 nodes"),
+    (read_labels, "", ": 0 labels for 3 nodes"),
+    (read_labels, "0\n-2\n1\n", ": labels must be >= -1"),
+    (read_labels, "0\nx\n1\n", ":2: non-integer label"),
+    (read_labels, "0 1\n1\n2\n", ":1: non-integer label"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read, text, message", MALFORMED, ids=[
+    "three-columns", "mixed-columns", "non-integer", "float", "negative-id", "id-equals-n",
+    "above-int64", "too-few-labels", "too-many-labels", "empty-labels", "label-below-minus-one",
+    "non-integer-label", "two-column-labels"])
+def test_malformed_text_file_names_its_line(tmp_path, read, text, message):
+    path = _write_text(tmp_path / "file.txt", text)
+    _raises_exactly(f"{path}{message}", read, path, 3)
+
+
+def test_missing_text_file_keeps_the_open_error(tmp_path):
+    path = tmp_path / "absent.txt"
+    for read in (read_edge_list, read_labels):
+        with pytest.raises(FileNotFoundError) as excinfo:
+            read(path, 3)
+        assert str(excinfo.value) == f"[Errno 2] No such file or directory: '{path}'"
 
 
 # ---------------------------------------------------------------- label files
