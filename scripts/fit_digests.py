@@ -10,7 +10,9 @@ sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
 benchmark's own digest) and of the generated ``edges.txt``.  A ``load`` line
 per workload follows, the sha256 prefix of what ``load_dataset`` returned:
 the csr ``indptr``, ``indices`` and ``data``, the labels and each modality's
-features, each array's dtype and shape included.  Then, for each
+features, each array's dtype and shape included.  Next come the ``repr`` of
+each workload's ``all_metrics`` (acc, nmi, f1, ari, cs) of the reference
+assignments against the labels.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
 that switch on and prints the switch with the ``h`` and assignment digests,
 so the branches the workloads skip are covered too.  Last come four more
@@ -84,6 +86,7 @@ def main() -> None:
     from mmgc.data import induce_subgraph, load_dataset
     from mmgc.datagen import ModalitySpec, generate
     from mmgc.diagnostics import distance_correlation
+    from mmgc.metrics import all_metrics
     from mmgc.trainer import TrainConfig, end_to_end_gradient_check, fit, loss_gradient_checks
 
     def load(synth):
@@ -95,11 +98,13 @@ def main() -> None:
 
     print("workload h assignments edges")
     loads = {}
+    scores = {}
     for name, workload in run.WORKLOADS.items():
         synth = workload.synth_config(run.DATA_SEED)
         graph, edges = load(synth)
         loads[name] = _loaded(graph)
         result = fit(graph, synth.k, TrainConfig(**workload.train_config()), threads=threads)
+        scores[name] = all_metrics(graph.labels, result.clustering.assignments)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments), edges,
               flush=True)
         if name == "planted-1k":
@@ -110,6 +115,10 @@ def main() -> None:
     print("workload load")
     for name, loaded in loads.items():
         print(name, loaded, flush=True)
+
+    print("workload acc nmi f1 ari cs")
+    for name, values in scores.items():
+        print(name, *map(repr, values.values()), flush=True)
 
     base = run.WORKLOADS["planted-1k"]
     print("planted-1k switch h assignments")

@@ -1,11 +1,15 @@
-"""Dataset diagnostics: cross-modal dependence and feature outlier scans."""
+"""Dataset diagnostics: cross-modal dependence and feature outlier scans.
+
+Importing this module loads numpy only.  ``distance_correlation`` imports
+``scipy.spatial`` (and with it ``scipy.linalg``) at its first call, so a
+fit, which uses the outlier scan alone, never loads them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 _DCOR_ROW_CAP = 4000  # rows distance_correlation keeps; above it, a seed-0 subsample
 
@@ -17,6 +21,9 @@ OUTLIER_TAU = 4.0
 def _double_centered_distances(x: np.ndarray) -> np.ndarray:
     """The distance matrix minus its row and column means plus its mean,
     centred in place so that no full-size temporary is made."""
+    # imported here: scipy.spatial, with scipy.linalg, adds about 16 MB to a process
+    from scipy.spatial.distance import pdist, squareform
+
     d = squareform(pdist(x, metric="euclidean"))
     row_means = d.mean(axis=1, keepdims=True)
     col_means = d.mean(axis=0, keepdims=True)

@@ -4,12 +4,15 @@ All metrics take two integer label vectors of equal length, treat label
 values as opaque categories, and use natural logarithms with the
 0 * log 0 = 0 convention.  Degenerate single-cluster partitions follow
 fixed conventions noted per metric.
+
+Importing this module loads numpy only.  ``accuracy`` imports
+``scipy.optimize`` at its first call, so a fit, which scores NMI alone,
+never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _as_labels(truth, pred) -> tuple[np.ndarray, np.ndarray]:
@@ -44,13 +47,14 @@ def _same_partition(table: np.ndarray) -> bool:
 
 def accuracy(truth, pred) -> float:
     """Best-match accuracy: maximum agreement over one-to-one cluster relabelings."""
+    # imported here: scipy.optimize adds about 27 MB to every process that loads it
+    from scipy.optimize import linear_sum_assignment
+
     truth, pred = _as_labels(truth, pred)
     table = contingency_table(truth, pred)
-    k = max(table.shape)
-    padded = np.zeros((k, k), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(-padded)
-    return float(padded[rows, cols].sum()) / truth.shape[0]
+    # solved as it stands: min(rows, cols) pairs, no square of side max(rows, cols)
+    rows, cols = linear_sum_assignment(-table)
+    return float(table[rows, cols].sum()) / truth.shape[0]
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -18,10 +18,15 @@ loss of three 1000 x 64 sets took 17.1-17.5 ms at budget 1, 14.3 ms at 2
 and 14.4-14.5 ms at 3; at n = 16000, d = 64 the neighborhood loss took
 42-43, 37 and 38-39 ms, and pruning on three sets 118-122, 75-78 and 76
 ms (medians of 15, 9 and 5 calls), so a budget above the core count only
-adds switching.  The neighborhood loss's sparse gradient products stay on
-one thread: split by rows they made planted-1k's fit about 2% slower
-(0.293 against 0.299 s, medians of 12 fresh-process fits) and saved about
-4 ms a call at n = 16000.  A multi-threaded BLAS competes with these
+adds switching.  Re-measured on 2026-10-20 on the same kind of VM (three
+fresh processes per budget) these read 25.1-26.2, 23.9-26.4 and 22.4-24.6
+ms; 66-85, 58-72 and 63-66 ms; and 156-196, 111-149 and 106-120 ms, and the
+benchmark workloads' reference fits took 0.46 and 0.49 s (planted-1k), 0.51
+and 0.43 s (planted-4k) and 1.59 and 1.22 s (nomod-16k) at budgets 1 and 2
+(medians of 4 fresh-process fits).  The neighborhood loss's sparse
+gradient products stay on one thread: split by rows they made planted-1k's
+fit about 2% slower (0.293 against 0.299 s, medians of 12 fresh-process
+fits) and saved about 4 ms a call at n = 16000.  A multi-threaded BLAS competes with these
 threads for the cores, so the gain needs one BLAS thread per process.  Its
 worker threads spin between calls, and the loss layers make many short
 ones: with OpenBLAS's default thread count (one per core), 20 epochs of

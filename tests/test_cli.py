@@ -578,6 +578,61 @@ def test_python_m_mmgc_runs_the_cli():
     assert "cluster" in proc.stdout
 
 
+# a fit and its NMI/ARI load numpy and scipy.sparse only; ACC and the
+# distance correlation load scipy.optimize and scipy.spatial on first call
+_IMPORT_CONTRACT = """
+import sys, tempfile
+import numpy as np
+from mmgc import cli, data, diagnostics, filters, kmeans, losses, metrics, trainer
+from mmgc.datagen import ModalitySpec, SynthConfig, generate
+
+def loaded():
+    heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg")
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswith(heavy)})
+
+synth = SynthConfig(n=200, k=4, p_in=0.25, p_out=0.025, seed=3,
+                    modalities=[ModalitySpec("text", 12), ModalitySpec("image", 8)])
+with tempfile.TemporaryDirectory() as tmp:
+    graph, _ = data.load_dataset(generate(synth, tmp).manifest)
+result = trainer.fit(graph, synth.k, trainer.TrainConfig(epochs=2), threads=1)
+a = result.clustering.assignments
+scores = [metrics.nmi(graph.labels, a), metrics.ari(graph.labels, a)]
+assert loaded() == [], loaded()
+x, y = (m.x.astype(np.float64) for m in graph.modalities)
+scores += [metrics.accuracy(graph.labels, a), diagnostics.distance_correlation(x, y)]
+assert np.isfinite(scores).all(), scores
+assert loaded() == ["scipy.linalg", "scipy.optimize", "scipy.spatial"], loaded()
+"""
+
+
+def test_training_process_loads_no_optimize_spatial_or_linalg():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT],
+        capture_output=True, text=True, timeout=120, env=_SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_help_loads_no_optimize_spatial_or_linalg():
+    script = """
+import runpy, sys
+sys.argv = ["mmgc", "--help"]
+try:
+    runpy.run_module("mmgc", run_name="__main__")
+except SystemExit:
+    pass
+heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg")
+print(sorted({m for m in sys.modules if m.startswith(heavy)}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=_SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cluster" in proc.stdout
+    assert proc.stdout.rstrip().endswith("[]"), proc.stdout
+
+
 def test_package_binds_no_names():
     """Each routine is imported from its module: ``import mmgc`` alone
     binds no function, class or submodule."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,23 @@ def test_non_contiguous_label_values():
     pred = [3, 3, 5, 9]
     assert accuracy(truth, pred) == accuracy_bruteforce(truth, pred)
     assert nmi(truth, pred) == pytest.approx(nmi_oracle(truth, pred), abs=1e-12)
+
+
+def test_accuracy_solves_the_rectangular_table():
+    """All-singleton predictions against 4 classes match 4 nodes, and the
+    solve stays far below the k x k int64 square (3.2 GB at k = 20000)."""
+    n = 20_000
+    truth = np.arange(n) % 4
+    pred = np.arange(n)
+    accuracy([0, 1], [0, 1])  # load scipy.optimize outside the traced window
+    tracemalloc.start()
+    try:
+        value = accuracy(truth, pred)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 4 / n
+    assert peak < 8 * n * n // 200
 
 
 # -------------------------------------------------------------- oracle sweep
