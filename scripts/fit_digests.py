@@ -10,9 +10,12 @@ sha256 prefixes: of ``FitResult.h``, of the assignments as ``<i8`` (the
 benchmark's own digest) and of the generated ``edges.txt``.  A ``load`` line
 per workload follows, the sha256 prefix of what ``load_dataset`` returned:
 the csr ``indptr``, ``indices`` and ``data``, the labels and each modality's
-features, each array's dtype and shape included.  Next come the ``repr`` of
-each workload's ``all_metrics`` (acc, nmi, f1, ari, cs) of the reference
-assignments against the labels.  Then, for each
+features, each array's dtype and shape included.  A ``forward`` line per
+workload gives the sha256 prefixes of what the public ``trainer.forward``
+returns at the initial parameters of the workload's training config, with
+the script's thread budget: ``h``, then each ``z_i``, then each shift.  Next
+come the ``repr`` of each workload's ``all_metrics`` (acc, nmi, f1, ari, cs)
+of the reference assignments against the labels.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
 that switch on and prints the switch with the ``h`` and assignment digests,
 so the branches the workloads skip are covered too.  Last come four more
@@ -87,7 +90,14 @@ def main() -> None:
     from mmgc.datagen import ModalitySpec, generate
     from mmgc.diagnostics import distance_correlation
     from mmgc.metrics import all_metrics
-    from mmgc.trainer import TrainConfig, end_to_end_gradient_check, fit, loss_gradient_checks
+    from mmgc.trainer import (
+        TrainConfig,
+        end_to_end_gradient_check,
+        fit,
+        forward,
+        init_params,
+        loss_gradient_checks,
+    )
 
     def load(synth):
         with tempfile.TemporaryDirectory() as tmp:
@@ -98,12 +108,17 @@ def main() -> None:
 
     print("workload h assignments edges")
     loads = {}
+    forwards = {}
     scores = {}
     for name, workload in run.WORKLOADS.items():
         synth = workload.synth_config(run.DATA_SEED)
         graph, edges = load(synth)
         loads[name] = _loaded(graph)
-        result = fit(graph, synth.k, TrainConfig(**workload.train_config()), threads=threads)
+        cfg = TrainConfig(**workload.train_config())
+        params = init_params([m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed)
+        cache = forward(graph, params, cfg, threads=threads)[1]
+        forwards[name] = [_sha(a.tobytes()) for a in (cache.h, *cache.z_list, *cache.s_list)]
+        result = fit(graph, synth.k, cfg, threads=threads)
         scores[name] = all_metrics(graph.labels, result.clustering.assignments)
         print(name, _sha(result.h.tobytes()), digest(result.clustering.assignments), edges,
               flush=True)
@@ -115,6 +130,10 @@ def main() -> None:
     print("workload load")
     for name, loaded in loads.items():
         print(name, loaded, flush=True)
+
+    print("workload forward h z_i... shifts...")
+    for name, digests in forwards.items():
+        print(name, *digests, flush=True)
 
     print("workload acc nmi f1 ari cs")
     for name, values in scores.items():

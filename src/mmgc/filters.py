@@ -123,7 +123,8 @@ def dual_filter(
     """Apply the truncated dual filter to the embedding matrix ``z``.
 
     Exactly linear in ``z`` for fixed shifts.  With alpha = beta = 0 the
-    output equals ``z``.
+    output equals ``z``.  The result is one new array, scaled in place;
+    ``z`` is left as it is.
     """
     cfg.validate()
     z = np.asarray(z, dtype=np.float64)
@@ -134,7 +135,9 @@ def dual_filter(
         raise ValueError("shift operators must match the embedding width")
     cb = cfg.beta / (cfg.beta + 1.0)
     right = _series(s_bar, np.eye(s_bar.shape[0]), cb, cfg.t_layers)
-    return (1.0 / (cfg.beta + 1.0)) * (node_filter(a_hat, z, cfg) @ right)
+    out = node_filter(a_hat, z, cfg) @ right
+    out *= 1.0 / (cfg.beta + 1.0)
+    return out
 
 
 # columns node-filtered or screened at once by node_filter and

@@ -83,7 +83,7 @@ def nmi(truth, pred) -> float:
     mi = float(np.sum(_xlogy(p, np.where(p > 0, p / np.where(outer > 0, outer, 1.0), 1.0))))
     h_t = -float(np.sum(_xlogy(a / n, a / n)))
     h_p = -float(np.sum(_xlogy(b / n, b / n)))
-    return max(0.0, mi) / np.sqrt(h_t * h_p)
+    return float(max(0.0, mi) / np.sqrt(h_t * h_p))
 
 
 def _pair_counts(table: np.ndarray):

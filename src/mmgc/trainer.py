@@ -13,6 +13,17 @@ the filter's feature half alone (``dual_filter`` with alpha = 0), and the
 raw projections ``x_i W_i`` feed the feature shifts, pruning and the
 modality loss.  The node series thus runs in setup only.
 
+In ``fit`` each n x hidden_dim array lives only while a later step reads
+it.  The raw projections are kept where they are read: the public
+``forward`` always returns them; ``fit``'s pre-epoch forward hands them to
+pruning, which normalizes them in place, and drops its ``h`` and shifts;
+a step's forward keeps them only with the modality loss on, and otherwise
+frees them once the shifts are built, before the mix; the final forward
+keeps ``h`` alone.  A step row-normalizes its ``h`` and projections in
+place, as nothing reads them after it, and ``fit`` drops them before the
+next forward.  A step's gradient on the unit ``h`` is the first active
+loss's gradient array, the others added into it.
+
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
 constants of the current step.  One ``_step_gradients`` gives a step's
@@ -186,10 +197,14 @@ def _softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _row_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_normalize(
+    x: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``x`` over their norms (zero rows stay zero), and the norms;
+    ``out=x`` divides in place."""
     norms = np.linalg.norm(x, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    return x / safe[:, None], norms
+    return np.divide(x, safe[:, None], out=out), norms
 
 
 def _row_normalize_vjp(
@@ -228,15 +243,26 @@ class _Setup:
     repairs: list[RepairReport]
 
 
+def _project(setup: _Setup, params: ModelParams) -> list[np.ndarray]:
+    """The raw projections ``x_i W_i``, new arrays."""
+    return [x @ w for x, w in zip(setup.xs, params.weights)]
+
+
 def _forward(
     setup: _Setup,
     params: ModelParams,
     shifts: list[np.ndarray] | None = None,
+    keep_projections: bool = True,
 ) -> ForwardCache:
-    z_list = [x @ w for x, w in zip(setup.xs, params.weights)]
+    """Project, build the shifts (unless given), mix and filter.  Without
+    ``keep_projections`` the z_i are freed before the mix and ``z_list`` is
+    empty."""
+    z_list = _project(setup, params)
     s_list = shifts if shifts is not None else [feature_shift(z) for z in z_list]
+    if not keep_projections:
+        z_list = []
     weights = _softmax(params.combine_logits)
-    u = np.zeros_like(z_list[0])
+    u = np.zeros((setup.xs[0].shape[0], params.weights[0].shape[1]))
     for w_i, xf, w in zip(weights, setup.xfs, params.weights):
         u += w_i * (xf @ w)
     h = dual_filter(setup.ops.a_hat, u, s_list, setup.step_filter)
@@ -282,41 +308,51 @@ def _step_gradients(
     cfg: TrainConfig,
 ) -> tuple[dict[str, float], list[np.ndarray], np.ndarray]:
     """Loss values and parameter gradients (weight decay included) of one
-    step; ``cache.s_list`` and ``frozen`` are its constants.  The unit z_i
-    rows are freed before the neighborhood loss and the filter VJP."""
-    h_norm, h_norms = _row_normalize(cache.h)
+    step; ``cache.s_list`` and ``frozen`` are its constants.  It row-normalizes
+    ``cache.h``, and with the modality loss on each of ``cache.z_list``, in
+    place: the cache is spent once the step returns."""
+    h_norm, h_norms = _row_normalize(cache.h, out=cache.h)
     components = {"mod": 0.0, "nbr": 0.0, "comm": 0.0}
-    grad_h_norm = np.zeros_like(h_norm)
+    grad_h_norm = None  # the first active loss's gradient, then the sum
     grads_z_mod = None
 
+    def accumulate(value: float, grad: np.ndarray) -> float:
+        """Add a loss's gradient on h_norm to the sum; return its value."""
+        nonlocal grad_h_norm
+        if grad_h_norm is None:
+            grad_h_norm = grad
+        else:
+            grad_h_norm += grad
+        return value
+
     if not cfg.no_mod_loss:
-        z_units = [_row_normalize(z) for z in cache.z_list]
-        components["mod"], grads = cross_modality_loss(
-            [h_norm] + [z_norm for z_norm, _ in z_units],
+        z_norms = [_row_normalize(z, out=z)[1] for z in cache.z_list]
+        value, grads = cross_modality_loss(
+            [h_norm] + cache.z_list,
             delta=cfg.delta,
             negative_cap=_IMPOSTOR_CAP,
             seed=frozen.mms_seed,
             threads=setup.loss_threads,
         )
-        grad_h_norm += grads[0]
+        components["mod"] = accumulate(value, grads[0])
         grads_z_mod = [
             _row_normalize_vjp(z_norm, norms, g)
-            for (z_norm, norms), g in zip(z_units, grads[1:])
+            for z_norm, norms, g in zip(cache.z_list, z_norms, grads[1:])
         ]
-        del z_units, grads
+        del grads
 
     if not cfg.no_nbr_loss:
-        components["nbr"], grad = neighborhood_loss(
-            h_norm, frozen.samples, threads=setup.loss_threads
+        components["nbr"] = accumulate(
+            *neighborhood_loss(h_norm, frozen.samples, threads=setup.loss_threads)
         )
-        grad_h_norm += grad
 
     if not cfg.no_comm_loss:
-        components["comm"], grad = community_loss(
+        components["comm"] = accumulate(*community_loss(
             h_norm, frozen.assignments, frozen.centroids_norm, frozen.hard_sets
-        )
-        grad_h_norm += grad
+        ))
 
+    if grad_h_norm is None:
+        grad_h_norm = np.zeros_like(h_norm)
     grad_h = _row_normalize_vjp(h_norm, h_norms, grad_h_norm)
     del h_norm, grad_h_norm
     grad_u = dual_filter_vjp(setup.ops.a_hat, grad_h, cache.s_list, setup.step_filter)
@@ -359,14 +395,16 @@ class Adam:
 
 
 def _prune(
-    graph: MultimodalGraph, cache: ForwardCache, cfg: TrainConfig, threads: int
+    graph: MultimodalGraph, z_list: list[np.ndarray], cfg: TrainConfig, threads: int
 ) -> PrunedGraph:
-    """The walk graph, pruned once from the initial projections."""
+    """The walk graph, pruned once from the initial projections ``z_list``,
+    which it row-normalizes in place."""
     if cfg.no_aas:
         return passthrough_pruned(graph.edges)
-    z_norms = [_row_normalize(z)[0] for z in cache.z_list]
+    for z in z_list:
+        _row_normalize(z, out=z)
     return prune_graph(
-        graph.edges, z_norms, seed=_sub_seed(cfg.seed, _STREAM_PRUNE), threads=threads
+        graph.edges, z_list, seed=_sub_seed(cfg.seed, _STREAM_PRUNE), threads=threads
     )
 
 
@@ -466,7 +504,7 @@ def fit(
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(setup, params), cfg, setup.loss_threads)
+    pruned = _prune(graph, _forward(setup, params).z_list, cfg, setup.loss_threads)
 
     logs: list[EpochLog] = []
     frozen = None
@@ -474,7 +512,7 @@ def fit(
     latest_nmi: float | None = None
     with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         for epoch in range(cfg.epochs):
-            cache = _forward(setup, params)
+            cache = _forward(setup, params, keep_projections=not cfg.no_mod_loss)
             frozen = _step_state(epoch, cache, pruned, k, cfg, setup.threads, frozen)
             if _refreshes_clustering(epoch, cfg):
                 latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
@@ -482,6 +520,7 @@ def fit(
                 components, grad_weights, grad_logits = _step_gradients(
                     setup, params, cache, frozen, cfg
                 )
+                del cache  # spent, and not to be held through the next forward
                 # divergence guard: keep the last finite parameter state
                 if not all(math.isfinite(v) for v in components.values()):
                     stopped_at = epoch
@@ -509,16 +548,15 @@ def fit(
             if log_fh:
                 log_fh.write(json.dumps(asdict(entry)) + "\n")
 
-    cache = _forward(setup, params)
+    h = _forward(setup, params, keep_projections=False).h
     final_clustering = kmeans_fit(
-        cache.h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs),
-        threads=setup.threads,
+        h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs), threads=setup.threads,
     )
     return FitResult(
         params=params,
         clustering=final_clustering,
         epoch_logs=logs,
-        h=cache.h,
+        h=h,
         pruned=pruned,
         repairs=setup.repairs,
         stopped_at=stopped_at,
@@ -599,9 +637,8 @@ def end_to_end_gradient_check(
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(setup, params)
-    frozen = _step_state(
-        0, cache, _prune(graph, cache, cfg, setup.loss_threads), k, cfg, setup.threads
-    )
+    pruned = _prune(graph, _project(setup, params), cfg, setup.loss_threads)
+    frozen = _step_state(0, cache, pruned, k, cfg, setup.threads)
 
     _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)
 

@@ -111,6 +111,18 @@ def test_all_metrics_keys_and_consistency():
     assert scores["cs"] == completeness(truth, pred)
 
 
+@pytest.mark.parametrize("truth,pred", [
+    ([0, 0, 1, 1, 2, 2], [0, 1, 1, 1, 2, 0]),   # every score on its general path
+    ([0, 0, 1, 1], [5, 5, 7, 7]),               # identical partitions
+    ([0, 0, 0, 0], [0, 1, 2, 3]),               # one cluster against singletons
+    (np.arange(40) % 3, np.arange(40) % 4),
+])
+def test_all_metrics_values_are_python_floats(truth, pred):
+    """Every score is a plain float, not a numpy scalar, on every branch."""
+    scores = all_metrics(truth, pred)
+    assert {name: type(v) for name, v in scores.items()} == dict.fromkeys(scores, float)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         accuracy([0, 1], [0, 1, 2])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -517,7 +518,7 @@ def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
     cfg = TrainConfig(hidden_dim=8, walk_length=walk_length)
     params = init_params([6, 4], 8, seed=0)
     cache = forward(small_graph, params, cfg)[1]
-    pruned = trainer._prune(small_graph, cache, cfg, threads=1)
+    pruned = trainer._prune(small_graph, cache.z_list, cfg, threads=1)
     samples = trainer._step_state(0, cache, pruned, 3, cfg, threads=1).samples
     n = small_graph.n_nodes
     assert samples.positives.shape == (n, walk_length)
@@ -561,6 +562,68 @@ def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, mon
         monkeypatch.setattr(module, "map_indexed", no_work)
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
         calls[routine]()
+
+
+# -------------------------------------------------------------------- memory
+
+# Traced peak of a one-epoch fit of a 3000-node planted graph (hidden_dim 64,
+# one thread), in n x hidden_dim float64 arrays: 7.3 without the modality
+# loss and 12.4 with it (inside the margin loss).  The bounds sit below 11.0
+# and 16.4, the peaks of a fit whose steps keep a normalized copy next to h,
+# a zero gradient to add the first loss to, the z_i without the modality
+# loss, and the last step's arrays through the next forward.
+@pytest.mark.parametrize("no_mod_loss,bound", [(True, 8.5), (False, 14.0)],
+                         ids=["no-mod-loss", "full-model"])
+def test_fit_traced_peak_in_n_by_hidden_arrays(tmp_path, no_mod_loss, bound):
+    n = 3000
+    synth = SynthConfig(
+        n=n, k=4, p_in=50.0 / n, p_out=5.0 / n, cross_modal_correlation=0.6, seed=0,
+        modalities=[ModalitySpec("text", 32, signal_strength=1.0, noise_sigma=0.5),
+                    ModalitySpec("image", 24, signal_strength=1.0, noise_sigma=0.5)],
+    )
+    graph, _ = load_dataset(generate(synth, tmp_path).manifest)
+    cfg = TrainConfig(epochs=1, no_mod_loss=no_mod_loss)
+    tracemalloc.start()
+    try:
+        fit(graph, 4, cfg, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * cfg.hidden_dim * 8) < bound
+
+
+def _caller_bytes(graph: MultimodalGraph) -> list[bytes]:
+    edges = graph.edges
+    return [a.tobytes() for a in (edges.indptr, edges.indices, edges.data,
+                                  *(m.x for m in graph.modalities))]
+
+
+def test_in_place_work_never_reaches_the_callers_data(monkeypatch):
+    """fit, forward and the gradient check normalize and scale their own
+    arrays in place, never the graph's features (a float64 modality
+    included, which the setup could alias) or its csr arrays; forward's z_i
+    are the raw projections of the repaired attributes, bit for bit."""
+    monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 4)  # the capped margin loss
+    graph = random_graph(30, (5, 3), seed=4, p=0.2, labels_k=3)
+    graph.modalities[1].x = graph.modalities[1].x.astype(np.float64)
+    before = _caller_bytes(graph)
+    for switches in ({}, {"no_mod_loss": True}):
+        cfg = TrainConfig(epochs=3, kmeans_interval=2, hidden_dim=6, walk_length=3,
+                          **switches)
+        fit(graph, 3, cfg, threads=1)
+        assert _caller_bytes(graph) == before
+
+        params = init_params([5, 3], cfg.hidden_dim, seed=1)
+        weights = [w.copy() for w in params.weights]
+        cache = forward(graph, params, cfg, threads=1)[1]
+        assert _caller_bytes(graph) == before
+        xs = trainer._prepare(graph, cfg, 1).xs
+        for z, x, w in zip(cache.z_list, xs, weights):
+            assert z.tobytes() == (x @ w).tobytes()
+
+        report = end_to_end_gradient_check(graph, 3, cfg)
+        assert report.passed, [(e.name, e.max_rel_error) for e in report.entries]
+        assert _caller_bytes(graph) == before
 
 
 # ---------------------------------------------------------------------- adam
