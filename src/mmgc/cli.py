@@ -148,11 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="thread budget for the k-means restarts, run in two groups of five on "
-             "at most two threads, the node-filter column split, "
-             "and, when BLAS is pinned to one thread, the margin loss's modality "
-             "pairs and the scoring blocks of the neighborhood loss and of pruning "
-             "(default: the CPU count; a budget above it only adds switching); "
-             "results do not depend on it",
+             "at most two threads, and the node-filter column split; the loss layers "
+             "and pruning run on one thread (default: the CPU count; a budget above "
+             "it only adds switching); results do not depend on it",
     )
     _add_train_options(p)
     p.set_defaults(func=_cmd_cluster)
@@ -257,8 +255,7 @@ def _cmd_cluster(args) -> int:
     if budget > 1 and not blas_pinned():
         print(f"note: the thread budget (--threads) is {budget}; set "
               "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1 / MKL_NUM_THREADS=1): "
-              "a multi-threaded BLAS competes with these threads for the cores, "
-              "and the loss layers run on one thread until BLAS is pinned",
+              "a multi-threaded BLAS competes with these threads for the cores",
               file=sys.stderr)
 
     out = Path(args.out)

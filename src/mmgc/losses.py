@@ -15,11 +15,8 @@ and O(n * walk_length * d), with the same bits for any block size.  The
 gather serves the scores only: the neighborhood loss takes its gradient
 through sparse anchor-by-sample matrices of O(n * walk_length) entries.
 
-The margin loss's modality pairs and the row blocks of pruning and of the
-neighborhood loss run on a thread budget (``threads``, see
-``parallel.py``).  Every output entry comes from the same operations in
-the same order as on one thread, so the results never depend on the
-budget.
+Every routine here runs on the calling thread and takes no thread budget;
+``parallel.py`` gives the measurements behind that.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import add_isolated_self_loops, symmetric_adjacency
-from .parallel import map_indexed, thread_budget
 
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -174,38 +170,28 @@ def cross_modality_loss(
     delta: float = 0.1,
     negative_cap: int | None = None,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Margin loss summed over all ordered pairs of embedding sets.
 
     ``z_list`` typically holds the filtered embedding first, then one
     entry per modality.  The two orderings of a pair mirror each other
     exactly when they share one impostor draw, so each unordered pair is
-    evaluated once and doubled.  The pairs run in waves of up to
-    ``threads`` concurrent pairs; each wave is added up in pair order before
-    the next starts, the first gradient of each input serving as its sum,
-    so the result does not depend on the budget.  Returns ``(value, grads)``
-    with one gradient array per input.
+    evaluated once and doubled.  The pairs run one after another, each
+    folded into the sums before the next starts, the first gradient of each
+    input serving as its sum.  Returns ``(value, grads)`` with one gradient
+    array per input.
     """
-    threads = thread_budget(threads)
     m = len(z_list)
     if m < 2:
         raise ValueError("cross_modality_loss needs at least two embedding sets")
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-    def pair(p: int):
-        i, j = pairs[p]
-        return mms_loss(
-            z_list[i], z_list[j], delta=delta, negative_cap=negative_cap,
-            seed=_sub_seed(seed, i, j),
-        )
-
     total = 0.0
     grads: list = [None] * m
-    for start in range(0, len(pairs), threads):
-        wave = pairs[start:start + threads]
-        done = map_indexed(lambda p: pair(start + p), len(wave), threads)
-        for (i, j), (value, g_i, g_j) in zip(wave, done):
+    for i in range(m):
+        for j in range(i + 1, m):
+            value, g_i, g_j = mms_loss(
+                z_list[i], z_list[j], delta=delta, negative_cap=negative_cap,
+                seed=_sub_seed(seed, i, j),
+            )
             total += 2.0 * value
             for k, g in ((i, g_i), (j, g_j)):
                 g *= 2.0  # mms_loss returns new arrays
@@ -213,9 +199,7 @@ def cross_modality_loss(
                     grads[k] = g
                 else:
                     grads[k] += g
-        # a wave is folded before the next one starts, so no more than
-        # ``threads`` pairs' gradients are held besides the sums
-        del done, g_i, g_j, g
+            del g_i, g_j, g  # the next pair runs beside the m sums alone
     return total, grads
 
 
@@ -223,18 +207,13 @@ def cross_modality_loss(
 # cross-modal similarity and adaptive edge pruning
 
 
-def _pair_scores(
-    z_list: list[np.ndarray], us: np.ndarray, vs: np.ndarray, threads: int = 1
-) -> np.ndarray:
+def _pair_scores(z_list: list[np.ndarray], us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Symmetrized cross-modal similarity for aligned node-index arrays,
-    its row blocks spread over up to ``threads`` threads."""
+    gathered in row blocks."""
     scores = np.zeros(us.shape[0], dtype=np.float64)
     m = len(z_list)
     width = max(z.shape[1] for z in z_list)
-    blocks = _row_blocks(us.shape[0], width * 8)
-
-    def score(b: int) -> None:
-        blk = blocks[b]
+    for blk in _row_blocks(us.shape[0], width * 8):
         zu = [z[us[blk]] for z in z_list]
         zv = [z[vs[blk]] for z in z_list]
         for i in range(m):
@@ -242,8 +221,7 @@ def _pair_scores(
                 forward = np.einsum("rd,rd->r", zu[i], zv[j])
                 backward = np.einsum("rd,rd->r", zv[i], zu[j])
                 scores[blk] += 0.5 * (forward + backward)
-
-    map_indexed(score, len(blocks), threads)
+        del zu, zv  # before the next block gathers
     return scores
 
 
@@ -273,18 +251,14 @@ def passthrough_pruned(adj: sp.csr_matrix) -> PrunedGraph:
     )
 
 
-def prune_graph(
-    adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0, threads: int = 1
-) -> PrunedGraph:
+def prune_graph(adj: sp.csr_matrix, z_list: list[np.ndarray], seed: int = 0) -> PrunedGraph:
     """Drop edges whose cross-modal similarity falls below an adaptive bar.
 
     The bar is mean + population standard deviation of the similarity
     over ``|E|`` uniformly sampled node pairs (u != v, with replacement,
     seeded).  With one modality no pair is scored, so every score and the
-    bar are 0 and every edge is kept.  The scores run on up to ``threads``
-    threads; the result does not depend on the budget.
+    bar are 0 and every edge is kept.
     """
-    threads = thread_budget(threads)
     n = adj.shape[0]
     triu = sp.triu(adj, k=1).tocoo()
     n_edges = triu.nnz
@@ -295,10 +269,10 @@ def prune_graph(
     us = rng.integers(0, n, size=n_edges)
     vs = rng.integers(0, n - 1, size=n_edges)  # a rank among the nodes other than u
     vs += vs >= us
-    sample_scores = _pair_scores(z_list, us, vs, threads)
+    sample_scores = _pair_scores(z_list, us, vs)
     threshold = float(sample_scores.mean() + sample_scores.std())
 
-    edge_scores = _pair_scores(z_list, triu.row, triu.col, threads)
+    edge_scores = _pair_scores(z_list, triu.row, triu.col)
     keep = edge_scores >= threshold
     ready, loops = add_isolated_self_loops(
         symmetric_adjacency(n, triu.row[keep], triu.col[keep])
@@ -373,16 +347,14 @@ def sample_neighborhoods(adj: sp.csr_matrix, walk_length: int, *, seed: int = 0)
     return SampleSet(positives=positives, negatives=negatives)
 
 
-def neighborhood_loss(h: np.ndarray, samples: SampleSet, threads: int = 1):
+def neighborhood_loss(h: np.ndarray, samples: SampleSet):
     """Walk-positive contrastive loss over anchors, summed (not averaged).
 
     Per anchor, the walk visits score against the anchor embedding in
     the numerator while the negatives only enlarge the denominator; -1
-    padding in ``samples.negatives`` is masked out.  The scoring blocks
-    run on up to ``threads`` threads; the result does not depend on the
-    budget.  Returns ``(value, grad)``.
+    padding in ``samples.negatives`` is masked out.  The scores are
+    gathered in row blocks.  Returns ``(value, grad)``.
     """
-    threads = thread_budget(threads)
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[0]
     pos, neg = samples.positives, samples.negatives
@@ -391,16 +363,11 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet, threads: int = 1):
     if pos.shape[1] < 1:
         raise ValueError("every anchor needs at least one positive")
 
-    blocks = _row_blocks(n, max(pos.shape[1], neg.shape[1]) * h.shape[1] * 8)
     ep = np.empty(pos.shape)
     en = np.empty(neg.shape)
-
-    def score(b: int) -> None:
-        blk = blocks[b]
+    for blk in _row_blocks(n, max(pos.shape[1], neg.shape[1]) * h.shape[1] * 8):
         ep[blk] = np.exp(np.einsum("rcd,rd->rc", h[pos[blk]], h[blk]))
         en[blk] = np.exp(np.einsum("rcd,rd->rc", h[neg[blk]], h[blk]))
-
-    map_indexed(score, len(blocks), threads)
     sum_p = ep.sum(axis=1)
     # padding gathers row -1, whose score the mask then drops
     en = np.where(neg >= 0, en, 0.0)

@@ -2,37 +2,24 @@
 
 Callers pass a budget (``--threads`` on ``mmgc cluster``, the only
 subcommand that takes it; ``threads=`` on ``fit`` and ``forward``); ``None``
-means ``os.cpu_count()``.  It bounds up to five things.  k-means runs its ten
+means ``os.cpu_count()``.  It bounds two things.  k-means runs its ten
 restarts in two lockstep groups of five (``kmeans._GROUP``), one thread per
 group, so on at most two threads.  The node-domain filter series splits the
 columns into one block per thread, down to one column per block.  That
 series runs in one routine, ``filters.node_filter``, which ``dual_filter``
 calls before its feature half; a fit calls it in its setup only, through one
-``filters.filter_attributes`` per modality, in 64-column blocks.  When
-BLAS is pinned to one thread (``blas_pinned``), each training step also
-runs the margin loss's modality pairs (``losses.cross_modality_loss``,
-three pairs for two modalities) in waves of up to the budget, and the
-neighborhood loss splits its scoring blocks; pruning, once per fit,
-splits its scoring blocks.  On 2 cores with one BLAS thread, the margin
-loss of three 1000 x 64 sets took 17.1-17.5 ms at budget 1, 14.3 ms at 2
-and 14.4-14.5 ms at 3; at n = 16000, d = 64 the neighborhood loss took
-42-43, 37 and 38-39 ms, and pruning on three sets 118-122, 75-78 and 76
-ms (medians of 15, 9 and 5 calls), so a budget above the core count only
-adds switching.  Re-measured on 2026-10-20 on the same kind of VM (three
-fresh processes per budget) these read 25.1-26.2, 23.9-26.4 and 22.4-24.6
-ms; 66-85, 58-72 and 63-66 ms; and 156-196, 111-149 and 106-120 ms, and the
-benchmark workloads' reference fits took 0.46 and 0.49 s (planted-1k), 0.51
-and 0.43 s (planted-4k) and 1.59 and 1.22 s (nomod-16k) at budgets 1 and 2
-(medians of 4 fresh-process fits).  The neighborhood loss's sparse
-gradient products stay on one thread: split by rows they made planted-1k's
-fit about 2% slower (0.293 against 0.299 s, medians of 12 fresh-process
-fits) and saved about 4 ms a call at n = 16000.  A multi-threaded BLAS competes with these
-threads for the cores, so the gain needs one BLAS thread per process.  Its
-worker threads spin between calls, and the loss layers make many short
-ones: with OpenBLAS's default thread count (one per core), 20 epochs of
-planted-1k's config took 0.69-0.97 s with these layers on a budget of 2
-against 0.61-0.62 s with them on one thread (fastest of 3 fits, 2 runs).
-So they run on one thread unless the environment pins BLAS.
+``filters.filter_attributes`` per modality, in 64-column blocks.  The loss
+layers and pruning run on the calling thread, as a second thread bought
+them little: on 2 cores with one BLAS thread, budgets 1 and 2 took 26.2 and
+25.9 ms in the margin loss of three 1000 x 64 sets, and at n = 16000 85.5
+and 86.2 ms in pruning and 56.8 and 59.3 ms in the neighborhood loss
+(another measurement, on three sets of mean degree 16, read 124-162
+against 158-260 ms and 55-77 against 63-100 ms in favour of budget 2),
+while whole fits with these layers on one thread read a 1-4% lower median
+time, within the runs' spread, and about 1% lower peak RSS on every
+benchmark workload (``BENCH_28.json``).  A multi-threaded BLAS competes with the
+budget's threads for the cores, so the budget pays under one BLAS thread
+per process; ``blas_pinned`` tells whether the environment sets that.
 
 ``map_indexed`` runs indexed work items on up to the budget's threads,
 the calling thread included, and keeps each result at its index, so the

@@ -75,7 +75,7 @@ from .losses import (
     sample_neighborhoods,
 )
 from .metrics import nmi
-from .parallel import blas_pinned, thread_budget
+from .parallel import thread_budget
 
 # seed-stream tags so every random consumer draws independently
 _STREAM_INIT = 0
@@ -235,7 +235,6 @@ class _Setup:
     """What ``_prepare`` hands to fit, forward and the gradient check."""
 
     threads: int
-    loss_threads: int                   # threads if BLAS is pinned to one thread, else 1
     ops: NormalizedOperators
     xs: list[np.ndarray]                # repaired 64-bit attributes
     xfs: list[np.ndarray]               # node-filtered xs; xs itself when alpha = 0
@@ -278,10 +277,7 @@ def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> _
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
     xfs, repairs = zip(*(filter_attributes(ops.a_hat, x, filter_cfg, threads) for x in xs))
-    # the loss layers and pruning make many short BLAS calls, between which
-    # a multi-threaded BLAS spins and takes the cores from their threads
-    loss_threads = threads if blas_pinned() else 1
-    return _Setup(threads, loss_threads, ops, xs, list(xfs), replace(filter_cfg, alpha=0.0),
+    return _Setup(threads, ops, xs, list(xfs), replace(filter_cfg, alpha=0.0),
                   list(repairs))
 
 
@@ -332,7 +328,6 @@ def _step_gradients(
             delta=cfg.delta,
             negative_cap=_IMPOSTOR_CAP,
             seed=frozen.mms_seed,
-            threads=setup.loss_threads,
         )
         components["mod"] = accumulate(value, grads[0])
         grads_z_mod = [
@@ -342,9 +337,7 @@ def _step_gradients(
         del grads
 
     if not cfg.no_nbr_loss:
-        components["nbr"] = accumulate(
-            *neighborhood_loss(h_norm, frozen.samples, threads=setup.loss_threads)
-        )
+        components["nbr"] = accumulate(*neighborhood_loss(h_norm, frozen.samples))
 
     if not cfg.no_comm_loss:
         components["comm"] = accumulate(*community_loss(
@@ -394,18 +387,14 @@ class Adam:
             p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
 
 
-def _prune(
-    graph: MultimodalGraph, z_list: list[np.ndarray], cfg: TrainConfig, threads: int
-) -> PrunedGraph:
+def _prune(graph: MultimodalGraph, z_list: list[np.ndarray], cfg: TrainConfig) -> PrunedGraph:
     """The walk graph, pruned once from the initial projections ``z_list``,
     which it row-normalizes in place."""
     if cfg.no_aas:
         return passthrough_pruned(graph.edges)
     for z in z_list:
         _row_normalize(z, out=z)
-    return prune_graph(
-        graph.edges, z_list, seed=_sub_seed(cfg.seed, _STREAM_PRUNE), threads=threads
-    )
+    return prune_graph(graph.edges, z_list, seed=_sub_seed(cfg.seed, _STREAM_PRUNE))
 
 
 def _refreshes_clustering(epoch: int, cfg: TrainConfig) -> bool:
@@ -504,7 +493,7 @@ def fit(
         lr=cfg.lr,
     )
 
-    pruned = _prune(graph, _forward(setup, params).z_list, cfg, setup.loss_threads)
+    pruned = _prune(graph, _forward(setup, params).z_list, cfg)
 
     logs: list[EpochLog] = []
     frozen = None
@@ -637,7 +626,7 @@ def end_to_end_gradient_check(
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(setup, params)
-    pruned = _prune(graph, _project(setup, params), cfg, setup.loss_threads)
+    pruned = _prune(graph, _project(setup, params), cfg)
     frozen = _step_state(0, cache, pruned, k, cfg, setup.threads)
 
     _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)

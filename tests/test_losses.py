@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -245,20 +244,20 @@ def _plain_cross_modality_loss(zs, cap, seed):
 
 @pytest.mark.parametrize("sets", [2, 3, 4])
 def test_cross_modality_is_byte_identical_for_any_thread_budget(sets):
-    """Four sets fold three pair gradients into each input's sum."""
+    """Four sets fold three pair gradients into each input's sum.  The loss
+    takes no budget; ``fit`` is the same for any budget because its bytes
+    are those of the plain pairwise sum."""
     rng = np.random.default_rng(15)
     zs = [_unit_rows(rng.standard_normal((40, 5))) for _ in range(sets)]
     inputs = [z.tobytes() for z in zs]
     want_value, want_grads = _plain_cross_modality_loss(zs, 8, seed=9)
-    for threads in (1, 2, 3):
-        value, grads = cross_modality_loss(zs, negative_cap=8, seed=9, threads=threads)
-        assert value == want_value
-        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+    value, grads = cross_modality_loss(zs, negative_cap=8, seed=9)
+    assert value == want_value
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
     assert [z.tobytes() for z in zs] == inputs
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_cross_modality_raises_what_a_pair_raises(threads, monkeypatch):
+def test_cross_modality_raises_what_a_pair_raises(monkeypatch):
     rng = np.random.default_rng(16)
     zs = [_unit_rows(rng.standard_normal((10, 3))) for _ in range(3)]
     real = losses_module.mms_loss
@@ -270,20 +269,19 @@ def test_cross_modality_raises_what_a_pair_raises(threads, monkeypatch):
 
     monkeypatch.setattr(losses_module, "mms_loss", failing)
     with pytest.raises(FloatingPointError, match=r"pair \(1, 2\)"):
-        cross_modality_loss(zs, negative_cap=3, threads=threads)
+        cross_modality_loss(zs, negative_cap=3)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_cross_modality_holds_one_wave_of_pair_gradients(threads):
-    """Four sets make six pairs.  Each wave of ``threads`` pairs is folded
-    before the next starts, so the call holds the four sums and ``threads``
-    running pairs (half an n x d array of slack), not every pair's gradients."""
+def test_cross_modality_holds_one_pair_of_gradients():
+    """Four sets make six pairs.  Each pair is folded before the next starts,
+    so the call holds the four sums and one running pair (half an n x d array
+    of slack), not every pair's gradients."""
     n, d, cap = 2000, 64, 64
     rng = np.random.default_rng(19)
     zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(4)]
     one_pair = _traced_peak(lambda: mms_loss(zs[0], zs[1], negative_cap=cap, seed=3))
-    peak = _traced_peak(lambda: cross_modality_loss(zs, negative_cap=cap, threads=threads))
-    assert peak < (len(zs) + 0.5) * n * d * 8 + threads * one_pair
+    peak = _traced_peak(lambda: cross_modality_loss(zs, negative_cap=cap))
+    assert peak < (len(zs) + 0.5) * n * d * 8 + one_pair
 
 
 def _cross_modal_score(zs, u, v):
@@ -425,6 +423,8 @@ def test_prune_is_byte_identical_for_any_block_size(rows, monkeypatch):
 
 
 def test_prune_is_byte_identical_for_any_thread_budget(monkeypatch):
+    """Pruning takes no budget; its scores over several blocks are the plain
+    scores' bytes, so ``fit`` prunes the same for any budget."""
     rng = np.random.default_rng(17)
     n, d = 60, 5
     zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(3)]
@@ -433,13 +433,9 @@ def test_prune_is_byte_identical_for_any_thread_budget(monkeypatch):
     )
     inputs = [z.tobytes() for z in zs]
     triu = sp.triu(adj, k=1).tocoo()
-    _gather_rows(monkeypatch, 7, d * 8)  # several blocks for the threads to share
-    want_scores = _plain_pair_scores(zs, triu.row, triu.col).tobytes()
-    want = _pruned_bytes(prune_graph(adj, zs, seed=2, threads=1))
-    for threads in (1, 2, 3):
-        got = losses_module._pair_scores(zs, triu.row, triu.col, threads)
-        assert got.tobytes() == want_scores
-        assert _pruned_bytes(prune_graph(adj, zs, seed=2, threads=threads)) == want
+    _gather_rows(monkeypatch, 7, d * 8)  # several blocks
+    got = losses_module._pair_scores(zs, triu.row, triu.col)
+    assert got.tobytes() == _plain_pair_scores(zs, triu.row, triu.col).tobytes()
     assert [z.tobytes() for z in zs] == inputs
 
 
@@ -480,9 +476,9 @@ def test_prune_two_nodes_never_pairs_a_node_with_itself(monkeypatch):
     pairs = []
     real = losses_module._pair_scores
 
-    def recording(zs, us, vs, threads):
+    def recording(zs, us, vs):
         pairs.append((us.copy(), vs.copy()))
-        return real(zs, us, vs, threads)
+        return real(zs, us, vs)
 
     monkeypatch.setattr(losses_module, "_pair_scores", recording)
     rng = np.random.default_rng(14)
@@ -783,39 +779,18 @@ def test_neighborhood_sums_repeated_walk_visits_as_first_written():
     assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
 
-def _nan_empty(monkeypatch):
-    """Make ``np.empty`` return float arrays filled with NaN, so that an entry
-    nobody writes shows instead of a freed buffer's old contents."""
-    real = np.empty
-
-    def nan_empty(*args, **kwargs):
-        out = real(*args, **kwargs)
-        if out.dtype.kind in "fc":
-            out.fill(np.nan)
-        return out
-
-    monkeypatch.setattr(np, "empty", nan_empty)
-
-
 @pytest.mark.parametrize("n", [2, 50])
 def test_neighborhood_is_byte_identical_for_any_thread_budget(n, monkeypatch):
-    """The threads write disjoint row blocks of shared arrays; a short
-    switch interval interleaves them often.  At n = 2 there is one block."""
+    """The loss takes no budget; over several blocks (one at n = 2) it gives
+    the plain loss's bytes, so ``fit`` is the same for any budget."""
     d, walk = 6, 4
     h = _unit_rows(np.random.default_rng(18).standard_normal((n, d)))
     samples = _padded_samples(n, walk, 3, seed=18)
     inputs = [a.tobytes() for a in (h, samples.positives, samples.negatives)]
-    _gather_rows(monkeypatch, 7, walk * d * 8)  # several blocks for the threads to share
+    _gather_rows(monkeypatch, 7, walk * d * 8)  # several blocks
     want_value, want_grad = _plain_neighborhood_loss(h, samples)
-    _nan_empty(monkeypatch)  # a block that no thread scores cannot read back old scores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (1, 2, 3):
-            value, grad = neighborhood_loss(h, samples, threads=threads)
-            assert value == want_value and grad.tobytes() == want_grad.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    value, grad = neighborhood_loss(h, samples)
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
     assert [a.tobytes() for a in (h, samples.positives, samples.negatives)] == inputs
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmgc import filters, kmeans, losses, parallel, trainer
+from mmgc import filters, kmeans, parallel, trainer
 from mmgc.data import (
     ModalityFeatures,
     MultimodalGraph,
@@ -408,8 +409,8 @@ def test_fit_stops_when_a_loss_turns_non_finite(monkeypatch):
     calls = []
     real = trainer.neighborhood_loss
 
-    def nan_on_third(h_norm, samples, threads):
-        value, grad = real(h_norm, samples, threads)
+    def nan_on_third(h_norm, samples):
+        value, grad = real(h_norm, samples)
         calls.append(value)
         return (math.nan if len(calls) == 3 else value), grad
 
@@ -481,36 +482,39 @@ def test_blas_pinned_reads_the_thread_variables(env, pinned, monkeypatch):
     assert parallel.blas_pinned() == pinned
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-def test_loss_layers_take_the_budget_only_when_blas_is_pinned(small_graph, pinned,
-                                                              monkeypatch):
-    """A multi-threaded BLAS spins between the loss layers' short calls, so
-    the margin loss, the neighborhood loss and pruning get the budget only
-    under one BLAS thread; either way a fit trains to the same bits."""
+def test_training_step_and_pruning_start_no_thread(small_graph, monkeypatch):
+    """The loss layers and pruning run on the calling thread, even at a budget
+    above 1 with BLAS pinned to one thread, where the k-means restarts and the
+    node series do split."""
     for name in parallel.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    if pinned:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    budgets = []
-    real = losses.map_indexed
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    inside = []  # the names of the watched routines now running
+    started = {"inside": 0, "outside": 0}
+    real_start = threading.Thread.start
 
-    def recording(work, count, threads):
-        budgets.append(threads)
-        return real(work, count, threads)
+    def counting_start(thread):
+        started["inside" if inside else "outside"] += 1
+        return real_start(thread)
 
-    monkeypatch.setattr(losses, "map_indexed", recording)
-    cfg = TrainConfig(epochs=2, hidden_dim=8)
+    def watched(name):
+        real = getattr(trainer, name)
 
-    def run(threads):
-        result = fit(small_graph, 3, cfg, threads=threads)
-        return result.h.tobytes(), result.clustering.assignments.tobytes()
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
 
-    serial = run(1)
-    assert budgets and set(budgets) == {1}
-    budgets.clear()
-    assert run(3) == serial
-    assert set(budgets) == ({3} if pinned else {1})
-    assert trainer._prepare(small_graph, cfg, 3).loss_threads == (3 if pinned else 1)
+        monkeypatch.setattr(trainer, name, run)
+
+    watched("_step_gradients")
+    watched("_prune")
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    fit(small_graph, 3, TrainConfig(epochs=2, hidden_dim=8), threads=3)
+    assert started["inside"] == 0
+    assert started["outside"] > 0  # the budget was in force elsewhere
 
 
 @pytest.mark.parametrize("walk_length", [3, 7])
@@ -518,7 +522,7 @@ def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
     cfg = TrainConfig(hidden_dim=8, walk_length=walk_length)
     params = init_params([6, 4], 8, seed=0)
     cache = forward(small_graph, params, cfg)[1]
-    pruned = trainer._prune(small_graph, cache.z_list, cfg, threads=1)
+    pruned = trainer._prune(small_graph, cache.z_list, cfg)
     samples = trainer._step_state(0, cache, pruned, 3, cfg, threads=1).samples
     n = small_graph.n_nodes
     assert samples.positives.shape == (n, walk_length)
@@ -532,33 +536,24 @@ def test_non_positive_thread_budget_rejected(small_graph, threads):
 
 
 @pytest.mark.parametrize("threads", [0, -3])
-@pytest.mark.parametrize("routine", [
-    "node_filter", "filter_attributes", "cross_modality_loss", "neighborhood_loss",
-    "prune_graph", "kmeans_fit",
-])
+@pytest.mark.parametrize("routine", ["node_filter", "filter_attributes", "kmeans_fit"])
 def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, monkeypatch):
     """Each routine that takes a budget fails with ``parallel.thread_budget``'s
     error before it spreads any work over threads."""
     adj = symmetric_adjacency(6, np.arange(5), np.arange(1, 6))
     a_hat = normalize_adjacency(adj).a_hat
     x = np.random.default_rng(0).standard_normal((6, 3))
-    zs = [x, x[::-1].copy()]
-    samples = losses.SampleSet(positives=np.ones((6, 1), dtype=np.int64),
-                               negatives=np.zeros((6, 1), dtype=np.int64))
     calls = {
         "node_filter": lambda: filters.node_filter(a_hat, x, filters.DualFilterConfig(), threads),
         "filter_attributes": lambda: filters.filter_attributes(
             a_hat, x.copy(), filters.DualFilterConfig(), threads),
-        "cross_modality_loss": lambda: losses.cross_modality_loss(zs, threads=threads),
-        "neighborhood_loss": lambda: losses.neighborhood_loss(x, samples, threads=threads),
-        "prune_graph": lambda: losses.prune_graph(adj, zs, threads=threads),
         "kmeans_fit": lambda: kmeans.kmeans_fit(x, 2, threads=threads),
     }
 
     def no_work(*args):
         raise AssertionError("work started on a budget below 1")
 
-    for module in (filters, losses, kmeans):
+    for module in (filters, kmeans):
         monkeypatch.setattr(module, "map_indexed", no_work)
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
         calls[routine]()
