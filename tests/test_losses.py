@@ -257,30 +257,42 @@ def test_cross_modality_is_byte_identical_for_any_thread_budget(sets):
     assert [z.tobytes() for z in zs] == inputs
 
 
-def test_cross_modality_raises_what_a_pair_raises(monkeypatch):
+@pytest.mark.parametrize("failing_pair", [1, 2, 3])
+def test_cross_modality_raises_what_a_pair_raises(failing_pair, monkeypatch):
+    """Three sets make the pairs (0, 1), (0, 2) and (1, 2), folded in that
+    order; whichever of them raises, the call raises the same error."""
     rng = np.random.default_rng(16)
     zs = [_unit_rows(rng.standard_normal((10, 3))) for _ in range(3)]
+    i, j = [(0, 1), (0, 2), (1, 2)][failing_pair - 1]
     real = losses_module.mms_loss
 
     def failing(z_a, z_b, **kwargs):
-        if z_a is zs[1] and z_b is zs[2]:
-            raise FloatingPointError("pair (1, 2)")
+        if z_a is zs[i] and z_b is zs[j]:
+            raise FloatingPointError(f"pair ({i}, {j})")
         return real(z_a, z_b, **kwargs)
 
     monkeypatch.setattr(losses_module, "mms_loss", failing)
-    with pytest.raises(FloatingPointError, match=r"pair \(1, 2\)"):
+    with pytest.raises(FloatingPointError, match=rf"pair \({i}, {j}\)"):
         cross_modality_loss(zs, negative_cap=3)
 
 
-def test_cross_modality_holds_one_pair_of_gradients():
+@pytest.mark.parametrize("calls", [1, 2])
+def test_cross_modality_holds_one_wave_of_pair_gradients(calls):
     """Four sets make six pairs.  Each pair is folded before the next starts,
-    so the call holds the four sums and one running pair (half an n x d array
-    of slack), not every pair's gradients."""
+    so a wave is one pair: the call holds the four sums and one running pair
+    (half an n x d array of slack), not every pair's gradients.  A second call
+    in a row, as in training, stays under the same bound, so nothing of the
+    first call outlives it."""
     n, d, cap = 2000, 64, 64
     rng = np.random.default_rng(19)
     zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(4)]
     one_pair = _traced_peak(lambda: mms_loss(zs[0], zs[1], negative_cap=cap, seed=3))
-    peak = _traced_peak(lambda: cross_modality_loss(zs, negative_cap=cap))
+
+    def run():
+        for _ in range(calls):
+            cross_modality_loss(zs, negative_cap=cap)
+
+    peak = _traced_peak(run)
     assert peak < (len(zs) + 0.5) * n * d * 8 + one_pair
 
 
