@@ -11,9 +11,11 @@ Subcommands:
 Only ``cluster`` accepts ``--threads``, its thread budget (default: the
 CPU count; it must be >= 1); ``parallel.py`` describes what it bounds.
 ``spectra`` and ``gradcheck`` run on the default budget.  With a budget
-above 1 and no BLAS thread count set in the environment, ``cluster`` notes
-on stderr that one BLAS thread per process avoids contention with these
-threads.
+above 1, ``cluster`` notes on stderr that one BLAS thread per process
+avoids contention with these threads.  It does so whenever the environment
+does not pin BLAS to one thread (``parallel.blas_pinned``): with no BLAS
+thread count set, and with a count other than 1 such as
+``OPENBLAS_NUM_THREADS=4``.
 """
 
 from __future__ import annotations

@@ -613,8 +613,70 @@ def test_training_process_loads_no_optimize_spatial_or_linalg():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_help_loads_no_optimize_spatial_or_linalg():
+# importing mmgc defers numpy.f2py and numpy.testing: scipy.sparse's
+# ``from numpy import *`` binds them without running them, and no fit reads
+# them; one of these modules in sys.modules means a package ran
+_DEFERRED = ("numpy.f2py.crackfortran", "numpy.testing._private.utils",
+             "charset_normalizer", "unittest")
+
+_DEFERRAL_CONTRACT = f"""
+import sys, tempfile
+import numpy as np
+from mmgc import data, metrics, trainer
+from mmgc.datagen import ModalitySpec, SynthConfig, generate
+
+def ran():
+    return [m for m in {_DEFERRED!r} if m in sys.modules]
+
+synth = SynthConfig(n=200, k=4, p_in=0.25, p_out=0.025, seed=3,
+                    modalities=[ModalitySpec("text", 12), ModalitySpec("image", 8)])
+with tempfile.TemporaryDirectory() as tmp:
+    graph, _ = data.load_dataset(generate(synth, tmp).manifest)
+result = trainer.fit(graph, synth.k, trainer.TrainConfig(epochs=2), threads=2)
+a = result.clustering.assignments
+scores = [metrics.nmi(graph.labels, a), metrics.ari(graph.labels, a)]
+assert np.isfinite(scores).all(), scores
+assert ran() == [], ran()
+np.testing.assert_allclose(1.0, 1.0)
+assert "numpy.testing._private.utils" in sys.modules
+import numpy.f2py
+assert callable(numpy.f2py.run_main)
+assert "numpy.f2py.crackfortran" in sys.modules
+"""
+
+
+def test_training_process_defers_f2py_and_testing_until_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFERRAL_CONTRACT],
+        capture_output=True, text=True, timeout=120, env=_SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_packages_imported_before_mmgc_stay_as_they_were():
+    """A host that imported numpy.testing and numpy.f2py first keeps those
+    fully run modules: importing mmgc and scipy.sparse replaces neither."""
     script = """
+import sys
+import numpy.f2py, numpy.testing
+before = {name: sys.modules[name] for name in ("numpy.f2py", "numpy.testing")}
+import numpy
+from mmgc import data, trainer
+for name, module in before.items():
+    assert sys.modules[name] is module, name
+    assert getattr(numpy, name.split(".")[1]) is module, name
+assert "numpy.testing._private.utils" in sys.modules
+assert "numpy.f2py.crackfortran" in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=_SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_help_loads_no_optimize_spatial_or_linalg():
+    script = f"""
 import runpy, sys
 sys.argv = ["mmgc", "--help"]
 try:
@@ -622,7 +684,8 @@ try:
 except SystemExit:
     pass
 heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg")
-print(sorted({m for m in sys.modules if m.startswith(heavy)}))
+print(sorted({{m for m in sys.modules if m.startswith(heavy)}}
+             | {{m for m in {_DEFERRED!r} if m in sys.modules}}))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],

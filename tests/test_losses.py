@@ -243,10 +243,10 @@ def _plain_cross_modality_loss(zs, cap, seed):
 
 
 @pytest.mark.parametrize("sets", [2, 3, 4])
-def test_cross_modality_is_byte_identical_for_any_thread_budget(sets):
-    """Four sets fold three pair gradients into each input's sum.  The loss
-    takes no budget; ``fit`` is the same for any budget because its bytes
-    are those of the plain pairwise sum."""
+def test_cross_modality_is_byte_identical_to_the_plain_pairwise_sum(sets):
+    """Four sets fold three pair gradients into each input's sum; the value
+    and gradients are those of the plain pairwise sum, byte for byte, and
+    the inputs keep their bytes."""
     rng = np.random.default_rng(15)
     zs = [_unit_rows(rng.standard_normal((40, 5))) for _ in range(sets)]
     inputs = [z.tobytes() for z in zs]
@@ -425,6 +425,7 @@ def test_prune_is_byte_identical_for_any_block_size(rows, monkeypatch):
     adj = edges_from_pairs(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
     )
+    inputs = [z.tobytes() for z in zs]
     triu = sp.triu(adj, k=1).tocoo()
     assert triu.nnz > 7  # several blocks at 7 rows
     want = _pruned_bytes(prune_graph(adj, zs, seed=2))
@@ -432,22 +433,6 @@ def test_prune_is_byte_identical_for_any_block_size(rows, monkeypatch):
     got = losses_module._pair_scores(zs, triu.row, triu.col)
     assert got.tobytes() == _plain_pair_scores(zs, triu.row, triu.col).tobytes()
     assert _pruned_bytes(prune_graph(adj, zs, seed=2)) == want
-
-
-def test_prune_is_byte_identical_for_any_thread_budget(monkeypatch):
-    """Pruning takes no budget; its scores over several blocks are the plain
-    scores' bytes, so ``fit`` prunes the same for any budget."""
-    rng = np.random.default_rng(17)
-    n, d = 60, 5
-    zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(3)]
-    adj = edges_from_pairs(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
-    )
-    inputs = [z.tobytes() for z in zs]
-    triu = sp.triu(adj, k=1).tocoo()
-    _gather_rows(monkeypatch, 7, d * 8)  # several blocks
-    got = losses_module._pair_scores(zs, triu.row, triu.col)
-    assert got.tobytes() == _plain_pair_scores(zs, triu.row, triu.col).tobytes()
     assert [z.tobytes() for z in zs] == inputs
 
 
@@ -792,9 +777,9 @@ def test_neighborhood_sums_repeated_walk_visits_as_first_written():
 
 
 @pytest.mark.parametrize("n", [2, 50])
-def test_neighborhood_is_byte_identical_for_any_thread_budget(n, monkeypatch):
-    """The loss takes no budget; over several blocks (one at n = 2) it gives
-    the plain loss's bytes, so ``fit`` is the same for any budget."""
+def test_neighborhood_is_byte_identical_to_the_plain_loss_in_blocks(n, monkeypatch):
+    """Over several blocks (one at n = 2) the loss gives the plain loss's
+    bytes, and the inputs keep their bytes."""
     d, walk = 6, 4
     h = _unit_rows(np.random.default_rng(18).standard_normal((n, d)))
     samples = _padded_samples(n, walk, 3, seed=18)
