@@ -12,8 +12,8 @@ per workload follows, the sha256 prefix of what ``load_dataset`` returned:
 the csr ``indptr``, ``indices`` and ``data``, the labels and each modality's
 features, each array's dtype and shape included.  A ``forward`` line per
 workload gives the sha256 prefixes of what the public ``trainer.forward``
-returns at the initial parameters of the workload's training config, with
-the script's thread budget: ``h``, then each ``z_i``, then each shift.  Next
+returns at the initial parameters of the workload's training config: ``h``,
+then each ``z_i``, then each shift.  Next
 come the ``repr`` of each workload's ``all_metrics`` (acc, nmi, f1, ari, cs)
 of the reference assignments against the labels.  Then, for each
 ``no_*`` switch of ``TrainConfig``, it fits planted-1k's graph and config with
@@ -35,11 +35,10 @@ BLAS runs with the benchmark's thread count unless the environment sets one.
 
 ``--threads N`` passes the thread budget N to every ``fit`` (default: the
 CPU count), so byte identity across budgets is one diff of the output with
-``--threads 1`` against the output without it.  Over a budget above 1 every
-fit splits its node series' columns and runs its k-means restarts in two
-groups on two threads, so on more than one CPU that diff covers these
-splits; the loss layers and pruning run on one thread at any budget.  The
-diagnose and gradcheck lines take no budget.
+``--threads 1`` against the output without it.  The budget bounds the
+k-means restarts alone: over a budget above 1 every fit runs them in two
+groups on two threads, so on more than one CPU that diff covers them.  The
+forward, diagnose and gradcheck lines take no budget.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ def main() -> None:
         loads[name] = _loaded(graph)
         cfg = TrainConfig(**workload.train_config())
         params = init_params([m.dim for m in graph.modalities], cfg.hidden_dim, cfg.seed)
-        cache = forward(graph, params, cfg, threads=threads)[1]
+        cache = forward(graph, params, cfg)[1]
         forwards[name] = [_sha(a.tobytes()) for a in (cache.h, *cache.z_list, *cache.s_list)]
         result = fit(graph, synth.k, cfg, threads=threads)
         scores[name] = all_metrics(graph.labels, result.clustering.assignments)

@@ -9,13 +9,13 @@ Subcommands:
 * ``gradcheck`` finite-difference verification of the analytic gradients
 
 Only ``cluster`` accepts ``--threads``, its thread budget (default: the
-CPU count; it must be >= 1); ``parallel.py`` describes what it bounds.
-``spectra`` and ``gradcheck`` run on the default budget.  With a budget
-above 1, ``cluster`` notes on stderr that one BLAS thread per process
-avoids contention with these threads.  It does so whenever the environment
-does not pin BLAS to one thread (``parallel.blas_pinned``): with no BLAS
-thread count set, and with a count other than 1 such as
-``OPENBLAS_NUM_THREADS=4``.
+CPU count; it must be >= 1), which bounds the k-means restarts alone
+(``parallel.py``).  ``gradcheck`` clusters on the default budget, and
+``spectra`` starts no thread.  With a budget above 1, ``cluster`` notes on
+stderr that one BLAS thread per process avoids contention with these
+threads.  It does so whenever the environment does not pin BLAS to one
+thread (``parallel.blas_pinned``): with no BLAS thread count set, and with
+a count other than 1 such as ``OPENBLAS_NUM_THREADS=4``.
 """
 
 from __future__ import annotations
@@ -150,9 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="thread budget for the k-means restarts, run in two groups of five on "
-             "at most two threads, and the node-filter column split; the loss layers "
-             "and pruning run on one thread (default: the CPU count; a budget above "
-             "it only adds switching); results do not depend on it",
+             "at most two threads; the rest of a fit runs on one thread (default: "
+             "the CPU count); results do not depend on it",
     )
     _add_train_options(p)
     p.set_defaults(func=_cmd_cluster)

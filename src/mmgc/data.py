@@ -228,9 +228,12 @@ def _labels_by_line(path, n_nodes: int) -> np.ndarray:
     values: list[int] = []
     for lineno, line in _lines(path):
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer label") from exc
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{path}:{lineno}: label out of int64 range")
+        values.append(value)
     if len(values) != n_nodes:
         raise ValueError(f"{path}: {len(values)} labels for {n_nodes} nodes")
     labels = np.asarray(values, dtype=np.int64)

@@ -26,10 +26,9 @@ acts on rows, so it commutes with the projections that act on columns.
 ``node_filter`` followed by the feature half, and a fit's setup runs it
 once per modality in ``filter_attributes``, which also makes the repair,
 so that each step's ``dual_filter`` and VJP run with alpha = 0, where
-``node_filter`` hands its input back untouched.  The series splits each
-64-column block over a thread budget (``threads``), each thread running the
-whole series on its own columns.  Every output entry is summed in the same
-order as on one thread, so no budget or block width changes a bit.
+``node_filter`` hands its input back untouched.  The series runs on the
+calling thread, one 64-column block at a time.  Every output entry is summed
+in the same order whatever the block width, so the width changes no bit.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import scipy.sparse as sp
 
 from .data import NormalizedOperators, laplacian
 from .diagnostics import OUTLIER_TAU, zscore_outliers
-from .parallel import map_indexed, thread_budget
 
 _DENSE_LIMIT = 2000
 
@@ -146,7 +144,7 @@ def dual_filter(
 _REPAIR_COLUMNS = 64
 
 
-def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -> np.ndarray:
+def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig) -> np.ndarray:
     """The node-domain half of the dual filter on its own:
     ``sum_{s=0..t} (ca * A)^s x / (alpha + 1)`` with ``ca = alpha / (alpha + 1)``.
 
@@ -155,26 +153,17 @@ def node_filter(a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1) -
     with alpha set to 0.  With alpha = 0 the series is the identity and
     ``x`` itself comes back: no pass runs and nothing is copied.  Otherwise
     the result is a new array, made 64 (``_REPAIR_COLUMNS``) columns at a
-    time on the csr form of ``a_hat``, each block split into
-    ``min(threads, columns)`` parts.  Each column is summed in the same
-    order whatever the other columns and the budget.
+    time on the csr form of ``a_hat``.  Each column is summed in the same
+    order whatever the other columns.
     """
-    threads = thread_budget(threads)
     if cfg.alpha == 0.0:
         return x
     a_hat = sp.csr_matrix(a_hat)  # a csr input's arrays are shared, not copied
     ca = cfg.alpha / (cfg.alpha + 1.0)
     out = np.empty(x.shape, dtype=np.float64)
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
-        d = min(_REPAIR_COLUMNS, x.shape[1] - start)
-        parts = min(threads, d)
-        bounds = [start + d * i // parts for i in range(parts + 1)]
-
-        def part(i: int) -> None:
-            cols = slice(bounds[i], bounds[i + 1])
-            out[:, cols] = _series(a_hat, x[:, cols], ca, cfg.t_layers)
-
-        map_indexed(part, parts, parts)
+        cols = slice(start, start + _REPAIR_COLUMNS)
+        out[:, cols] = _series(a_hat, x[:, cols], ca, cfg.t_layers)
     out /= cfg.alpha + 1.0
     return out
 
@@ -188,7 +177,7 @@ class RepairReport:
 
 
 def filter_attributes(
-    a_hat, x: np.ndarray, cfg: DualFilterConfig, threads: int = 1
+    a_hat, x: np.ndarray, cfg: DualFilterConfig
 ) -> tuple[np.ndarray, RepairReport]:
     """Repair one modality's raw attributes in place; return their node
     filter ``xf`` and what the repair did.
@@ -207,13 +196,12 @@ def filter_attributes(
     half of the entries share one value, the rare values are the signal and
     a z-screen would flag them all.  Nothing is repaired when
     ``cfg.beta == 0`` (FDD off) or ``cfg.alpha == 0`` (then ``xf`` is ``x``).
-    ``threads`` bounds the column split of the node-domain series.
     """
     cfg.validate()
     if x.shape[0] != a_hat.shape[0]:
         raise ValueError("row count of x must match the adjacency")
     report = RepairReport(entries_replaced=0, sparse_columns=0)
-    xf = node_filter(a_hat, x, cfg, threads)
+    xf = node_filter(a_hat, x, cfg)
     if cfg.beta == 0.0 or cfg.alpha == 0.0:
         return xf, report
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
@@ -231,9 +219,9 @@ def filter_attributes(
         # filter the hit columns again with their outliers at the column median
         cols, flagged = block[:, hit], mask[:, hit]
         cols[flagged] = np.broadcast_to(median[hit], cols.shape)[flagged]
-        cols[flagged] = node_filter(a_hat, cols, cfg, threads)[flagged]
+        cols[flagged] = node_filter(a_hat, cols, cfg)[flagged]
         block[:, hit] = cols
-        xf[:, start + np.flatnonzero(hit)] = node_filter(a_hat, cols, cfg, threads)
+        xf[:, start + np.flatnonzero(hit)] = node_filter(a_hat, cols, cfg)
     return xf, report
 
 

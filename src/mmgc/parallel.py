@@ -1,25 +1,21 @@
 """The thread budget and the one way work is spread over it.
 
 Callers pass a budget (``--threads`` on ``mmgc cluster``, the only
-subcommand that takes it; ``threads=`` on ``fit`` and ``forward``); ``None``
-means ``os.cpu_count()``.  It bounds two things.  k-means runs its ten
-restarts in two lockstep groups of five (``kmeans._GROUP``), one thread per
-group, so on at most two threads.  The node-domain filter series splits the
-columns into one block per thread, down to one column per block.  That
-series runs in one routine, ``filters.node_filter``, which ``dual_filter``
-calls before its feature half; a fit calls it in its setup only, through one
-``filters.filter_attributes`` per modality, in 64-column blocks.  The loss
-layers and pruning run on the calling thread, as a second thread bought
-them little: on 2 cores with one BLAS thread, budgets 1 and 2 took 26.2 and
-25.9 ms in the margin loss of three 1000 x 64 sets, and at n = 16000 85.5
-and 86.2 ms in pruning and 56.8 and 59.3 ms in the neighborhood loss
-(another measurement, on three sets of mean degree 16, read 124-162
-against 158-260 ms and 55-77 against 63-100 ms in favour of budget 2),
-while whole fits with these layers on one thread read a 1-4% lower median
-time, within the runs' spread, and about 1% lower peak RSS on every
-benchmark workload (``BENCH_28.json``).  A multi-threaded BLAS competes with the
-budget's threads for the cores, so the budget pays under one BLAS thread
-per process; ``blas_pinned`` tells whether the environment sets that.
+subcommand that takes it; ``threads=`` on ``fit``); ``None`` means
+``os.cpu_count()``.  It bounds one thing: k-means runs its ten restarts in
+two lockstep groups of five (``kmeans._GROUP``), one thread per group, so on
+at most two threads.  Everything else runs on the calling thread, as a
+second thread bought it nothing on 2 cores with one BLAS thread.  A fit's
+setup, the node-domain filter series of ``filters.node_filter`` in 64-column
+blocks, took 11.4, 41.6 and 298 ms on one thread against 13.2, 51.2 and
+297 ms with each block split in two (the benchmark's planted-1k, planted-4k
+and nomod-16k graphs, medians of 15 alternations).  The loss layers and pruning read 26.2 against 25.9 ms
+in the margin loss of three 1000 x 64 sets, and at n = 16000 85.5 against
+86.2 ms in pruning and 56.8 against 59.3 ms in the neighborhood loss, while
+whole fits with them on one thread read a 1-4% lower median time and about
+1% lower peak RSS (``BENCH_28.json``).  A multi-threaded BLAS competes with
+the restarts' threads for the cores, so the budget pays under one BLAS
+thread per process; ``blas_pinned`` tells whether the environment sets that.
 
 ``map_indexed`` runs indexed work items on up to the budget's threads,
 the calling thread included, and keeps each result at its index, so the

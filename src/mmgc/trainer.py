@@ -31,9 +31,10 @@ losses and parameter gradients to training and to the finite-difference
 replay of ``end_to_end_gradient_check``, so both paths share the same
 freeze.
 
-``fit`` and ``forward`` take one thread budget, ``threads``; ``parallel.py``
-describes what it bounds.  Of the command line, only ``cluster`` sets it
-(``--threads``); ``end_to_end_gradient_check`` runs on the default budget.
+``fit`` takes one thread budget, ``threads``, which bounds its k-means
+restarts alone (``parallel.py``); the setup and the steps run on the calling
+thread.  Of the command line, only ``cluster`` sets it (``--threads``);
+``end_to_end_gradient_check`` clusters on the default budget.
 """
 
 from __future__ import annotations
@@ -234,7 +235,6 @@ def init_params(
 class _Setup:
     """What ``_prepare`` hands to fit, forward and the gradient check."""
 
-    threads: int
     ops: NormalizedOperators
     xs: list[np.ndarray]                # repaired 64-bit attributes
     xfs: list[np.ndarray]               # node-filtered xs; xs itself when alpha = 0
@@ -268,28 +268,25 @@ def _forward(
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
 
-def _prepare(graph: MultimodalGraph, cfg: TrainConfig, threads: int | None) -> _Setup:
-    """Validate ``cfg``, resolve the thread budget, normalize the adjacency,
-    and repair and node-filter each modality's 64-bit attributes."""
+def _prepare(graph: MultimodalGraph, cfg: TrainConfig) -> _Setup:
+    """Validate ``cfg``, normalize the adjacency, and repair and node-filter
+    each modality's 64-bit attributes."""
     cfg.validate()
-    threads = thread_budget(threads)
     ops = normalize_adjacency(graph.edges)
     filter_cfg = cfg.filter_config()
     xs = [m.x.astype(np.float64) for m in graph.modalities]
-    xfs, repairs = zip(*(filter_attributes(ops.a_hat, x, filter_cfg, threads) for x in xs))
-    return _Setup(threads, ops, xs, list(xfs), replace(filter_cfg, alpha=0.0),
-                  list(repairs))
+    xfs, repairs = zip(*(filter_attributes(ops.a_hat, x, filter_cfg) for x in xs))
+    return _Setup(ops, xs, list(xfs), replace(filter_cfg, alpha=0.0), list(repairs))
 
 
 def forward(
     graph: MultimodalGraph,
     params: ModelParams,
     cfg: TrainConfig,
-    threads: int | None = None,
 ) -> tuple[NormalizedOperators, ForwardCache]:
     """Repair, project, mix, and filter; returns the normalized operators and
     the cache holding z_list, s_list and h."""
-    setup = _prepare(graph, cfg, threads)
+    setup = _prepare(graph, cfg)
     cache = _forward(setup, params)
     if not np.isfinite(cache.h).all():
         raise ValueError("forward produced non-finite representations")
@@ -477,16 +474,18 @@ def fit(
     the parameters are returned untouched.  If a loss turns non-finite or
     an update leaves a non-finite parameter, training stops with the last
     finite parameters and ``stopped_at`` names the epoch.  ``threads`` is
-    the thread budget (None: the CPU count); the result does not depend on it.
+    the k-means restarts' thread budget (None: the CPU count); the result
+    does not depend on it.
     """
     cfg = cfg or TrainConfig()
     if k < 1:
         raise ValueError("cluster count must be >= 1")
     if k > graph.n_nodes:
         raise ValueError("cluster count exceeds the number of nodes")
+    threads = thread_budget(threads)
 
     any_loss = not (cfg.no_mod_loss and cfg.no_nbr_loss and cfg.no_comm_loss)
-    setup = _prepare(graph, cfg, threads)
+    setup = _prepare(graph, cfg)
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
     adam = Adam(
         [w.shape for w in params.weights] + [params.combine_logits.shape],
@@ -502,7 +501,7 @@ def fit(
     with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         for epoch in range(cfg.epochs):
             cache = _forward(setup, params, keep_projections=not cfg.no_mod_loss)
-            frozen = _step_state(epoch, cache, pruned, k, cfg, setup.threads, frozen)
+            frozen = _step_state(epoch, cache, pruned, k, cfg, threads, frozen)
             if _refreshes_clustering(epoch, cfg):
                 latest_nmi = _masked_nmi(graph.labels, frozen.assignments)
             if any_loss:
@@ -539,7 +538,7 @@ def fit(
 
     h = _forward(setup, params, keep_projections=False).h
     final_clustering = kmeans_fit(
-        h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs), threads=setup.threads,
+        h, k, seed=_sub_seed(cfg.seed, _STREAM_KMEANS, cfg.epochs), threads=threads,
     )
     return FitResult(
         params=params,
@@ -617,17 +616,17 @@ def end_to_end_gradient_check(
     so the step objective is a smooth function of the parameters; the
     central differences step 1e-3.  Each projection matrix is checked on
     ``_GRADCHECK_COORDS`` (40) coordinates drawn with ``seed``, or on all
-    of them when it has no more; the mixing logits on all.  It runs on the
-    default thread budget.
+    of them when it has no more; the mixing logits on all.  Its k-means runs
+    on the default thread budget.
     """
     step = 1e-3
     cfg = cfg or TrainConfig()
-    setup = _prepare(graph, cfg, None)
+    setup = _prepare(graph, cfg)
     params = init_params([x.shape[1] for x in setup.xs], cfg.hidden_dim, cfg.seed)
 
     cache = _forward(setup, params)
     pruned = _prune(graph, _project(setup, params), cfg)
-    frozen = _step_state(0, cache, pruned, k, cfg, setup.threads)
+    frozen = _step_state(0, cache, pruned, k, cfg, thread_budget(None))
 
     _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)
 

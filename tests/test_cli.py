@@ -165,6 +165,16 @@ def test_cluster_malformed_edges_names_the_line(dataset_dir, tmp_path, capsys):
     assert err == f"error: {edges}:2: expected 'u v', got '0 1 2'\n"
 
 
+@pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+def test_cluster_label_out_of_int64_range_names_the_line(label, dataset_dir, tmp_path,
+                                                         capsys):
+    labels = dataset_dir.parent / "labels.txt"
+    labels.write_text(f"0\n{label}\n", encoding="utf-8")
+    argv = ["cluster", "--data", str(dataset_dir), *FAST_TRAIN, "--out", str(tmp_path / "run")]
+    err = _expect_failure(argv, capsys)
+    assert err == f"error: {labels}:2: label out of int64 range\n"
+
+
 def test_cluster_end_to_end(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["cluster", "--data", str(dataset_dir),

@@ -300,6 +300,8 @@ MALFORMED = [
     (read_labels, "0\n-2\n1\n", ": labels must be >= -1"),
     (read_labels, "0\nx\n1\n", ":2: non-integer label"),
     (read_labels, "0 1\n1\n2\n", ":1: non-integer label"),
+    (read_labels, "0\n99999999999999999999\n1\n", ":2: label out of int64 range"),
+    (read_labels, "0\n1\n-99999999999999999999\n", ":3: label out of int64 range"),
 ]
 
 
@@ -307,7 +309,7 @@ MALFORMED = [
 @pytest.mark.parametrize("read, text, message", MALFORMED, ids=[
     "three-columns", "mixed-columns", "non-integer", "float", "negative-id", "id-equals-n",
     "above-int64", "too-few-labels", "too-many-labels", "empty-labels", "label-below-minus-one",
-    "non-integer-label", "two-column-labels"])
+    "non-integer-label", "two-column-labels", "label-above-int64", "label-below-int64"])
 def test_malformed_text_file_names_its_line(tmp_path, read, text, message):
     path = _write_text(tmp_path / "file.txt", text)
     _raises_exactly(f"{path}{message}", read, path, 3)

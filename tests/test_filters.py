@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -490,47 +489,31 @@ def test_alpha_zero_makes_no_node_pass(beta):
     assert node_filter(_NoProducts(40), z, cfg) is z  # the identity: no pass, no copy
 
 
-# -------------------------------------------------------------- column split
-
-@pytest.fixture
-def split_blocks(monkeypatch):
-    """The block counts of the column splits the node series makes: maps of
-    more than one block, since a one-block map starts no helper."""
-    blocks = []
-    real = filters_module.map_indexed
-
-    def counting(work, count, threads):
-        if count > 1:
-            blocks.append(count)
-        return real(work, count, threads)
-
-    monkeypatch.setattr(filters_module, "map_indexed", counting)
-    return blocks
-
+# -------------------------------------------------------------- column blocks
 
 def _plain_series(a_hat, y0, coeff, t):
-    """The series as first written: one new array per pass, no split."""
+    """The series as first written: one new array per pass, no column blocks."""
     y = y0.copy()
     for _ in range(t):
         y = y0 + coeff * (a_hat @ y)
     return y
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3])
 @pytest.mark.parametrize(
     "cols, block", [(1, 256), (2, 256), (5, 256), (64, 256), (64, 5)],
-    ids=["1", "2", "5", "64", "64x5"],  # 64x5: 13 column blocks, each split
+    ids=["1", "2", "5", "64", "64x5"],  # 64x5: 13 column blocks
 )
-def test_column_split_is_byte_identical(cols, block, threads, split_blocks, monkeypatch):
+def test_column_split_is_byte_identical(cols, block, t, monkeypatch):
     monkeypatch.setattr(filters_module, "_REPAIR_COLUMNS", block)
     ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
     wide = np.random.default_rng(8).standard_normal((300, cols + 3))
-    for y0 in (wide[:, :cols].copy(), wide[:, 3:]):  # contiguous, and a column slice
-        got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
-        assert got.tobytes() == (_plain_series(ops.a_hat, y0, 0.5, 10) / 2.0).tobytes()
-    widths = [min(block, cols - start) for start in range(0, cols, block)]
-    expected_blocks = [p for p in (min(threads, w) for w in widths) if p > 1]
-    assert split_blocks == expected_blocks * 2
+    cfg = DualFilterConfig(t_layers=t)
+    # a contiguous input, a column slice, and a dense operator run on its csr form
+    for a_hat, y0 in ((ops.a_hat, wide[:, :cols].copy()), (ops.a_hat, wide[:, 3:]),
+                      (ops.a_hat.toarray(), wide[:, :cols].copy())):
+        got = node_filter(a_hat, y0, cfg)
+        assert got.tobytes() == (_plain_series(ops.a_hat, y0, 0.5, t) / 2.0).tobytes()
 
 
 def _plain_feature_series(s_bar, coeff, t):
@@ -552,66 +535,7 @@ def test_feature_series_byte_identical_to_plain_recurrence(d, coeff, t):
     assert got.tobytes() == _plain_feature_series(s_bar, coeff, t).tobytes()
 
 
-def test_column_split_takes_the_whole_budget_on_any_operator(split_blocks):
-    ops = normalize_adjacency(er_graph(300, 0.05, seed=8))
-    y0 = np.random.default_rng(8).standard_normal((300, 64))
-    want = _plain_series(ops.a_hat, y0, 0.5, 10) / 2.0
-    for threads in (2, 8):
-        split_blocks.clear()
-        got = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
-        assert split_blocks == [threads]
-        assert got.tobytes() == want.tobytes()
-    # a dense operator runs on its csr form: the same split, the same bytes
-    dense, y0 = ops.a_hat.toarray(), y0[:, :3]
-    for threads in (1, 2, 3):
-        split_blocks.clear()
-        got = node_filter(dense, y0, DualFilterConfig(), threads)
-        dense_blocks = list(split_blocks)
-        split_blocks.clear()
-        want = node_filter(ops.a_hat, y0, DualFilterConfig(), threads)
-        assert dense_blocks == split_blocks == ([threads] if threads > 1 else [])
-        assert got.tobytes() == want.tobytes()
-
-
-def test_column_split_exception_in_a_helper_reaches_caller(monkeypatch):
-    ops = normalize_adjacency(er_graph(100, 0.1, seed=9))
-    y0 = np.random.default_rng(9).standard_normal((100, 6))
-    together = threading.Barrier(3, timeout=10)  # one block per thread
-    helpers_failed = []
-    real_series = filters_module._series
-
-    def series(a_hat, block, coeff, t):
-        together.wait()
-        if threading.current_thread() is not threading.main_thread():
-            helpers_failed.append(threading.current_thread().name)
-            raise RuntimeError("helper failed")
-        return real_series(a_hat, block, coeff, t)
-
-    monkeypatch.setattr(filters_module, "_series", series)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="helper failed"):
-        node_filter(ops.a_hat, y0, DualFilterConfig(), threads=3)
-    assert len(helpers_failed) == 2
-    assert threading.active_count() == before  # helpers joined
-
-
-def test_filter_attributes_identical_for_any_budget(split_blocks):
-    ops, x, _ = _instance(120, 7, seed=10)
-    x[3, ::2] += 40.0
-    cfg = DualFilterConfig()
-    serial = x.copy()
-    serial_xf, report = filter_attributes(ops.a_hat, serial, cfg)
-    assert report.entries_replaced > 0
-    for threads in (2, 3):
-        split = x.copy()
-        split_xf, _ = filter_attributes(ops.a_hat, split, cfg, threads)
-        assert split.tobytes() == serial.tobytes()
-        assert split_xf.tobytes() == serial_xf.tobytes()
-    assert set(split_blocks) == {2, 3}
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_filter_attributes_scratch_stays_within_64_column_blocks(threads):
+def test_filter_attributes_scratch_stays_within_64_column_blocks():
     # the screen and the refits work on 64-column blocks while the filtered
     # attributes are alive: the scratch above them stays a few n x 64 arrays
     # whatever the width, here with a spike in every column
@@ -624,7 +548,7 @@ def test_filter_attributes_scratch_stays_within_64_column_blocks(threads):
     x[rng.integers(0, n, d), np.arange(d)] = 60.0
     tracemalloc.start()
     try:
-        xf, report = filter_attributes(ops.a_hat, x, DualFilterConfig(), threads)
+        xf, report = filter_attributes(ops.a_hat, x, DualFilterConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

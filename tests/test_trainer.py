@@ -202,8 +202,7 @@ def test_node_series_runs_in_setup_only(monkeypatch):
     monkeypatch.setattr(filters, "_series", counting)
     # narrow attributes with FDD: each modality is filtered once, and
     # modality 0's repaired column is refitted and filtered again; 70 columns
-    # against a mix of 8, without FDD: each modality once.  One thread, so
-    # each series is one call whatever the CPU count.
+    # against a mix of 8, without FDD: each modality once.
     for widths, no_fdd, series_runs in (((6, 4), False, 4), ((40, 30), True, 2)):
         graph = random_graph(80, widths, seed=3, p=0.08)
         graph.modalities[0].x[11, 4] = 60.0
@@ -228,7 +227,7 @@ def test_alpha_zero_makes_no_node_pass_and_no_copy(monkeypatch):
     graph = random_graph(80, (6, 4), seed=3, p=0.08)
     cfg = TrainConfig(alpha=0.0, hidden_dim=8, epochs=2)
     fit(graph, 2, cfg)
-    setup = trainer._prepare(graph, cfg, None)
+    setup = trainer._prepare(graph, cfg)
     assert all(xf is x for xf, x in zip(setup.xfs, setup.xs))
 
 
@@ -242,30 +241,29 @@ def test_filtered_attributes_identical_for_any_budget(monkeypatch):
         edges=edges, modalities=[ModalityFeatures(f"m{i}", x) for i, x in enumerate(xs)],
         labels=None,
     )
-    blocks, series_columns = [], []
-    real_map, real_series = filters.map_indexed, filters._series
-
-    def counting(work, count, threads):
-        if count > 1:  # a one-block map starts no helper
-            blocks.append(count)
-        return real_map(work, count, threads)
+    series_columns, setups = [], []
+    real_series, real_prepare = filters._series, trainer._prepare
 
     def series(a_hat, y0, *args):
         if sp.issparse(a_hat):  # the node series, not the dense feature series
             series_columns.append(y0.shape[1])
         return real_series(a_hat, y0, *args)
 
-    monkeypatch.setattr(filters, "map_indexed", counting)
+    def prepare(*args):
+        setups.append(real_prepare(*args))
+        return setups[-1]
+
     monkeypatch.setattr(filters, "_series", series)
-    cfg = TrainConfig()
+    monkeypatch.setattr(trainer, "_prepare", prepare)
+    # no loss: a fit is its setup, pruning, three forwards and the final k-means
+    cfg = TrainConfig(epochs=1, no_mod_loss=True, no_nbr_loss=True, no_comm_loss=True)
     results = {}
     for threads in (1, 2, 8):
-        blocks.clear()
         series_columns.clear()
-        setup = trainer._prepare(graph, cfg, threads)
+        fit(graph, 2, cfg, threads=threads)
+        setup = setups.pop()
         results[threads] = [xf.tobytes() for xf in setup.xfs]
         assert all(r.entries_replaced > 0 for r in setup.repairs)
-        assert max(blocks, default=1) == threads
         # every column filtered once, each repaired column twice more
         hit = sum(int(np.any(x != raw, axis=0).sum()) for x, raw in zip(setup.xs, xs))
         assert sum(series_columns) == 150 + 2 * hit
@@ -430,7 +428,7 @@ def test_fit_stops_when_a_loss_turns_non_finite(monkeypatch):
 
 def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     """Budgets 1 and 3, and the budget a patched CPU count gives, train to
-    the same bits, the node series split in three on the latter two."""
+    the same bits."""
     synth = SynthConfig(
         n=300, k=3, p_in=0.1, p_out=0.01, cross_modal_correlation=0.6, seed=2,
         outlier_rate=0.01,
@@ -440,30 +438,17 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     graph, _ = load_dataset(generate(synth, tmp_path).manifest)
     cfg = TrainConfig(epochs=3, kmeans_interval=2, hidden_dim=16)
     monkeypatch.setattr(trainer, "_IMPOSTOR_CAP", 32)
-    blocks = []
-    real = filters.map_indexed
-
-    def counting(work, count, threads):
-        if count > 1:  # a one-block map starts no helper
-            blocks.append(count)
-        return real(work, count, threads)
-
-    monkeypatch.setattr(filters, "map_indexed", counting)
 
     def run(threads=None):
         result = fit(graph, 3, cfg, threads=threads)
         params = init_params([12, 5], cfg.hidden_dim, cfg.seed)
-        h = forward(graph, params, cfg, threads=threads)[1].h
+        h = forward(graph, params, cfg)[1].h
         return result.h.tobytes(), result.clustering.assignments.tobytes(), h.tobytes()
 
     serial = run(threads=1)
-    assert blocks == []
     assert run(threads=3) == serial
-    assert blocks and set(blocks) == {3}
-    blocks.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run() == serial
-    assert blocks and set(blocks) == {3}
 
 
 @pytest.mark.parametrize("env, pinned", [
@@ -483,9 +468,9 @@ def test_blas_pinned_reads_the_thread_variables(env, pinned, monkeypatch):
 
 
 def test_training_step_and_pruning_start_no_thread(small_graph, monkeypatch):
-    """The loss layers and pruning run on the calling thread, even at a budget
-    above 1 with BLAS pinned to one thread, where the k-means restarts and the
-    node series do split."""
+    """The setup, the loss layers and pruning run on the calling thread, even
+    at a budget above 1 with BLAS pinned to one thread, where the k-means
+    restarts do split."""
     for name in parallel.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -509,6 +494,7 @@ def test_training_step_and_pruning_start_no_thread(small_graph, monkeypatch):
 
         monkeypatch.setattr(trainer, name, run)
 
+    watched("_prepare")
     watched("_step_gradients")
     watched("_prune")
     monkeypatch.setattr(threading.Thread, "start", counting_start)
@@ -536,25 +522,22 @@ def test_non_positive_thread_budget_rejected(small_graph, threads):
 
 
 @pytest.mark.parametrize("threads", [0, -3])
-@pytest.mark.parametrize("routine", ["node_filter", "filter_attributes", "kmeans_fit"])
-def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, monkeypatch):
+@pytest.mark.parametrize("routine", ["fit", "kmeans_fit"])
+def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, small_graph,
+                                                           monkeypatch):
     """Each routine that takes a budget fails with ``parallel.thread_budget``'s
-    error before it spreads any work over threads."""
-    adj = symmetric_adjacency(6, np.arange(5), np.arange(1, 6))
-    a_hat = normalize_adjacency(adj).a_hat
+    error before any work: ``fit`` before its setup."""
     x = np.random.default_rng(0).standard_normal((6, 3))
     calls = {
-        "node_filter": lambda: filters.node_filter(a_hat, x, filters.DualFilterConfig(), threads),
-        "filter_attributes": lambda: filters.filter_attributes(
-            a_hat, x.copy(), filters.DualFilterConfig(), threads),
+        "fit": lambda: fit(small_graph, 3, TrainConfig(epochs=1), threads=threads),
         "kmeans_fit": lambda: kmeans.kmeans_fit(x, 2, threads=threads),
     }
 
     def no_work(*args):
         raise AssertionError("work started on a budget below 1")
 
-    for module in (filters, kmeans):
-        monkeypatch.setattr(module, "map_indexed", no_work)
+    monkeypatch.setattr(kmeans, "map_indexed", no_work)
+    monkeypatch.setattr(trainer, "_prepare", no_work)
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
         calls[routine]()
 
@@ -610,9 +593,9 @@ def test_in_place_work_never_reaches_the_callers_data(monkeypatch):
 
         params = init_params([5, 3], cfg.hidden_dim, seed=1)
         weights = [w.copy() for w in params.weights]
-        cache = forward(graph, params, cfg, threads=1)[1]
+        cache = forward(graph, params, cfg)[1]
         assert _caller_bytes(graph) == before
-        xs = trainer._prepare(graph, cfg, 1).xs
+        xs = trainer._prepare(graph, cfg).xs
         for z, x, w in zip(cache.z_list, xs, weights):
             assert z.tobytes() == (x @ w).tobytes()
 
