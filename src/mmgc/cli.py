@@ -10,12 +10,12 @@ Subcommands:
 
 Only ``cluster`` accepts ``--threads``, its thread budget (default: the
 CPU count; it must be >= 1), which bounds the k-means restarts alone
-(``parallel.py``).  ``gradcheck`` clusters on the default budget, and
+(``kmeans.py``).  ``gradcheck`` clusters on the default budget, and
 ``spectra`` starts no thread.  With a budget above 1, ``cluster`` notes on
 stderr that one BLAS thread per process avoids contention with these
 threads.  It does so whenever the environment does not pin BLAS to one
-thread (``parallel.blas_pinned``): with no BLAS thread count set, and with
-a count other than 1 such as ``OPENBLAS_NUM_THREADS=4``.
+thread (``blas_pinned``): with no BLAS thread count set, and with a count
+other than 1 such as ``OPENBLAS_NUM_THREADS=4``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import typing
 from pathlib import Path
@@ -33,8 +34,8 @@ from .data import induce_subgraph, load_dataset, parse_keyvalues, write_feature_
 from .datagen import ModalitySpec, SynthConfig, generate
 from .diagnostics import OUTLIER_TAU, distance_correlation, zscore_outliers
 from .filters import _DENSE_LIMIT, DualFilterConfig, spectra_report
+from .kmeans import thread_budget
 from .metrics import all_metrics
-from .parallel import blas_pinned, thread_budget
 from .trainer import (
     TrainConfig,
     end_to_end_gradient_check,
@@ -232,6 +233,18 @@ def _train_config(args) -> tuple[TrainConfig, int | None]:
             raise ValueError(f"unknown config key {key!r}")
     options.update(_train_options_given(args))
     return TrainConfig(**options), clusters
+
+
+# the variables that set the BLAS thread count: OpenBLAS's, OpenMP's and MKL's
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_pinned() -> bool:
+    """Whether the environment pins BLAS to one thread: one of
+    ``BLAS_THREAD_VARIABLES`` is set, and every one that is set reads 1."""
+    values = [os.environ.get(v, "").strip() for v in BLAS_THREAD_VARIABLES]
+    given = [v for v in values if v]
+    return bool(given) and all(v == "1" for v in given)
 
 
 def _cmd_cluster(args) -> int:

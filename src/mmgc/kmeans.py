@@ -17,23 +17,30 @@ assignments repeat.  Each restart gets the bits it would get alone: every
 distance is the same dot product, the assignment takes the first minimum
 as ``argmin`` does, and each cluster still sums its rows in point order.
 
-Every fit runs ``_RESTARTS`` (10) restarts: two groups of five, which run
-at the same time on the thread budget (``threads``, see ``parallel.py``),
-one thread per group, so at most two threads.  The groups are fixed and
-results are kept by restart index, so the outcome never depends on the
-budget.  Seeding scores each new center with the Lloyd distance kernel and
-the squared row norms that every restart shares; a group's scratch, about
-400 bytes per point for 5 restarts of k = 4, stays below one n x d array.
+Every fit runs ``_RESTARTS`` (10) restarts: two groups of five.  The thread
+budget (``threads``; None means ``os.cpu_count()``) bounds this split and
+nothing else in a fit: at a budget of 1 both groups run on the calling
+thread, and above it the second group runs on one helper thread, so a fit
+uses at most two threads whatever the budget.  numpy and scipy release the
+interpreter lock inside the products that dominate a group.  The groups
+are fixed and results are kept by restart index, so the outcome never
+depends on the budget.  A multi-threaded BLAS competes with the helper for
+the cores, so the split pays under one BLAS thread per process.
+
+Seeding scores each new center with the Lloyd distance kernel and the
+squared row norms that every restart shares; a group's scratch, about 400
+bytes per point for 5 restarts of k = 4, stays below one n x d array.
 """
 
 from __future__ import annotations
 
+import operator
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-
-from .parallel import map_indexed, thread_budget
 
 
 @dataclass
@@ -175,6 +182,20 @@ _GROUP = 5  # restarts per lockstep group; fixed, so the bits never follow the b
 _RESTARTS = 10  # restarts per fit: two lockstep groups
 
 
+def thread_budget(threads: int | None) -> int:
+    """The threads a budget allows (the CPU count for None); every routine that
+    takes a budget refuses a non-integer or one below 1 through this check."""
+    if threads is None:
+        return os.cpu_count() or 1
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise ValueError(f"threads must be an integer, got {threads!r}") from None
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def _restarts(
     x: np.ndarray,
     k: int,
@@ -182,23 +203,47 @@ def _restarts(
     threads: int | None = None,
 ) -> list[Clustering]:
     """One seeded Lloyd run per seed, in seed order, in lockstep groups of
-    ``_GROUP`` consecutive seeds that run on the thread budget.
+    ``_GROUP`` consecutive seeds.
 
-    After a group raises, no new group starts and the exception of the
-    earliest failed group reaches the caller.
+    At a budget of 1, or with one group, every group runs on the calling
+    thread; otherwise the first group runs on it and the others on one
+    helper thread.  After a group raises, neither thread starts another
+    group, the helper is joined and the exception of the earliest failed
+    group reaches the caller.
     """
+    budget = thread_budget(threads)
     x2 = np.einsum("ij,ij->i", x, x)  # read-only, shared by every restart
     starts = range(0, len(seeds), _GROUP)
+    groups: list[list[Clustering]] = [[] for _ in starts]
+    failures: dict[int, BaseException] = {}
+    failed = threading.Event()
 
-    def run_group(g: int) -> list[Clustering]:
-        inits = np.stack([
-            _plus_plus_init(x, x2, k, np.random.default_rng(seed))
-            for seed in seeds[starts[g]:starts[g] + _GROUP]
-        ])
-        return _lloyd(x, x2, inits, 300)
+    def run(indices: range) -> None:
+        for g in indices:
+            if failed.is_set():
+                return
+            try:
+                inits = np.stack([
+                    _plus_plus_init(x, x2, k, np.random.default_rng(seed))
+                    for seed in seeds[starts[g]:starts[g] + _GROUP]
+                ])
+                groups[g] = _lloyd(x, x2, inits, 300)
+            except BaseException as exc:  # re-raised in the calling thread
+                failures[g] = exc
+                failed.set()
+                return
 
-    groups = map_indexed(run_group, len(starts), thread_budget(threads))
-    return [run for group in groups for run in group]
+    if budget == 1 or len(starts) == 1:
+        run(range(len(starts)))
+    else:
+        helper = threading.Thread(target=run, args=(range(1, len(starts)),),
+                                  name="mmgc-kmeans")
+        helper.start()
+        run(range(1))
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return [c for group in groups for c in group]
 
 
 def kmeans_fit(

@@ -32,7 +32,7 @@ replay of ``end_to_end_gradient_check``, so both paths share the same
 freeze.
 
 ``fit`` takes one thread budget, ``threads``, which bounds its k-means
-restarts alone (``parallel.py``); the setup and the steps run on the calling
+restarts alone (``kmeans.py``); the setup and the steps run on the calling
 thread.  Of the command line, only ``cluster`` sets it (``--threads``);
 ``end_to_end_gradient_check`` clusters on the default budget.
 """
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .filters import (
     feature_shift,
     filter_attributes,
 )
-from .kmeans import Clustering, kmeans_fit
+from .kmeans import Clustering, kmeans_fit, thread_budget
 from .losses import (
     PrunedGraph,
     SampleSet,
@@ -76,7 +77,6 @@ from .losses import (
     sample_neighborhoods,
 )
 from .metrics import nmi
-from .parallel import thread_budget
 
 # seed-stream tags so every random consumer draws independently
 _STREAM_INIT = 0
@@ -116,6 +116,13 @@ class TrainConfig:
         return DualFilterConfig(alpha=self.alpha, beta=beta, t_layers=self.t_layers)
 
     def validate(self) -> None:
+        for f in fields(self):  # f.type is the annotation's text under __future__ annotations
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         # the raw values: filter_config() zeroes beta under no_fdd
         DualFilterConfig(alpha=self.alpha, beta=self.beta, t_layers=self.t_layers).validate()
         if self.hidden_dim < 1:
@@ -404,7 +411,7 @@ def _step_state(
     pruned: PrunedGraph,
     k: int,
     cfg: TrainConfig,
-    threads: int,
+    threads: int | None,
     last: FrozenState | None = None,
 ) -> FrozenState:
     """Freeze the constants of one training step.
@@ -626,7 +633,7 @@ def end_to_end_gradient_check(
 
     cache = _forward(setup, params)
     pruned = _prune(graph, _project(setup, params), cfg)
-    frozen = _step_state(0, cache, pruned, k, cfg, thread_budget(None))
+    frozen = _step_state(0, cache, pruned, k, cfg, threads=None)
 
     _, grad_weights, grad_logits = _step_gradients(setup, params, cache, frozen, cfg)
 

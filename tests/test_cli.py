@@ -435,7 +435,20 @@ def test_subcommand_refuses_threads(command, dataset_dir, capsys):
                          capsys, "--threads")
 
 
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1"}, True),
+    ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"MKL_NUM_THREADS": "2"}, False),
+])
+def test_blas_pinned_reads_the_thread_variables(env, pinned, monkeypatch):
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.blas_pinned() == pinned
 
 
 @pytest.mark.parametrize("threads, pinned, note", [
@@ -446,7 +459,7 @@ _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ])
 def test_cluster_notes_blas_contention(threads, pinned, note, dataset_dir, tmp_path,
                                        capsys, monkeypatch):
-    for name in _BLAS_VARIABLES:
+    for name in cli.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     if pinned:
         monkeypatch.setenv(pinned, "1")

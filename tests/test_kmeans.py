@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmgc import kmeans, parallel
+from mmgc import kmeans
 from mmgc.kmeans import kmeans_fit
 
 
@@ -318,10 +318,10 @@ def test_tied_restarts_pick_the_first(cpus, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus, restarts, helpers",
-                         [(1, 10, 0), (2, 10, 1), (8, 10, 1), (8, 3, 0), (8, 23, 4)])
+                         [(1, 10, 0), (2, 10, 1), (8, 10, 1), (8, 3, 0), (8, 23, 1)])
 def test_helper_threads_bounded_by_cpus_and_restarts(cpus, restarts, helpers, monkeypatch):
-    """One thread per lockstep group of five restarts: min(threads, groups) - 1
-    helpers besides the calling thread."""
+    """Groups of five restarts on the calling thread and at most one helper:
+    min(threads, groups, 2) - 1 helpers."""
     started = []
     real_thread = threading.Thread
 
@@ -330,7 +330,7 @@ def test_helper_threads_bounded_by_cpus_and_restarts(cpus, restarts, helpers, mo
             started.append(self.name)
             super().start()
 
-    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    monkeypatch.setattr(kmeans.threading, "Thread", CountingThread)
     monkeypatch.setattr(kmeans, "_RESTARTS", restarts)
     x, _ = _blobs(seed=15)
     kmeans_fit(x, 2, seed=0, threads=cpus)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmgc import filters, kmeans, parallel, trainer
+from mmgc import cli, filters, kmeans, trainer
 from mmgc.data import (
     ModalityFeatures,
     MultimodalGraph,
@@ -76,6 +76,27 @@ def test_filter_config_respects_fdd_switch():
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs).validate()
+
+
+_INT_FIELDS = ("t_layers", "walk_length", "epochs", "kmeans_interval", "hidden_dim", "seed")
+_SWITCHES = ("no_fdd", "no_mod_loss", "no_nbr_loss", "no_aas", "no_comm_loss", "no_hps")
+
+
+@pytest.mark.parametrize("name, value", [
+    *[(name, value) for name in _INT_FIELDS for value in (2.5, True)],
+    *[(name, "false") for name in _SWITCHES],
+    ("no_fdd", 0),
+])
+def test_train_config_refuses_a_field_of_the_wrong_type(name, value):
+    """An int field takes an integer that is not a bool, and a switch a bool:
+    ``seed=1.5`` would train as seed 1 and ``no_fdd="false"`` would turn FDD
+    off."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        TrainConfig(**{name: value}).validate()
+
+
+def test_train_config_takes_numpy_integers():
+    TrainConfig(seed=np.int64(3), epochs=np.int32(2), t_layers=np.uint8(4)).validate()
 
 
 # ------------------------------------------------------------ initialization
@@ -451,27 +472,11 @@ def test_fit_identical_for_any_thread_budget(tmp_path, monkeypatch):
     assert run() == serial
 
 
-@pytest.mark.parametrize("env, pinned", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1"}, True),
-    ({"OPENBLAS_NUM_THREADS": ""}, False),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
-    ({"MKL_NUM_THREADS": "2"}, False),
-])
-def test_blas_pinned_reads_the_thread_variables(env, pinned, monkeypatch):
-    for name in parallel.BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert parallel.blas_pinned() == pinned
-
-
 def test_training_step_and_pruning_start_no_thread(small_graph, monkeypatch):
     """The setup, the loss layers and pruning run on the calling thread, even
     at a budget above 1 with BLAS pinned to one thread, where the k-means
     restarts do split."""
-    for name in parallel.BLAS_THREAD_VARIABLES:
+    for name in cli.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     inside = []  # the names of the watched routines now running
@@ -521,12 +526,13 @@ def test_non_positive_thread_budget_rejected(small_graph, threads):
         fit(small_graph, 3, TrainConfig(epochs=1), threads=threads)
 
 
-@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("threads", [0, -3, 1.5])
 @pytest.mark.parametrize("routine", ["fit", "kmeans_fit"])
 def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, small_graph,
                                                            monkeypatch):
-    """Each routine that takes a budget fails with ``parallel.thread_budget``'s
-    error before any work: ``fit`` before its setup."""
+    """Each routine that takes a budget fails with ``kmeans.thread_budget``'s
+    error before any work, for a budget below 1 or one that is not an
+    integer: ``fit`` before its setup."""
     x = np.random.default_rng(0).standard_normal((6, 3))
     calls = {
         "fit": lambda: fit(small_graph, 3, TrainConfig(epochs=1), threads=threads),
@@ -536,9 +542,10 @@ def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, sma
     def no_work(*args):
         raise AssertionError("work started on a budget below 1")
 
-    monkeypatch.setattr(kmeans, "map_indexed", no_work)
+    monkeypatch.setattr(kmeans, "_lloyd", no_work)
     monkeypatch.setattr(trainer, "_prepare", no_work)
-    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+    rule = "an integer" if isinstance(threads, float) else ">= 1"
+    with pytest.raises(ValueError, match=f"threads must be {rule}, got {threads}"):
         calls[routine]()
 
 
