@@ -25,10 +25,11 @@ reader accepts, both give the same integers.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,20 @@ FEATURE_MAGIC = b"MMAGF01\n"
 _MAX_FEATURE_ENTRIES = 1 << 33
 
 _MANIFEST_KEYS = ("edges", "labels", "clusters")
+
+
+def check_field_types(config) -> None:
+    """Refuse, naming the field, a value of a config dataclass's ``int`` field
+    that is not an integer or is a bool, and one of a ``bool`` field that is
+    not a bool: ``seed=1.5`` would run as seed 1, ``n=30.5`` would fail deep
+    inside numpy, and ``no_fdd="false"`` would read as true."""
+    for f in fields(config):  # f.type is the annotation's text under __future__ annotations
+        value = getattr(config, f.name)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be a bool, got {value!r}")
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass

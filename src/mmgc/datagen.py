@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ModalityFeatures, MultimodalGraph, save_dataset, symmetric_adjacency
+from .data import (
+    ModalityFeatures,
+    MultimodalGraph,
+    check_field_types,
+    save_dataset,
+    symmetric_adjacency,
+)
 
 _LATENT_DIM = 64
 _SPIKE_SCALE = 10.0
@@ -45,6 +51,9 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self)
+        for m in self.modalities:
+            check_field_types(m)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 1 <= self.k <= self.n:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import NormalizedOperators, laplacian
+from .data import NormalizedOperators, check_field_types, laplacian
 from .diagnostics import OUTLIER_TAU, zscore_outliers
 
 _DENSE_LIMIT = 2000
@@ -56,6 +56,7 @@ class DualFilterConfig:
     t_layers: int = 10    # series truncation order, >= 1
 
     def validate(self) -> None:
+        check_field_types(self)
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -12,8 +12,13 @@ Edge pruning and the neighborhood loss gather the embedding rows of
 the pairs they score in row blocks of at most 512 KiB (``_GATHER_BYTES``),
 so their scratch is O(block * walk_length * d) rather than O(|E| * d)
 and O(n * walk_length * d), with the same bits for any block size.  The
-gather serves the scores only: the neighborhood loss takes its gradient
-through sparse anchor-by-sample matrices of O(n * walk_length) entries.
+neighborhood loss takes its gradient through sparse anchor-by-sample
+matrices of O(n * walk_length) entries, and adds each of their four
+products into the gradient one row block at a time; the community loss
+gathers the own centroids and builds its gradient rows by row block too.
+So beside its gradient either loss holds one block of rows at a time,
+not a second n x d array; each row sums in the same order as in the full
+computation, so the bits do not depend on the block size.
 
 Every routine here runs on the calling thread and takes no thread budget,
 as a second thread bought them nothing: on 2 cores with one BLAS thread,
@@ -373,16 +378,17 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet):
         ep[blk] = np.exp(np.einsum("rcd,rd->rc", h[pos[blk]], h[blk]))
         en[blk] = np.exp(np.einsum("rcd,rd->rc", h[neg[blk]], h[blk]))
     sum_p = ep.sum(axis=1)
-    # padding gathers row -1, whose score the mask then drops
-    en = np.where(neg >= 0, en, 0.0)
+    en[neg < 0] = 0.0  # padding gathers row -1, whose score the mask drops
     sum_n = en.sum(axis=1)
-    value = float(np.sum(np.log(sum_p + sum_n) - np.log(sum_p)))
+    total = sum_p + sum_n
+    value = float(np.sum(np.log(total) - np.log(sum_p)))
 
+    # the scores turn into their gradient coefficients in place
+    ep *= (1.0 / total - 1.0 / sum_p)[:, None]
+    en /= total[:, None]
     grad = np.zeros_like(h)
-    for idx, coef in (
-        (pos, ep * (1.0 / (sum_p + sum_n) - 1.0 / sum_p)[:, None]),
-        (neg, en / (sum_p + sum_n)[:, None]),
-    ):
+    blocks = _row_blocks(n, h.shape[1] * 8)
+    for idx, coef in ((pos, ep), (neg, en)):
         # row r lists anchor r's kept samples in sample order; a csr product
         # adds each row's entries in stored order
         keep = idx >= 0
@@ -390,9 +396,23 @@ def neighborhood_loss(h: np.ndarray, samples: SampleSet):
         pairs = sp.csr_matrix((coef[keep], idx[keep], indptr), shape=(n, n))
         back = pairs.T.tocsr()  # row j: the anchors that drew j, ascending
         back.sum_duplicates()  # an anchor's repeats add in sample order
-        grad += pairs @ h
-        grad += back @ h
+        for product in (pairs, back):
+            _add_product_in_blocks(grad, product, h, blocks)
+        del pairs, back, product  # before the next pair is built
     return value, grad
+
+
+def _add_product_in_blocks(out: np.ndarray, a: sp.csr_matrix, x: np.ndarray,
+                           blocks: list[slice]) -> None:
+    """``out += a @ x`` one row block at a time: each block's rows are a csr
+    matrix on slices of ``a``'s arrays, so no product of ``out``'s size is
+    held, and every row sums in stored order as in the full product."""
+    for blk in blocks:
+        ptr = a.indptr[blk.start:blk.stop + 1]
+        lo, hi = ptr[0], ptr[-1]
+        part = sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi], ptr - lo),
+                             shape=(ptr.size - 1, a.shape[1]))
+        out[blk] += part @ x
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +457,19 @@ def community_loss(
     assignments: np.ndarray,
     centroids: np.ndarray,
     hard_sets: list[np.ndarray],
+    add_to: np.ndarray | None = None,
 ):
     """Cluster-level contrastive loss against centroid anchors.
 
     Hard positives of each cluster score against their own centroid in
     the numerators; one shared denominator pools every member-to-own-
     centroid score across clusters.  ``h`` rows and ``centroids`` must
-    be L2-normalized by the caller; centroids are treated as constants
-    in the gradient.  Returns ``(value, grad)``.
+    be L2-normalized by the caller, and the hard sets disjoint (as
+    ``hard_positive_sets`` returns them); centroids are treated as
+    constants in the gradient.  The own centroids are gathered one row
+    block at a time.  Returns ``(value, grad)``; with ``add_to`` the
+    gradient is added into that array with the bits of ``add_to += grad``
+    and ``grad`` is ``add_to``, so no second n x d array is held.
     """
     h = np.asarray(h, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -453,28 +478,45 @@ def community_loss(
     k = centroids.shape[0]
     if len(hard_sets) != k:
         raise ValueError("need one hard positive set per cluster")
+    active = sum(hs.shape[0] > 0 for hs in hard_sets)
+    if active == 0:
+        raise ValueError("all hard positive sets are empty")
+    blocks = _row_blocks(n, h.shape[1] * 8)
 
-    own = centroids[assignments]
-    own_scores = np.einsum("ij,ij->i", h, own)
-    own_e = np.exp(own_scores)
+    own_e = np.empty(n)
+    for blk in blocks:
+        own_e[blk] = np.exp(np.einsum("ij,ij->i", h[blk], centroids[assignments[blk]]))
     den = float(own_e.sum())
+    weight = (active / n) * (own_e / den)
 
     value = 0.0
-    grad = np.zeros_like(h)
-    active = 0
-    for c in range(k):
-        hs = hard_sets[c]
+    hard_of = np.full(n, -1)  # a hard row's cluster
+    share = np.zeros(n)  # a hard row's share of its cluster's numerator
+    for c, hs in enumerate(hard_sets):
         if hs.shape[0] == 0:
             continue
-        active += 1
         e_hard = np.exp(h[hs] @ centroids[c])
         num = float(e_hard.sum())
         value += math.log(den) - math.log(num)
-        grad[hs] -= (e_hard / num)[:, None] * centroids[c][None, :]
-    if active == 0:
-        raise ValueError("all hard positive sets are empty")
-    value /= n
-    grad /= n
-    own *= ((active / n) * (own_e / den))[:, None]  # own is a gathered copy
-    grad += own
-    return value, grad
+        hard_of[hs] = c
+        share[hs] = e_hard / num
+
+    # a row's gradient is (0 - share * its hard centroid) / n + weight * its
+    # own centroid, and 0 / n + weight * its own centroid off the hard sets,
+    # which turns -0.0 into +0.0
+    grad = np.empty_like(h) if add_to is None else add_to
+    for blk in blocks:
+        rows = centroids[assignments[blk]]
+        rows *= weight[blk, None]
+        cluster = hard_of[blk]
+        hard = np.flatnonzero(cluster >= 0)
+        pull = share[blk][hard, None] * centroids[cluster[hard]]
+        np.subtract(0.0, pull, out=pull)
+        pull /= n
+        rows[hard] += pull
+        np.add(rows, 0.0, out=rows, where=(cluster < 0)[:, None])
+        if add_to is None:
+            grad[blk] = rows
+        else:
+            grad[blk] += rows
+    return value / n, grad

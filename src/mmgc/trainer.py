@@ -14,15 +14,20 @@ raw projections ``x_i W_i`` feed the feature shifts, pruning and the
 modality loss.  The node series thus runs in setup only.
 
 In ``fit`` each n x hidden_dim array lives only while a later step reads
-it.  The raw projections are kept where they are read: the public
+it, and the mix, the neighborhood and community losses and the
+normalization's VJP allocate no full-size scratch array beyond their
+outputs.  The raw projections are kept where they are read: the public
 ``forward`` always returns them; ``fit``'s pre-epoch forward hands them to
 pruning, which normalizes them in place, and drops its ``h`` and shifts;
 a step's forward keeps them only with the modality loss on, and otherwise
 frees them once the shifts are built, before the mix; the final forward
-keeps ``h`` alone.  A step row-normalizes its ``h`` and projections in
+keeps ``h`` alone.  The mix computes each modality's term into one reused
+buffer beside the sum.  A step row-normalizes its ``h`` and projections in
 place, as nothing reads them after it, and ``fit`` drops them before the
 next forward.  A step's gradient on the unit ``h`` is the first active
-loss's gradient array, the others added into it.
+loss's gradient array: a later neighborhood gradient is added into it, and
+the community loss adds its gradient into it block by block.  The
+normalization's VJP builds the gradient on ``h`` in one new array.
 
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
@@ -41,15 +46,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import (
     MultimodalGraph,
     NormalizedOperators,
+    check_field_types,
     normalize_adjacency,
     symmetric_adjacency,
 )
@@ -116,13 +121,7 @@ class TrainConfig:
         return DualFilterConfig(alpha=self.alpha, beta=beta, t_layers=self.t_layers)
 
     def validate(self) -> None:
-        for f in fields(self):  # f.type is the annotation's text under __future__ annotations
-            value = getattr(self, f.name)
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a bool, got {value!r}")
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        check_field_types(self)
         # the raw values: filter_config() zeroes beta under no_fdd
         DualFilterConfig(alpha=self.alpha, beta=self.beta, t_layers=self.t_layers).validate()
         if self.hidden_dim < 1:
@@ -218,10 +217,13 @@ def _row_normalize(
 def _row_normalize_vjp(
     x_norm: np.ndarray, norms: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
-    """Pull a gradient on x / ||x|| back to x; zero rows stay zero."""
+    """Pull a gradient on x / ||x|| back to x, built in one new array; zero
+    rows come out zero."""
     safe = np.where(norms > 0, norms, 1.0)
     inner = np.einsum("ij,ij->i", x_norm, grad)
-    out = (grad - inner[:, None] * x_norm) / safe[:, None]
+    out = np.multiply(inner[:, None], x_norm)
+    np.subtract(grad, out, out=out)
+    out /= safe[:, None]
     out[norms == 0] = 0.0
     return out
 
@@ -269,8 +271,12 @@ def _forward(
         z_list = []
     weights = _softmax(params.combine_logits)
     u = np.zeros((setup.xs[0].shape[0], params.weights[0].shape[1]))
+    term = np.empty_like(u)  # one buffer for every w_i xf_i W_i
     for w_i, xf, w in zip(weights, setup.xfs, params.weights):
-        u += w_i * (xf @ w)
+        np.matmul(xf, w, out=term)
+        term *= w_i
+        u += term
+    del term
     h = dual_filter(setup.ops.a_hat, u, s_list, setup.step_filter)
     return ForwardCache(z_list=z_list, s_list=s_list, combine_weights=weights, h=h)
 
@@ -343,10 +349,11 @@ def _step_gradients(
     if not cfg.no_nbr_loss:
         components["nbr"] = accumulate(*neighborhood_loss(h_norm, frozen.samples))
 
-    if not cfg.no_comm_loss:
-        components["comm"] = accumulate(*community_loss(
-            h_norm, frozen.assignments, frozen.centroids_norm, frozen.hard_sets
-        ))
+    if not cfg.no_comm_loss:  # added into the running sum, not held beside it
+        components["comm"], grad_h_norm = community_loss(
+            h_norm, frozen.assignments, frozen.centroids_norm, frozen.hard_sets,
+            add_to=grad_h_norm,
+        )
 
     if grad_h_norm is None:
         grad_h_norm = np.zeros_like(h_norm)

@@ -49,6 +49,25 @@ def test_config_validation(kwargs):
         _spec(**kwargs).validate()
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": 1.5}, "seed"),
+    ({"n": 30.5}, "n"),
+    ({"k": True}, "k"),
+    ({"modalities": [ModalitySpec("a", 4.5)]}, "dim"),
+    ({"modalities": [ModalitySpec("a", True)]}, "dim"),
+], ids=["seed-float", "n-float", "k-bool", "dim-float", "dim-bool"])
+def test_config_refuses_an_int_field_of_the_wrong_type(kwargs, name):
+    """``seed=1.5`` would draw as seed 1 and ``n=30.5`` fail inside numpy;
+    validation names the field instead."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        _spec(**kwargs).validate()
+
+
+def test_config_takes_numpy_integers():
+    _spec(n=np.int64(60), k=np.int32(3), seed=np.uint8(2),
+          modalities=[ModalitySpec("a", np.int64(4))]).validate()
+
+
 def test_uninformative_probabilities_warn():
     with pytest.warns(UserWarning, match="no informative"):
         _spec(p_in=0.01, p_out=0.05).validate()

@@ -60,6 +60,12 @@ def test_config_validation():
             DualFilterConfig(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_config_refuses_a_non_integer_truncation_order(value):
+    with pytest.raises(ValueError, match=f"^t_layers must be an integer, got {value}"):
+        DualFilterConfig(t_layers=value).validate()
+
+
 def test_config_defaults():
     cfg = DualFilterConfig()
     assert cfg.alpha == 1.0 and cfg.beta == 1.0 and cfg.t_layers == 10

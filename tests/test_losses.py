@@ -750,16 +750,20 @@ def _plain_neighborhood_loss(h, samples):
 
 @pytest.mark.parametrize("rows", [1, 7, 10_000])
 def test_neighborhood_is_byte_identical_for_any_block_size(rows, monkeypatch):
+    """Blocks of ``rows`` anchors in the score gathers, then blocks of
+    ``rows`` rows in the gradient's four sparse products, give the plain
+    loss's bytes."""
     n, d, walk = 50, 6, 4
     h = _unit_rows(np.random.default_rng(12).standard_normal((n, d)))
     samples = _padded_samples(n, walk, 3, seed=12)
     value, grad = neighborhood_loss(h, samples)
     want_value, want_grad = _plain_neighborhood_loss(h, samples)
     assert value == want_value and grad.tobytes() == want_grad.tobytes()
-    _gather_rows(monkeypatch, rows, walk * d * 8)  # the walks are the wider gather
-    got_value, got_grad = neighborhood_loss(h, samples)
-    assert got_value == value
-    assert got_grad.tobytes() == grad.tobytes()
+    for row_bytes in (walk * d * 8, d * 8):  # a walk gather's row, a product's row
+        _gather_rows(monkeypatch, rows, row_bytes)
+        got_value, got_grad = neighborhood_loss(h, samples)
+        assert got_value == value
+        assert got_grad.tobytes() == grad.tobytes()
 
 
 def test_neighborhood_sums_repeated_walk_visits_as_first_written():
@@ -791,12 +795,15 @@ def test_neighborhood_is_byte_identical_to_the_plain_loss_in_blocks(n, monkeypat
     assert [a.tobytes() for a in (h, samples.positives, samples.negatives)] == inputs
 
 
-def test_neighborhood_scratch_below_four_n_by_d_arrays():
-    """Walk and negative scores gather rows in blocks: one call allocates less
-    than four n x d arrays above its inputs, not n x walk x d gathers."""
+def test_neighborhood_scratch_below_two_and_a_half_n_by_d_arrays():
+    """Walk and negative scores gather rows in blocks, and the gradient's
+    sparse products are added into it a row block at a time: one call
+    allocates less than 2.5 n x d arrays above its inputs (1.96 measured:
+    the gradient and n x walk arrays), not n x walk x d gathers or a full
+    product beside the gradient (2.47 and 3.18 with it)."""
     h = _unit_rows(np.random.default_rng(13).standard_normal((_BIG_N, _BIG_D)))
     samples = _padded_samples(_BIG_N, 10, 10, seed=13)
-    assert _traced_peak(lambda: neighborhood_loss(h, samples)) < 4 * _BIG_ARRAY
+    assert _traced_peak(lambda: neighborhood_loss(h, samples)) < 2.5 * _BIG_ARRAY
 
 
 # --------------------------------------------------------- community loss
@@ -897,6 +904,82 @@ def test_community_gradient_matches_finite_differences():
         lambda x: community_loss(x, assignments, centroids, hard)[0],
         h, grad, seed=3,
     )
+
+
+def _plain_community_loss(h, assignments, centroids, hard_sets):
+    """The community loss as first written: a zero gradient beside the
+    gathered own centroids."""
+    n = h.shape[0]
+    own = centroids[assignments]
+    own_e = np.exp(np.einsum("ij,ij->i", h, own))
+    den = float(own_e.sum())
+    value = 0.0
+    grad = np.zeros_like(h)
+    active = 0
+    for c, hs in enumerate(hard_sets):
+        if hs.shape[0] == 0:
+            continue
+        active += 1
+        e_hard = np.exp(h[hs] @ centroids[c])
+        num = float(e_hard.sum())
+        value += math.log(den) - math.log(num)
+        grad[hs] -= (e_hard / num)[:, None] * centroids[c][None, :]
+    value /= n
+    grad /= n
+    own *= ((active / n) * (own_e / den))[:, None]
+    grad += own
+    return value, grad
+
+
+def _community_case(n=40, d=5, k=4, seed=21):
+    """Unit rows and centroids, a centroid coordinate of -0.0 (its rows'
+    gradient is 0 / n + (-0.0), which is +0.0) and an empty hard set."""
+    rng = np.random.default_rng(seed)
+    h = _unit_rows(rng.standard_normal((n, d)))
+    assignments = rng.integers(0, k, size=n)
+    assignments[:k] = np.arange(k)
+    centroids = np.vstack([h[assignments == c].mean(axis=0) for c in range(k)])
+    centroids[:, 1] = 0.0
+    centroids[1, 1] = -0.0
+    centroids = _unit_rows(centroids)
+    hard = hard_positive_sets(h, assignments, centroids, 0.5)
+    hard[2] = np.empty(0, dtype=np.int64)
+    return h, assignments, centroids, hard
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10_000])
+def test_community_is_byte_identical_to_the_plain_loss(rows, monkeypatch):
+    """In blocks of ``rows`` rows the loss gives the plain loss's value and
+    gradient bytes, signed zeros included, on its own and added into a
+    running gradient."""
+    h, assignments, centroids, hard = _community_case()
+    want_value, want_grad = _plain_community_loss(h, assignments, centroids, hard)
+    assert np.signbit(centroids[1, 1]) and not np.signbit(want_grad[assignments == 1, 1]).any()
+    _gather_rows(monkeypatch, rows, h.shape[1] * 8)
+    value, grad = community_loss(h, assignments, centroids, hard)
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
+
+    running = np.random.default_rng(22).standard_normal(h.shape)
+    running[::3] = -0.0
+    want_sum = running + want_grad
+    value, total = community_loss(h, assignments, centroids, hard, add_to=running)
+    assert total is running
+    assert value == want_value and total.tobytes() == want_sum.tobytes()
+
+
+def test_community_scratch_below_one_and_a_half_n_by_d_arrays():
+    """The own centroids are gathered a row block at a time: one call
+    allocates its gradient and less than half an n x d array besides
+    (1.21 measured in all), not a zero gradient beside a gathered copy
+    (2.20)."""
+    rng = np.random.default_rng(23)
+    h = _unit_rows(rng.standard_normal((_BIG_N, _BIG_D)))
+    assignments = rng.integers(0, 4, size=_BIG_N)
+    centroids = np.vstack([h[assignments == c].mean(axis=0) for c in range(4)])
+    hard = hard_positive_sets(h, assignments, centroids, 0.3)
+    centroids = _unit_rows(centroids)
+    peak = _traced_peak(lambda: community_loss(h, assignments, centroids, hard))
+    assert peak < 1.5 * _BIG_ARRAY
 
 
 @settings(max_examples=15, deadline=None)

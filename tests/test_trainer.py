@@ -211,6 +211,42 @@ def test_forward_matches_dual_filter_of_the_mix(alpha, no_fdd, hidden_dim):
     assert rel_frobenius(cache.h, want) <= 1e-12
 
 
+def test_forward_mix_is_byte_identical_to_the_plain_sum(monkeypatch):
+    """The mix writes every modality's term into one buffer and keeps the
+    bits of ``sum(w_i * (xf_i @ W_i))``, added in modality order."""
+    graph = random_graph(60, (7, 4, 5), seed=6, p=0.1)
+    params = init_params([7, 4, 5], 6, seed=3)
+    params.combine_logits[:] = [0.3, -0.5, 0.1]
+    setup = trainer._prepare(graph, TrainConfig(hidden_dim=6))
+    mixes = []
+    real = trainer.dual_filter
+
+    def recording(a_hat, u, *args):
+        mixes.append(u.copy())
+        return real(a_hat, u, *args)
+
+    monkeypatch.setattr(trainer, "dual_filter", recording)
+    trainer._forward(setup, params)
+    w = trainer._softmax(params.combine_logits)
+    want = sum(w_i * (xf @ weight) for w_i, xf, weight in zip(w, setup.xfs, params.weights))
+    assert mixes[0].tobytes() == want.tobytes()
+
+
+def test_row_normalize_vjp_is_byte_identical_to_the_plain_pullback():
+    """The pullback keeps the bits of ``(grad - inner * x_norm) / norms``,
+    and zero rows come out +0.0."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((30, 5))
+    x[[3, 17]] = 0.0
+    x_norm, norms = trainer._row_normalize(x)
+    grad = rng.standard_normal(x.shape)
+    safe = np.where(norms > 0, norms, 1.0)
+    inner = np.einsum("ij,ij->i", x_norm, grad)
+    want = (grad - inner[:, None] * x_norm) / safe[:, None]
+    want[norms == 0] = 0.0
+    assert trainer._row_normalize_vjp(x_norm, norms, grad).tobytes() == want.tobytes()
+
+
 def test_node_series_runs_in_setup_only(monkeypatch):
     runs = []
     real = filters._series
@@ -552,12 +588,14 @@ def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, sma
 # -------------------------------------------------------------------- memory
 
 # Traced peak of a one-epoch fit of a 3000-node planted graph (hidden_dim 64,
-# one thread), in n x hidden_dim float64 arrays: 7.3 without the modality
-# loss and 12.4 with it (inside the margin loss).  The bounds sit below 11.0
-# and 16.4, the peaks of a fit whose steps keep a normalized copy next to h,
-# a zero gradient to add the first loss to, the z_i without the modality
-# loss, and the last step's arrays through the next forward.
-@pytest.mark.parametrize("no_mod_loss,bound", [(True, 8.5), (False, 14.0)],
+# one thread), in n x hidden_dim float64 arrays: 6.4 without the modality
+# loss (in the pre-epoch forward and pruning) and 12.4 with it (inside the
+# margin loss).  The bounds sit below 7.3, the peak of a fit whose mix takes
+# two new arrays per modality, and below 16.4, the peak of a fit whose steps
+# keep a normalized copy next to h, a zero gradient to add the first loss
+# to, the z_i without the modality loss, and the last step's arrays through
+# the next forward.
+@pytest.mark.parametrize("no_mod_loss,bound", [(True, 7.0), (False, 14.0)],
                          ids=["no-mod-loss", "full-model"])
 def test_fit_traced_peak_in_n_by_hidden_arrays(tmp_path, no_mod_loss, bound):
     n = 3000
