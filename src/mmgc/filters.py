@@ -101,10 +101,7 @@ def _mean_shift(shifts: list[np.ndarray]) -> np.ndarray:
     for s in shifts:
         if s.shape != (d, d):
             raise ValueError("all shift operators must share one shape")
-    out = np.zeros((d, d), dtype=np.float64)
-    for s in shifts:
-        out += np.asarray(s, dtype=np.float64)
-    return out / len(shifts)
+    return np.mean(shifts, axis=0, dtype=np.float64)
 
 
 def _series(a_hat, y0: np.ndarray, coeff: float, t: int) -> np.ndarray:

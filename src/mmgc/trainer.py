@@ -322,24 +322,15 @@ def _step_gradients(
     grad_h_norm = None  # the first active loss's gradient, then the sum
     grads_z_mod = None
 
-    def accumulate(value: float, grad: np.ndarray) -> float:
-        """Add a loss's gradient on h_norm to the sum; return its value."""
-        nonlocal grad_h_norm
-        if grad_h_norm is None:
-            grad_h_norm = grad
-        else:
-            grad_h_norm += grad
-        return value
-
     if not cfg.no_mod_loss:
         z_norms = [_row_normalize(z, out=z)[1] for z in cache.z_list]
-        value, grads = cross_modality_loss(
+        components["mod"], grads = cross_modality_loss(
             [h_norm] + cache.z_list,
             delta=cfg.delta,
             negative_cap=_IMPOSTOR_CAP,
             seed=frozen.mms_seed,
         )
-        components["mod"] = accumulate(value, grads[0])
+        grad_h_norm = grads[0]
         grads_z_mod = [
             _row_normalize_vjp(z_norm, norms, g)
             for z_norm, norms, g in zip(cache.z_list, z_norms, grads[1:])
@@ -347,7 +338,12 @@ def _step_gradients(
         del grads
 
     if not cfg.no_nbr_loss:
-        components["nbr"] = accumulate(*neighborhood_loss(h_norm, frozen.samples))
+        components["nbr"], grad = neighborhood_loss(h_norm, frozen.samples)
+        if grad_h_norm is None:
+            grad_h_norm = grad
+        else:
+            grad_h_norm += grad
+        del grad  # before the community loss runs
 
     if not cfg.no_comm_loss:  # added into the running sum, not held beside it
         components["comm"], grad_h_norm = community_loss(

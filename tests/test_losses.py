@@ -827,6 +827,33 @@ def test_hard_positive_floor_nudge():
     assert sets[0].shape[0] == 3  # 5 * 0.6 == 3.0 despite float rounding
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    k=st.integers(2, 6),
+    theta=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_hard_positive_sets_lie_in_their_clusters_disjoint_and_sized(seed, n, k, theta):
+    """Each set lies inside its own cluster and the sets are disjoint, as the
+    community loss's gradient needs; a cluster of ``size`` members keeps
+    ``min(size, max(1, floor(size * theta + 1e-9)))`` of them, an empty one
+    none."""
+    rng = np.random.default_rng(seed)
+    h = _unit_rows(rng.standard_normal((n, 3)))
+    live = rng.choice(k, size=rng.integers(1, k), replace=False)  # at least one empty
+    assignments = rng.choice(live, size=n)
+    centroids = rng.standard_normal((k, 3))
+    sets = hard_positive_sets(h, assignments, centroids, theta)
+    assert len(sets) == k
+    kept = np.concatenate(sets)
+    assert np.unique(kept).size == kept.size
+    for c, hs in enumerate(sets):
+        assert (assignments[hs] == c).all()
+        size = int((assignments == c).sum())
+        assert hs.shape[0] == min(size, max(1, math.floor(size * theta + 1e-9)))
+
+
 def test_hard_positive_ranking_and_ties():
     base = np.array([1.0, 0.0])
     h = np.array([
@@ -886,6 +913,16 @@ def test_community_set_count_mismatch():
     h = np.eye(2)
     with pytest.raises(ValueError, match="per cluster"):
         community_loss(h, np.zeros(2, dtype=np.int64), np.eye(2), [np.array([0])])
+
+
+def test_community_refuses_a_hard_set_holding_a_row_of_another_cluster():
+    """The gradient scales each row's own centroid, so a hard row must lie
+    in its own cluster; a set holding another cluster's row is refused and
+    named."""
+    assignments = np.array([0, 0, 1], dtype=np.int64)
+    hard = [np.array([0, 2]), np.array([2])]  # row 2 is in cluster 1
+    with pytest.raises(ValueError, match="hard positive set 0 holds a row of another"):
+        community_loss(np.eye(3), assignments, np.eye(2, 3), hard)
 
 
 def test_community_gradient_matches_finite_differences():
@@ -970,7 +1007,7 @@ def test_community_is_byte_identical_to_the_plain_loss(rows, monkeypatch):
 def test_community_scratch_below_one_and_a_half_n_by_d_arrays():
     """The own centroids are gathered a row block at a time: one call
     allocates its gradient and less than half an n x d array besides
-    (1.21 measured in all), not a zero gradient beside a gathered copy
+    (1.25 measured in all), not a zero gradient beside a gathered copy
     (2.20)."""
     rng = np.random.default_rng(23)
     h = _unit_rows(rng.standard_normal((_BIG_N, _BIG_D)))

@@ -556,12 +556,6 @@ def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
     assert samples.negatives.shape == (n, walk_length)
 
 
-@pytest.mark.parametrize("threads", [0, -2])
-def test_non_positive_thread_budget_rejected(small_graph, threads):
-    with pytest.raises(ValueError, match="threads"):
-        fit(small_graph, 3, TrainConfig(epochs=1), threads=threads)
-
-
 @pytest.mark.parametrize("threads", [0, -3, 1.5])
 @pytest.mark.parametrize("routine", ["fit", "kmeans_fit"])
 def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, small_graph,
