@@ -209,8 +209,15 @@ def filter_attributes(
     for start in range(0, x.shape[1], _REPAIR_COLUMNS):
         span = slice(start, start + _REPAIR_COLUMNS)
         block = x[:, span]
-        median = np.median(block, axis=0)
-        dense = np.median(np.abs(block - median), axis=0) > 0.0
+        # both medians run on one contiguous row per column, with the same
+        # bits: 19 ms against 33 ms on the strided columns of a 16000 x 32
+        # block (medians of 15 calls; 2-core Xeon VM)
+        deviation = block.T.copy()
+        median = np.median(deviation, axis=1)
+        deviation -= median[:, None]
+        np.abs(deviation, out=deviation)
+        dense = np.median(deviation, axis=1, overwrite_input=True) > 0.0
+        del deviation
         report.sparse_columns += int((~dense).sum())
         mask = zscore_outliers(block - xf[:, span], tau=OUTLIER_TAU).entry_mask & dense
         hit = mask.any(axis=0)

@@ -20,6 +20,16 @@ per row, as every hard positive lies in its own cluster.  So beside its
 gradient either loss holds one block of rows, not a second n x d array;
 each row sums as in the full computation, whatever the block size.
 
+The capped margin loss draws its impostor blocks once per call, and every
+pair of embedding sets shares that draw, which stays uniform for each pair.
+Per block it gathers each set's block and impostor rows once, adds every
+pair's products and positive-pair pull into small buffers per set, and
+scatters each buffer into its set's gradient once.  So beside its m
+gradients it holds one block's scratch and no n x d array per pair: over
+three unit 1000 x 64 (4000 x 64) sets a call took 30.1-33.3 (122.8-128.1)
+ms, against 34.4-41.1 (140.5-169.0) ms with one draw and one pass per pair
+(medians of 15 calls, three rounds; 2-core Xeon VM, one BLAS thread).
+
 Every routine here runs on the calling thread and takes no thread budget,
 as a second thread bought them nothing: on 2 cores with one BLAS thread,
 budgets 1 and 2 took 26.2 and 25.9 ms in the margin loss of three 1000 x 64
@@ -69,9 +79,10 @@ def _row_blocks(n: int, row_bytes: int) -> list[slice]:
 
 
 # anchor rows per block that share one impostor draw in the capped margin
-# loss.  Smaller blocks stay closer to independent draws per row; at
-# n=1000, cap=256, d=64 one call took 19 ms with 32 rows, 16 ms with 64 and
-# 14 ms with 128 (2-core Xeon VM, one BLAS thread).
+# loss.  Smaller blocks stay closer to independent draws per row; over three
+# unit 1000 x 64 sets at cap=256 one call took 36.6-39.0 ms with 32 rows,
+# 31.1-31.8 ms with 64 and 26.7-27.1 ms with 128 (medians of 15 calls, two
+# rounds; 2-core Xeon VM, one BLAS thread).
 _IMPOSTOR_BLOCK = 64
 
 
@@ -102,6 +113,66 @@ def _impostor_blocks(
     return blocks
 
 
+def _check_cap(negative_cap: int | None) -> None:
+    if negative_cap is not None and negative_cap < 1:
+        raise ValueError("negative_cap must be >= 1 when set")
+
+
+def _scores_all_pairs(n: int, negative_cap: int | None) -> bool:
+    """Whether every other row is an impostor: the cap is None or does not bind."""
+    return negative_cap is None or negative_cap >= n - 1
+
+
+def _capped_margin(
+    z_list: list[np.ndarray], delta: float, cap: int, seed: int, scale: float
+):
+    """The margin loss over every unordered pair of ``z_list``, times
+    ``scale``, on one impostor draw from ``seed`` that all pairs share.
+
+    Per block of ``_impostor_blocks`` each set's block rows and impostor
+    rows are gathered once.  Each ordered pair (anchors of one set,
+    impostor rows of the other) exponentiates its scores and divides them
+    in place into gradient weights, whose two products add into one small
+    buffer per set and role: block rows and impostor rows.  The positive-
+    pair pull of the block rows adds into the first; then each buffer is
+    added into its set's gradient in one scatter, as a block's rows and
+    impostors are distinct.  Beside the m gradients a call thus holds one
+    block's gathers and buffers, O(m * (block + cap) * d).  Returns
+    ``(value, grads)``.
+    """
+    n = z_list[0].shape[0]
+    norm = n / scale  # each row's terms are averaged over n, then scaled
+    grads = [np.zeros_like(z) for z in z_list]
+    pairs = [(i, j) for i in range(len(z_list)) for j in range(i + 1, len(z_list))]
+    total = 0.0
+    for block, imp in _impostor_blocks(n, cap, _sub_rng(seed)):
+        rows = [z[block] for z in z_list]
+        imps = [z[imp] for z in z_list]
+        g_rows = [np.zeros_like(r) for r in rows]
+        g_imps = [np.zeros_like(r) for r in imps]
+        for i, j in pairs:
+            pos = np.einsum("ij,ij->i", rows[i], rows[j])
+            pos_e = np.exp(pos - delta)
+            dens = []
+            for a, b in ((i, j), (j, i)):
+                e = rows[a] @ imps[b].T  # anchors of set a, impostor rows of set b
+                np.exp(e, out=e)
+                den = pos_e + e.sum(axis=1)
+                e /= (norm * den)[:, None]
+                g_rows[a] += e @ imps[b]
+                g_imps[b] += e.T @ rows[a]
+                dens.append(den)
+            d_i, d_j = dens
+            total += float(np.sum(np.log(d_i) + np.log(d_j) - 2.0 * (pos - delta)))
+            coef = ((1.0 - pos_e / d_i) + (1.0 - pos_e / d_j)) / norm
+            g_rows[i] -= coef[:, None] * rows[j]
+            g_rows[j] -= coef[:, None] * rows[i]
+        for grad, g_row, g_imp in zip(grads, g_rows, g_imps):
+            grad[block] += g_row
+            grad[imp] += g_imp
+    return total / norm, grads
+
+
 def mms_loss(
     z_a: np.ndarray,
     z_b: np.ndarray,
@@ -119,52 +190,37 @@ def mms_loss(
     other rows are used when the cap is None or not binding); rows in
     one random block of ``_impostor_blocks`` share their draw, so the
     capped loss costs O(n * cap * d) arithmetic and O(n * cap) memory
-    instead of O(n^2 * d) and O(n^2).  Returns
+    instead of O(n^2 * d) and O(n^2).  The capped loss is the two-set
+    case of ``cross_modality_loss``'s, at half its value.  Returns
     ``(value, grad_a, grad_b)``.
     """
     z_a = np.asarray(z_a, dtype=np.float64)
     z_b = np.asarray(z_b, dtype=np.float64)
     if z_a.shape != z_b.shape or z_a.ndim != 2:
         raise ValueError("mms_loss expects two equal-shape 2-d arrays")
-    if negative_cap is not None and negative_cap < 1:
-        raise ValueError("negative_cap must be >= 1 when set")
+    _check_cap(negative_cap)
     n = z_a.shape[0]
+    if not _scores_all_pairs(n, negative_cap):
+        value, (grad_a, grad_b) = _capped_margin([z_a, z_b], delta, negative_cap, seed, 1.0)
+        return value, grad_a, grad_b
+
     grad_a = np.zeros_like(z_a)
     grad_b = np.zeros_like(z_b)
     if n == 1:
         return 0.0, grad_a, grad_b
-
+    # every other row is an impostor: e[l, k] = exp(z_a[l] . z_b[k]).  Kept
+    # apart from the blocks: with n - 1 <= cap they would hold one row each,
+    # and at n = 200, d = 64 a call took 18.1 ms through them against
+    # 0.55 ms here (minimum of 30 calls; 2-core Xeon VM, one BLAS thread).
     pos = np.einsum("ij,ij->i", z_a, z_b)
     pos_e = np.exp(pos - delta)
-    if negative_cap is None or negative_cap >= n - 1:
-        # every other row is an impostor: e[l, k] = exp(z_a[l] . z_b[k]).
-        # Kept apart from the blocks below: with n - 1 <= cap they would hold
-        # one row each, and at n = 200, d = 64 a call took 18.1 ms through
-        # them against 0.55 ms here (minimum of 30 calls; 2-core Xeon VM, one
-        # BLAS thread).
-        e = np.exp(z_a @ z_b.T)
-        np.fill_diagonal(e, 0.0)
-        d1 = pos_e + e.sum(axis=0)  # anchor row l of z_b, impostor rows of z_a
-        d2 = pos_e + e.sum(axis=1)  # anchor row l of z_a, impostor rows of z_b
-        mix = e / d2[:, None] + e / d1[None, :]
-        grad_a += (mix @ z_b) / n
-        grad_b += (mix.T @ z_a) / n
-    else:
-        d1 = np.empty(n)
-        d2 = np.empty(n)
-        for block, imp in _impostor_blocks(n, negative_cap, _sub_rng(seed)):
-            a_blk, b_blk = z_a[block], z_b[block]
-            a_imp, b_imp = z_a[imp], z_b[imp]
-            e1 = np.exp(b_blk @ a_imp.T)  # impostor rows of z_a against anchors of z_b
-            e2 = np.exp(a_blk @ b_imp.T)  # anchors of z_a against impostor rows of z_b
-            d1[block] = pos_e[block] + e1.sum(axis=1)
-            d2[block] = pos_e[block] + e2.sum(axis=1)
-            w1 = e1 / (n * d1[block])[:, None]
-            w2 = e2 / (n * d2[block])[:, None]
-            grad_a[block] += w2 @ b_imp
-            grad_b[block] += w1 @ a_imp
-            grad_a[imp] += w1.T @ b_blk  # impostors are distinct within a block
-            grad_b[imp] += w2.T @ a_blk
+    e = np.exp(z_a @ z_b.T)
+    np.fill_diagonal(e, 0.0)
+    d1 = pos_e + e.sum(axis=0)  # anchor row l of z_b, impostor rows of z_a
+    d2 = pos_e + e.sum(axis=1)  # anchor row l of z_a, impostor rows of z_b
+    mix = e / d2[:, None] + e / d1[None, :]
+    grad_a += (mix @ z_b) / n
+    grad_b += (mix.T @ z_a) / n
     value = float(np.sum(np.log(d1) + np.log(d2) - 2.0 * (pos - delta))) / n
 
     # positive-pair pull from both directions
@@ -183,23 +239,39 @@ def cross_modality_loss(
     """Margin loss summed over all ordered pairs of embedding sets.
 
     ``z_list`` typically holds the filtered embedding first, then one
-    entry per modality.  The two orderings of a pair mirror each other
-    exactly when they share one impostor draw, so each unordered pair is
-    evaluated once and doubled.  The pairs run one after another, each
-    folded into the sums before the next starts, the first gradient of each
-    input serving as its sum.  Returns ``(value, grads)`` with one gradient
+    entry per modality; every set must be a 2-d array of the first's
+    shape, which is checked before any work.  The two orderings of a pair
+    mirror each other exactly when they share one impostor draw, so each
+    unordered pair is evaluated once and doubled.  With a binding cap
+    (``negative_cap < n - 1``) every pair shares one draw of
+    ``_impostor_blocks`` from ``seed``, still a uniform draw for each
+    pair, and all pairs sum block by block into the m gradients.
+    Otherwise each unordered pair is one ``mms_loss`` call, folded into
+    the sums before the next starts, the first gradient of each input
+    serving as its sum.  Returns ``(value, grads)`` with one gradient
     array per input.
     """
     m = len(z_list)
     if m < 2:
         raise ValueError("cross_modality_loss needs at least two embedding sets")
+    z_list = [np.asarray(z, dtype=np.float64) for z in z_list]
+    for idx, z in enumerate(z_list):
+        if z.ndim != 2:
+            raise ValueError(f"cross_modality_loss: set {idx} is not 2-d (shape {z.shape})")
+        if z.shape != z_list[0].shape:
+            raise ValueError(
+                f"cross_modality_loss: set {idx} has shape {z.shape}, set 0 {z_list[0].shape}"
+            )
+    _check_cap(negative_cap)
+    if not _scores_all_pairs(z_list[0].shape[0], negative_cap):
+        return _capped_margin(z_list, delta, negative_cap, seed, 2.0)
+
     total = 0.0
     grads: list = [None] * m
     for i in range(m):
         for j in range(i + 1, m):
             value, g_i, g_j = mms_loss(
-                z_list[i], z_list[j], delta=delta, negative_cap=negative_cap,
-                seed=_sub_seed(seed, i, j),
+                z_list[i], z_list[j], delta=delta, negative_cap=negative_cap
             )
             total += 2.0 * value
             for k, g in ((i, g_i), (j, g_j)):

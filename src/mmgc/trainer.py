@@ -24,10 +24,14 @@ frees them once the shifts are built, before the mix; the final forward
 keeps ``h`` alone.  The mix computes each modality's term into one reused
 buffer beside the sum.  A step row-normalizes its ``h`` and projections in
 place, as nothing reads them after it, and ``fit`` drops them before the
-next forward.  A step's gradient on the unit ``h`` is the first active
-loss's gradient array: a later neighborhood gradient is added into it, and
-the community loss adds its gradient into it block by block.  The
-normalization's VJP builds the gradient on ``h`` in one new array.
+next forward.  Right after the modality loss the step pulls each z_i's
+gradient back through its normalization and folds it into the d_i x
+hidden_dim term ``x_i.T @ g``, then drops the z_i and their gradients, so
+the later losses run beside ``h`` and its gradient alone.  A step's
+gradient on the unit ``h`` is the first active loss's gradient array: a
+later neighborhood gradient is added into it, and the community loss adds
+its gradient into it block by block.  The normalization's VJP writes into
+the gradient it is given, one row block at a time.
 
 Gradients are computed analytically: the feature shift operators, walk
 samples, cluster centroids, and hard positive sets are treated as
@@ -70,6 +74,7 @@ from .kmeans import Clustering, kmeans_fit, thread_budget
 from .losses import (
     PrunedGraph,
     SampleSet,
+    _row_blocks,
     _sub_rng,
     _sub_seed,
     community_loss,
@@ -90,8 +95,10 @@ _STREAM_WALKS = 2
 _STREAM_MMS = 3
 _STREAM_KMEANS = 4
 
-# impostors per row in the cross-modality margin loss: the loss costs
-# O(n * 256 * d) time and O(n * 256) memory rather than O(n^2 * d) and O(n^2)
+# impostors per row in the cross-modality margin loss, drawn once per step
+# and shared by every modality pair: with m embedding sets the loss costs
+# O(m^2 * n * 256 * d) time and holds its m gradients plus one block's
+# O(m * (64 + 256) * d) scratch, rather than O(m^2 * n^2 * d) and O(n^2)
 _IMPOSTOR_CAP = 256
 
 
@@ -217,15 +224,15 @@ def _row_normalize(
 def _row_normalize_vjp(
     x_norm: np.ndarray, norms: np.ndarray, grad: np.ndarray
 ) -> np.ndarray:
-    """Pull a gradient on x / ||x|| back to x, built in one new array; zero
-    rows come out zero."""
+    """Pull a gradient on x / ||x|| back to x, written into ``grad`` one row
+    block at a time and returned; zero rows come out zero."""
     safe = np.where(norms > 0, norms, 1.0)
-    inner = np.einsum("ij,ij->i", x_norm, grad)
-    out = np.multiply(inner[:, None], x_norm)
-    np.subtract(grad, out, out=out)
-    out /= safe[:, None]
-    out[norms == 0] = 0.0
-    return out
+    for blk in _row_blocks(x_norm.shape[0], x_norm.shape[1] * 8):
+        inner = np.einsum("ij,ij->i", x_norm[blk], grad[blk])
+        grad[blk] -= inner[:, None] * x_norm[blk]
+        grad[blk] /= safe[blk, None]
+    grad[norms == 0] = 0.0
+    return grad
 
 
 def init_params(
@@ -316,11 +323,12 @@ def _step_gradients(
     """Loss values and parameter gradients (weight decay included) of one
     step; ``cache.s_list`` and ``frozen`` are its constants.  It row-normalizes
     ``cache.h``, and with the modality loss on each of ``cache.z_list``, in
-    place: the cache is spent once the step returns."""
+    place, then empties ``cache.z_list``: the cache is spent once the step
+    returns."""
     h_norm, h_norms = _row_normalize(cache.h, out=cache.h)
     components = {"mod": 0.0, "nbr": 0.0, "comm": 0.0}
     grad_h_norm = None  # the first active loss's gradient, then the sum
-    grads_z_mod = None
+    mod_terms = None  # per modality, x_i.T @ (the modality loss's gradient on z_i)
 
     if not cfg.no_mod_loss:
         z_norms = [_row_normalize(z, out=z)[1] for z in cache.z_list]
@@ -331,11 +339,12 @@ def _step_gradients(
             seed=frozen.mms_seed,
         )
         grad_h_norm = grads[0]
-        grads_z_mod = [
-            _row_normalize_vjp(z_norm, norms, g)
-            for z_norm, norms, g in zip(cache.z_list, z_norms, grads[1:])
+        mod_terms = [
+            x.T @ _row_normalize_vjp(z_norm, norms, g)
+            for x, z_norm, norms, g in zip(setup.xs, cache.z_list, z_norms, grads[1:])
         ]
-        del grads
+        cache.z_list = []
+        del grads  # the z_i and their gradients go before the next loss runs
 
     if not cfg.no_nbr_loss:
         components["nbr"], grad = neighborhood_loss(h_norm, frozen.samples)
@@ -360,12 +369,12 @@ def _step_gradients(
     w = cache.combine_weights
     grad_weights = []
     mix_sensitivity = np.empty(len(setup.xs))
-    for i, (x, xf, weight) in enumerate(zip(setup.xs, setup.xfs, params.weights)):
+    for i, (xf, weight) in enumerate(zip(setup.xfs, params.weights)):
         pulled = xf.T @ grad_u  # <grad_u, xf_i W_i> = <pulled, W_i>
         mix_sensitivity[i] = float(np.sum(pulled * weight))
         grad = w[i] * pulled
-        if grads_z_mod is not None:
-            grad += x.T @ grads_z_mod[i]
+        if mod_terms is not None:
+            grad += mod_terms[i]
         grad_weights.append(grad + 2.0 * cfg.weight_decay * weight)
     grad_logits = w * (mix_sensitivity - float(w @ mix_sensitivity))
     return components, grad_weights, grad_logits

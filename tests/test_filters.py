@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mmgc.data import load_dataset, normalize_adjacency, symmetric_adjacency
 from mmgc.datagen import ModalitySpec, SynthConfig, generate
 from mmgc import filters as filters_module
+from mmgc.diagnostics import OUTLIER_TAU, zscore_outliers
 from mmgc.filters import (
     DualFilterConfig,
     dual_filter,
@@ -443,6 +444,45 @@ def test_repair_works_in_column_blocks(monkeypatch):
     assert blocked.tobytes() == whole.tobytes()
     assert blocked_xf.tobytes() == whole_xf.tobytes()
     assert blocked_report == report
+
+
+def _strided_median_repair(a_hat, x, cfg):
+    """The repair with both column medians taken on the strided columns of
+    ``x``, as first written."""
+    xf = node_filter(a_hat, x, cfg)
+    for start in range(0, x.shape[1], filters_module._REPAIR_COLUMNS):
+        span = slice(start, start + filters_module._REPAIR_COLUMNS)
+        block = x[:, span]
+        median = np.median(block, axis=0)
+        dense = np.median(np.abs(block - median), axis=0) > 0.0
+        mask = zscore_outliers(block - xf[:, span], tau=OUTLIER_TAU).entry_mask & dense
+        hit = mask.any(axis=0)
+        if not hit.any():
+            continue
+        cols, flagged = block[:, hit], mask[:, hit]
+        cols[flagged] = np.broadcast_to(median[hit], cols.shape)[flagged]
+        cols[flagged] = node_filter(a_hat, cols, cfg)[flagged]
+        block[:, hit] = cols
+        xf[:, start + np.flatnonzero(hit)] = node_filter(a_hat, cols, cfg)
+    return xf
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_repair_medians_keep_the_bits_of_the_strided_columns(n):
+    """Even and odd row counts, spikes in most columns, a sparse 0/1 column
+    and a 70-column width (two blocks): the repaired attributes and their
+    filter are those of the medians taken on the strided columns."""
+    ops = normalize_adjacency(er_graph(n, 0.03, seed=7))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 70))
+    x[:, 3] = rng.random(n) < 0.04
+    x[rng.integers(0, n, 60), np.arange(5, 65)] = 40.0
+    want = x.copy()
+    want_xf = _strided_median_repair(ops.a_hat, want, DualFilterConfig())
+    xf, report = filter_attributes(ops.a_hat, x, DualFilterConfig())
+    assert report.entries_replaced >= 60 and report.sparse_columns == 1
+    assert x.tobytes() == want.tobytes()
+    assert xf.tobytes() == want_xf.tobytes()
 
 
 def test_repair_is_off_without_filter_strength():

@@ -226,16 +226,85 @@ def test_cross_modality_three_sets_gradients():
         _check_gradient(f, zs[which], grads[which], seed=which)
 
 
-def _plain_cross_modality_loss(zs, cap, seed):
-    """The margin loss summed as first written: one pair after another into
-    zero accumulators."""
+def _cross_modality_oracle(zs, delta, cap, seed):
+    """The capped loss summed row by row over the one impostor draw that
+    every pair shares: each ordered pair (a, b) scores anchor row l of set a
+    against row l of set b and the impostor rows of set b drawn for l's
+    block, and the value and gradients are added term by term."""
+    n = zs[0].shape[0]
+    impostors = {int(l): imp for block, imp in _impostor_blocks(n, cap, _sub_rng(seed))
+                 for l in block}
+    value = 0.0
+    grads = [np.zeros_like(z) for z in zs]
+    for a in range(len(zs)):
+        for b in range(len(zs)):
+            if a == b:
+                continue
+            for l in range(n):
+                imp = impostors[l]
+                pos = float(zs[a][l] @ zs[b][l])
+                pos_e = math.exp(pos - delta)
+                e = np.exp(zs[b][imp] @ zs[a][l])
+                den = pos_e + float(e.sum())
+                value += math.log(den) - (pos - delta)
+                pull = 1.0 - pos_e / den
+                grads[a][l] += (e / den) @ zs[b][imp] - pull * zs[b][l]
+                grads[b][imp] += np.outer(e / den, zs[a][l])
+                grads[b][l] -= pull * zs[a][l]
+    # both orderings of a pair count, each scoring both anchor directions
+    return 2.0 * value / n, [2.0 * g / n for g in grads]
+
+
+@pytest.mark.parametrize("sets", [2, 3, 4])
+def test_cross_modality_matches_the_row_by_row_oracle_on_one_shared_draw(sets):
+    """With the cap binding every pair shares one impostor draw; the value
+    and every gradient match the row-by-row sum over that draw to 1e-12,
+    and the inputs keep their bytes."""
+    rng = np.random.default_rng(15)
+    zs = [_unit_rows(rng.standard_normal((40, 5))) for _ in range(sets)]
+    inputs = [z.tobytes() for z in zs]
+    want_value, want_grads = _cross_modality_oracle(zs, 0.1, 8, seed=9)
+    value, grads = cross_modality_loss(zs, delta=0.1, negative_cap=8, seed=9)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+    assert len(grads) == sets
+    for got, want in zip(grads, want_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert [z.tobytes() for z in zs] == inputs
+
+
+def test_cross_modality_of_two_sets_is_twice_mms_loss():
+    """mms_loss is the two-set case of the same capped code: both orderings
+    of the pair share its draw, so the sum is exactly twice the pair's."""
+    rng = np.random.default_rng(17)
+    a, b = (_unit_rows(rng.standard_normal((50, 4))) for _ in range(2))
+    value, (g_a, g_b) = cross_modality_loss([a, b], negative_cap=6, seed=4)
+    pair = mms_loss(a, b, negative_cap=6, seed=4)
+    assert value == 2.0 * pair[0]
+    assert g_a.tobytes() == (2.0 * pair[1]).tobytes()
+    assert g_b.tobytes() == (2.0 * pair[2]).tobytes()
+
+
+def test_cross_modality_four_capped_sets_match_finite_differences():
+    rng = np.random.default_rng(18)
+    zs = [_unit_rows(rng.standard_normal((12, 4))) for _ in range(4)]
+    value, grads = cross_modality_loss(zs, delta=0.1, negative_cap=4, seed=2)
+    assert value > 0.0
+    for which in range(4):
+        def f(x, which=which):
+            stack = [x if i == which else zs[i] for i in range(4)]
+            return cross_modality_loss(stack, delta=0.1, negative_cap=4, seed=2)[0]
+
+        _check_gradient(f, zs[which], grads[which], seed=which, coords=12)
+
+
+def _plain_cross_modality_loss(zs):
+    """The uncapped margin loss summed as first written: one pair after
+    another into zero accumulators."""
     total = 0.0
     grads = [np.zeros_like(z) for z in zs]
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
-            value, g_i, g_j = mms_loss(
-                zs[i], zs[j], negative_cap=cap, seed=losses_module._sub_seed(seed, i, j)
-            )
+            value, g_i, g_j = mms_loss(zs[i], zs[j])
             total += 2.0 * value
             grads[i] += 2.0 * g_i
             grads[j] += 2.0 * g_j
@@ -243,24 +312,34 @@ def _plain_cross_modality_loss(zs, cap, seed):
 
 
 @pytest.mark.parametrize("sets", [2, 3, 4])
-def test_cross_modality_is_byte_identical_to_the_plain_pairwise_sum(sets):
-    """Four sets fold three pair gradients into each input's sum; the value
-    and gradients are those of the plain pairwise sum, byte for byte, and
-    the inputs keep their bytes."""
+def test_cross_modality_is_byte_identical_to_the_plain_pairwise_sum(sets, monkeypatch):
+    """The dense branch: without a binding cap (none, or negative_cap >=
+    n - 1) each unordered pair is one mms_loss call through the module
+    global, and the value and gradients are those of the plain pairwise sum,
+    byte for byte."""
     rng = np.random.default_rng(15)
     zs = [_unit_rows(rng.standard_normal((40, 5))) for _ in range(sets)]
-    inputs = [z.tobytes() for z in zs]
-    want_value, want_grads = _plain_cross_modality_loss(zs, 8, seed=9)
-    value, grads = cross_modality_loss(zs, negative_cap=8, seed=9)
-    assert value == want_value
-    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
-    assert [z.tobytes() for z in zs] == inputs
+    want_value, want_grads = _plain_cross_modality_loss(zs)
+    calls = []
+
+    def counting(z_a, z_b, **kwargs):
+        calls.append(tuple(next(k for k, z in enumerate(zs) if z is arg) for arg in (z_a, z_b)))
+        return mms_loss(z_a, z_b, **kwargs)
+
+    monkeypatch.setattr(losses_module, "mms_loss", counting)
+    for cap in (None, 39, 256):
+        calls.clear()
+        value, grads = cross_modality_loss(zs, negative_cap=cap, seed=9)
+        assert value == want_value
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+        assert calls == [(i, j) for i in range(sets) for j in range(i + 1, sets)]
 
 
 @pytest.mark.parametrize("failing_pair", [1, 2, 3])
 def test_cross_modality_raises_what_a_pair_raises(failing_pair, monkeypatch):
-    """Three sets make the pairs (0, 1), (0, 2) and (1, 2), folded in that
-    order; whichever of them raises, the call raises the same error."""
+    """Uncapped, three sets make the pairs (0, 1), (0, 2) and (1, 2), folded
+    in that order; whichever of them raises, the call raises the same
+    error."""
     rng = np.random.default_rng(16)
     zs = [_unit_rows(rng.standard_normal((10, 3))) for _ in range(3)]
     i, j = [(0, 1), (0, 2), (1, 2)][failing_pair - 1]
@@ -273,27 +352,49 @@ def test_cross_modality_raises_what_a_pair_raises(failing_pair, monkeypatch):
 
     monkeypatch.setattr(losses_module, "mms_loss", failing)
     with pytest.raises(FloatingPointError, match=rf"pair \({i}, {j}\)"):
-        cross_modality_loss(zs, negative_cap=3)
+        cross_modality_loss(zs, negative_cap=9)
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("bad,message", [
+    (np.ones(10), r"set 2 is not 2-d \(shape \(10,\)\)"),
+    (np.ones((10, 3, 1)), r"set 2 is not 2-d"),
+    (np.ones((9, 3)), r"set 2 has shape \(9, 3\), set 0 \(10, 3\)"),
+    (np.ones((10, 4)), r"set 2 has shape \(10, 4\), set 0 \(10, 3\)"),
+], ids=["1-d", "3-d", "rows", "columns"])
+def test_cross_modality_refuses_a_misshapen_set_before_any_pair(cap, bad, message,
+                                                                 monkeypatch):
+    rng = np.random.default_rng(20)
+    zs = [_unit_rows(rng.standard_normal((10, 3))) for _ in range(3)]
+    zs.insert(2, bad)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pair ran before the shapes were checked")
+
+    monkeypatch.setattr(losses_module, "mms_loss", no_work)
+    monkeypatch.setattr(losses_module, "_impostor_blocks", no_work)
+    with pytest.raises(ValueError, match=message):
+        cross_modality_loss(zs, negative_cap=cap)
 
 
 @pytest.mark.parametrize("calls", [1, 2])
-def test_cross_modality_holds_one_wave_of_pair_gradients(calls):
-    """Four sets make six pairs.  Each pair is folded before the next starts,
-    so a wave is one pair: the call holds the four sums and one running pair
-    (half an n x d array of slack), not every pair's gradients.  A second call
-    in a row, as in training, stays under the same bound, so nothing of the
-    first call outlives it."""
+def test_cross_modality_holds_the_m_gradients_and_one_block(calls):
+    """Four capped sets make six pairs, all summed into the four gradients
+    block by block: beside them a call holds one block's scratch, at most
+    four arrays of its block and impostor rows per set (the gathers and the
+    buffers), and no n x d array per pair.  A second call in a row, as in
+    training, stays under the same bound, so nothing of the first call
+    outlives it."""
     n, d, cap = 2000, 64, 64
     rng = np.random.default_rng(19)
     zs = [_unit_rows(rng.standard_normal((n, d))) for _ in range(4)]
-    one_pair = _traced_peak(lambda: mms_loss(zs[0], zs[1], negative_cap=cap, seed=3))
 
     def run():
         for _ in range(calls):
             cross_modality_loss(zs, negative_cap=cap)
 
-    peak = _traced_peak(run)
-    assert peak < (len(zs) + 0.5) * n * d * 8 + one_pair
+    block_scratch = 4 * len(zs) * (losses_module._IMPOSTOR_BLOCK + cap) * d * 8
+    assert _traced_peak(run) < len(zs) * n * d * 8 + block_scratch
 
 
 def _cross_modal_score(zs, u, v):

@@ -233,18 +233,22 @@ def test_forward_mix_is_byte_identical_to_the_plain_sum(monkeypatch):
 
 
 def test_row_normalize_vjp_is_byte_identical_to_the_plain_pullback():
-    """The pullback keeps the bits of ``(grad - inner * x_norm) / norms``,
-    and zero rows come out +0.0."""
+    """The pullback keeps the bits of ``(grad - inner * x_norm) / norms``
+    over any number of row blocks (2500 rows of 64 make three), writing them
+    into the gradient it is given, and zero rows come out +0.0."""
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((30, 5))
-    x[[3, 17]] = 0.0
-    x_norm, norms = trainer._row_normalize(x)
-    grad = rng.standard_normal(x.shape)
-    safe = np.where(norms > 0, norms, 1.0)
-    inner = np.einsum("ij,ij->i", x_norm, grad)
-    want = (grad - inner[:, None] * x_norm) / safe[:, None]
-    want[norms == 0] = 0.0
-    assert trainer._row_normalize_vjp(x_norm, norms, grad).tobytes() == want.tobytes()
+    for shape in ((30, 5), (2500, 64)):
+        x = rng.standard_normal(shape)
+        x[[3, 17]] = 0.0
+        x_norm, norms = trainer._row_normalize(x)
+        grad = rng.standard_normal(x.shape)
+        safe = np.where(norms > 0, norms, 1.0)
+        inner = np.einsum("ij,ij->i", x_norm, grad)
+        want = (grad - inner[:, None] * x_norm) / safe[:, None]
+        want[norms == 0] = 0.0
+        out = trainer._row_normalize_vjp(x_norm, norms, grad)
+        assert out is grad
+        assert out.tobytes() == want.tobytes()
 
 
 def test_node_series_runs_in_setup_only(monkeypatch):
@@ -544,6 +548,34 @@ def test_training_step_and_pruning_start_no_thread(small_graph, monkeypatch):
     assert started["outside"] > 0  # the budget was in force elsewhere
 
 
+def test_step_drops_the_projections_before_the_walk_loss(small_graph, monkeypatch):
+    """Right after the modality loss each z_i's gradient is pulled back and
+    folded into its d_i x hidden_dim term: the walk and community losses run
+    with the cache's z_list already emptied."""
+    cfg = TrainConfig(hidden_dim=8, walk_length=3)
+    setup = trainer._prepare(small_graph, cfg)
+    params = init_params([6, 4], 8, seed=0)
+    pruned = trainer._prune(small_graph, trainer._project(setup, params), cfg)
+    cache = trainer._forward(setup, params)
+    frozen = trainer._step_state(0, cache, pruned, 3, cfg, threads=1)
+    seen = []
+
+    def watched(name):
+        real = getattr(trainer, name)
+
+        def run(*args, **kwargs):
+            seen.append((name, len(cache.z_list)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, run)
+
+    for name in ("cross_modality_loss", "neighborhood_loss", "community_loss"):
+        watched(name)
+    trainer._step_gradients(setup, params, cache, frozen, cfg)
+    assert seen == [("cross_modality_loss", 2), ("neighborhood_loss", 0),
+                    ("community_loss", 0)]
+
+
 @pytest.mark.parametrize("walk_length", [3, 7])
 def test_step_state_draws_walk_length_negatives(small_graph, walk_length):
     cfg = TrainConfig(hidden_dim=8, walk_length=walk_length)
@@ -583,13 +615,13 @@ def test_every_budgeted_routine_rejects_a_budget_below_one(routine, threads, sma
 
 # Traced peak of a one-epoch fit of a 3000-node planted graph (hidden_dim 64,
 # one thread), in n x hidden_dim float64 arrays: 6.4 without the modality
-# loss (in the pre-epoch forward and pruning) and 12.4 with it (inside the
-# margin loss).  The bounds sit below 7.3, the peak of a fit whose mix takes
-# two new arrays per modality, and below 16.4, the peak of a fit whose steps
-# keep a normalized copy next to h, a zero gradient to add the first loss
-# to, the z_i without the modality loss, and the last step's arrays through
-# the next forward.
-@pytest.mark.parametrize("no_mod_loss,bound", [(True, 7.0), (False, 14.0)],
+# loss (in the pre-epoch forward and pruning) and 9.8 with it (inside the
+# margin loss, which sums every pair into its m gradients).  The bounds sit
+# below 7.3, the peak of a fit whose mix takes two new arrays per modality,
+# and below 12.4, the peak of a fit whose margin loss holds one pair's two
+# gradients and a scaled copy beside the m sums, and whose steps keep the
+# z_i and their gradients through the later losses.
+@pytest.mark.parametrize("no_mod_loss,bound", [(True, 7.0), (False, 11.0)],
                          ids=["no-mod-loss", "full-model"])
 def test_fit_traced_peak_in_n_by_hidden_arrays(tmp_path, no_mod_loss, bound):
     n = 3000
